@@ -9,19 +9,14 @@ from .series import (
     USeries,
     falling_factorial,
     rising_factorial,
-    series_invert,
-    series_mul,
-    series_shift,
 )
-from .tau import TauOperator, tau_mul
+from .tau import TauOperator
 from .pbw import (
     AlgebraContext,
     AlgebraElement,
     RewriteSystem,
-    alg_mul,
     free_context,
     gl_context,
-    normal_form,
     ugl_relations,
     yangian_context,
     yangian_relations,
@@ -76,8 +71,6 @@ from .capelli import (
     shifted_h_star,
     shifted_p_star,
     tr_E_power,
-    verify_ev_bridge,
-    verify_shifted_identities,
 )
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ def cache_get(cache_dir, key):
         return None
     try:
         entry = json.loads(raw)
-        if entry.get("key") != key or "value" not in entry:
+        if not isinstance(entry, dict) or entry.get("key") != key or "value" not in entry:
             raise ValueError("malformed entry")
     except (ValueError, UnicodeDecodeError):
         print(f"warning: evicting corrupt cache entry {key}", file=sys.stderr)

@@ -343,17 +343,18 @@ def gl_matrix(n, glctx=None):
 
 
 def _mat_mul(A, B):
-    n = len(A)
+    """Product of matrices given as lists of rows; each entry product keeps
+    the A factor on the left, so entries need not commute."""
     out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
             acc = None
-            for t in range(n):
-                p = A[i][t] * B[t][j]
+            for a, b_row in zip(row, B):
+                p = a * b_row[j]
                 acc = p if acc is None else acc + p
-            row.append(acc)
-        out.append(row)
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -393,25 +394,11 @@ def capelli_p(m, n, glctx=None):
 
     M = shifted_E(0)
     for c in range(1, m):
-        M = _poly_mat_mul(M, shifted_E(c))
+        M = _mat_mul(M, shifted_E(c))
     acc = UPolynomial()
     for i in range(n):
         acc = acc + M[i][i]
     return acc
-
-
-def _poly_mat_mul(A, B):
-    n = len(A)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = UPolynomial()
-            for t in range(n):
-                acc = acc + A[i][t] * B[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
 
 
 def hw_eigenvalue(z, mu):
@@ -458,7 +445,7 @@ def defining_rep_value(z, n=None):
             i, j = decode_e(n, gid)
             unit = [[QONE if (a == i - 1 and b == j - 1) else QZERO
                      for b in range(n)] for a in range(n)]
-            M = unit if M is None else _q_mat_mul(M, unit)
+            M = unit if M is None else _mat_mul(M, unit)
         if M is None:
             for a in range(n):
                 out[a][a] = out[a][a] + c
@@ -468,12 +455,6 @@ def defining_rep_value(z, n=None):
                     if M[a][b]:
                         out[a][b] = out[a][b] + c * M[a][b]
     return out
-
-
-def _q_mat_mul(A, B):
-    n = len(A)
-    return [[sum((A[i][t] * B[t][j] for t in range(n)), QZERO)
-             for j in range(n)] for i in range(n)]
 
 
 def is_scalar_matrix(M):
@@ -596,39 +577,3 @@ def ev_hminus_bridge(m, n, N, ctx=None, glctx=None):
     lhs = ev_hom(h_minus(m, n, N, ctx), gl)
     rhs = ev_hom(homog_h(m, n, N, ctx), gl)
     return lhs == rhs, (lhs, rhs)
-
-
-def verify_shifted_identities(m_max, n, weights=None):
-    """Run the shifted-function identity battery; list of (name, params, ok)."""
-    weights = weights or default_weight_grid(n)
-    out = []
-    for m in range(m_max + 1):
-        ok, _ = check_eh_star(m, n)
-        out.append(("eh_star_symbolic", {"m": m, "n": n}, ok))
-    for k in range(1, m_max + 1):
-        for mu in weights:
-            ok, _ = check_e_star_composition(k, mu)
-            out.append(("e_star_composition", {"k": k, "mu": mu.mu}, ok))
-            ok, _ = check_h_star_composition(k, mu)
-            out.append(("h_star_composition", {"k": k, "mu": mu.mu}, ok))
-    return out
-
-
-def verify_ev_bridge(k_max, n, N, weights=None, ctx=None, glctx=None):
-    """Run the evaluation-bridge battery; list of (name, params, ok)."""
-    weights = weights or default_weight_grid(n)
-    ctx = ctx or default_context(n, N)
-    gl = glctx or default_gl_context(n)
-    out = []
-    for k in range(1, k_max + 1):
-        for mu in weights:
-            ok, _ = ev_e_bridge(k, n, N, mu, ctx, gl)
-            out.append(("ev_e_bridge", {"k": k, "mu": mu.mu}, ok))
-            ok, _ = ev_h_bridge(k, n, N, mu, ctx, gl)
-            out.append(("ev_h_bridge", {"k": k, "mu": mu.mu}, ok))
-    for m in range(1, min(k_max, 2) + 1):
-        ok, _ = ev_hminus_bridge(m, n, N, ctx, gl)
-        out.append(("ev_hminus_bridge", {"m": m}, ok))
-        ok, _ = ev_p_bridge(m, n, N, ctx, gl)
-        out.append(("ev_p_bridge", {"m": m}, ok))
-    return out

@@ -12,6 +12,7 @@ Subcommands:
 
 import argparse
 import json
+import random
 import sys
 
 from .symfun import BetheTwist, bethe_b, elem_e, h_minus, homog_h, power_p, schur_s
@@ -24,11 +25,21 @@ COMPUTE_OBJECTS = ("e", "h", "p", "b", "h_minus", "schur", "capelli_p",
                    "e_star", "h_star", "p_star")
 
 
-def _parse_int_list(text, flag):
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _parse_int_list(text, flag, parser):
     try:
         return [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} expects a comma-separated integer list")
+        parser.error(f"{flag} expects a comma-separated integer list")
 
 
 def build_parser():
@@ -41,7 +52,7 @@ def build_parser():
     comp.add_argument("object", choices=COMPUTE_OBJECTS)
     comp.add_argument("--k", type=int, help="degree index")
     comp.add_argument("--m", type=int, help="degree index (alias of --k)")
-    comp.add_argument("--n", type=int, required=True)
+    comp.add_argument("--n", type=_positive_int, required=True)
     comp.add_argument("--order", type=int, help="series truncation order")
     comp.add_argument("--sign", choices=["+", "-"], default="-",
                       help="sign of the shift direction for p")
@@ -57,11 +68,11 @@ def build_parser():
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", nargs="?", default="all",
                      help="suite name or 'all'")
-    ver.add_argument("--n", type=int)
-    ver.add_argument("--order", type=int)
-    ver.add_argument("--max-m", dest="max_m", type=int)
-    ver.add_argument("--max-k", dest="max_k", type=int)
-    ver.add_argument("--tau-order", dest="tau_order", type=int)
+    ver.add_argument("--n", type=_positive_int)
+    ver.add_argument("--order", type=_positive_int)
+    ver.add_argument("--max-m", dest="max_m", type=_positive_int)
+    ver.add_argument("--max-k", dest="max_k", type=_positive_int)
+    ver.add_argument("--tau-order", dest="tau_order", type=_positive_int)
     ver.add_argument("--seed", type=int, default=20240811)
     ver.add_argument("--format", choices=["json", "text"], default="text")
     ver.add_argument("--cache-dir")
@@ -71,9 +82,12 @@ def build_parser():
     return parser
 
 
-def _compute_value(args, parser):
+def _request(args, parser):
+    """(params, build) of the requested object: the validated parameters,
+    which key the cache, and a function that computes the value."""
     obj = args.object
     deg = args.k if args.k is not None else args.m
+    n, N = args.n, args.order
 
     def need(cond, msg):
         if not cond:
@@ -81,64 +95,76 @@ def _compute_value(args, parser):
 
     if obj in ("e", "h", "p", "b", "h_minus"):
         need(deg is not None, f"compute {obj} needs --k")
-        need(args.order is not None, f"compute {obj} needs --order")
+        need(N is not None, f"compute {obj} needs --order")
     if obj == "e":
-        return elem_e(deg, args.n, args.order), {"k": deg, "n": args.n, "order": args.order}
+        return {"k": deg, "n": n, "order": N}, lambda: elem_e(deg, n, N)
     if obj == "h":
-        return homog_h(deg, args.n, args.order), {"k": deg, "n": args.n, "order": args.order}
+        return {"k": deg, "n": n, "order": N}, lambda: homog_h(deg, n, N)
     if obj == "p":
         sign = 1 if args.sign == "+" else -1
-        return (power_p(deg, sign, args.n, args.order),
-                {"k": deg, "n": args.n, "order": args.order, "sign": args.sign})
+        return ({"k": deg, "n": n, "order": N, "sign": args.sign},
+                lambda: power_p(deg, sign, n, N))
     if obj == "b":
-        if args.z == "identity":
-            Z = BetheTwist.identity(args.n)
-        else:
-            import random
-            Z = BetheTwist.random(args.n, random.Random(args.seed))
-        params = {"k": deg, "n": args.n, "order": args.order, "z": args.z}
+        params = {"k": deg, "n": n, "order": N, "z": args.z}
         if args.z == "random":
             params["seed"] = args.seed
-        return bethe_b(deg, Z, args.n, args.order), params
+
+        def build_b():
+            Z = (BetheTwist.identity(n) if args.z == "identity"
+                 else BetheTwist.random(n, random.Random(args.seed)))
+            return bethe_b(deg, Z, n, N)
+
+        return params, build_b
     if obj == "h_minus":
-        return h_minus(deg, args.n, args.order), {"m": deg, "n": args.n, "order": args.order}
+        return {"m": deg, "n": n, "order": N}, lambda: h_minus(deg, n, N)
     if obj == "schur":
         need(args.lam, "compute schur needs --lambda")
-        need(args.order is not None, "compute schur needs --order")
-        lam = _parse_int_list(args.lam, "--lambda")
-        return (schur_s(lam, args.via, args.n, args.order),
-                {"lambda": lam, "via": args.via, "n": args.n, "order": args.order})
+        need(N is not None, "compute schur needs --order")
+        lam = _parse_int_list(args.lam, "--lambda", parser)
+        return ({"lambda": lam, "via": args.via, "n": n, "order": N},
+                lambda: schur_s(lam, args.via, n, N))
     if obj == "capelli_p":
         need(deg is not None, "compute capelli_p needs --m")
-        return capelli_p(deg, args.n), {"m": deg, "n": args.n}
+        return {"m": deg, "n": n}, lambda: capelli_p(deg, n)
     if obj == "e_star":
         need(deg is not None, "compute e_star needs --k")
-        return shifted_e_star(deg, args.n), {"k": deg, "n": args.n}
+        return {"k": deg, "n": n}, lambda: shifted_e_star(deg, n)
     if obj == "h_star":
         need(deg is not None, "compute h_star needs --k")
-        return shifted_h_star(deg, args.n), {"k": deg, "n": args.n}
+        return {"k": deg, "n": n}, lambda: shifted_h_star(deg, n)
     if obj == "p_star":
         need(deg is not None, "compute p_star needs --k")
         need(args.mu, "compute p_star needs --mu")
-        mu = _parse_int_list(args.mu, "--mu")
-        need(len(mu) == args.n, "--mu must have n entries")
-        return shifted_p_star(deg, mu), {"k": deg, "n": args.n, "mu": mu}
+        mu = _parse_int_list(args.mu, "--mu", parser)
+        need(len(mu) == n, "--mu must have n entries")
+        return {"k": deg, "n": n, "mu": mu}, lambda: shifted_p_star(deg, mu)
     parser.error(f"unknown object {obj}")
 
 
+def _compute_value(args, parser):
+    """(value, params) of the requested object; library errors in the
+    arguments are reported as usage errors."""
+    params, build = _request(args, parser)
+    try:
+        return build(), params
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def cmd_compute(args, parser):
-    value, params = _compute_value(args, parser)
     cache_dir = resolve_cache_dir(args.cache_dir)
-    out_bytes = None
     if cache_dir:
+        params, _ = _request(args, parser)
         key = cache_key(args.object, params)
         out_bytes = cache_get(cache_dir, key)
         if out_bytes is None:
+            value, _ = _compute_value(args, parser)
             out_bytes = cache_put(cache_dir, key, args.object, params, to_jsonable(value))
             print(f"cache miss ({key[:12]})", file=sys.stderr)
         else:
             print(f"cache hit ({key[:12]})", file=sys.stderr)
-    if out_bytes is None:
+    else:
+        value, _ = _compute_value(args, parser)
         out_bytes = canonical_dumps(to_jsonable(value)).encode("utf-8")
     text = out_bytes.decode("utf-8")
     if args.format == "text":

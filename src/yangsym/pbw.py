@@ -364,10 +364,6 @@ class AlgebraContext:
     def gen(self, gid):
         return AlgebraElement(self, {(gid,): QONE})
 
-    def from_terms(self, terms):
-        """Element from (coeff, word) pairs; words are normal-ordered here."""
-        return self.normal_form(terms)
-
     def normal_form(self, raw):
         """Normal-ordered element from raw (coeff, word) data or an element."""
         if isinstance(raw, AlgebraElement):
@@ -561,13 +557,3 @@ class AlgebraElement:
             mono = "*".join(self.gen_name(g) for g in w) if w else "1"
             parts.append(f"({c})*{mono}")
         return " + ".join(parts)
-
-
-def normal_form(ctx, raw):
-    """Normal-ordered AlgebraElement from raw (coeff, word) data."""
-    return ctx.normal_form(raw)
-
-
-def alg_mul(a, b):
-    """Product of two algebra elements (normal-ordered, cap applied)."""
-    return a * b

@@ -1,31 +1,25 @@
 """Exact rational scalars.
 
 Every coefficient in this package is an arbitrary-precision rational;
-nothing is ever rounded.  gmpy2's mpq is used when available (it is much
-faster), with fractions.Fraction as a drop-in fallback.
+nothing is ever rounded.  The scalar type Q is the standard library's
+fractions.Fraction; plain ints are accepted wherever a rational is.
 """
 
+from fractions import Fraction as Q
 from math import comb, factorial
 
-try:
-    from gmpy2 import mpq as Q
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Q
-
-from fractions import Fraction
-
 #: types accepted wherever a rational scalar is expected
-RATIONAL_TYPES = (int, type(Q(0)), Fraction)
+RATIONAL_TYPES = (int, Q)
 
 QZERO = Q(0)
 QONE = Q(1)
 
 
 def as_rational(x):
-    """Coerce an int / Fraction / mpq / 'p/q' string to the canonical Q type."""
-    if isinstance(x, type(QONE)):
+    """Coerce an int / Fraction / 'p/q' string to Q."""
+    if isinstance(x, Q):
         return x
-    if isinstance(x, (int, Fraction, str)):
+    if isinstance(x, (int, str)):
         return Q(x)
     raise TypeError(f"not a rational scalar: {x!r}")
 

@@ -208,16 +208,6 @@ class USeries:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def agrees_with(self, other, order=None):
-        """Coefficient-wise equality up to min(order, both truncations)."""
-        m_max = min(self.order, other.order)
-        if order is not None:
-            m_max = min(m_max, order)
-        for m in range(m_max + 1):
-            if self.coeff(m) != other.coeff(m):
-                return False
-        return True
-
     def first_difference(self, other, order=None):
         """(m, lhs, rhs) for the first differing coefficient, or None."""
         m_max = min(self.order, other.order)
@@ -237,21 +227,6 @@ class USeries:
             c = self.coeffs[m]
             parts.append(f"({c})" + ("" if m == 0 else f"*u^-{m}"))
         return f"USeries({' + '.join(parts)}; order={self.order})"
-
-
-def series_mul(a, b):
-    """Cauchy product truncated at min(order(a), order(b))."""
-    return a * b
-
-
-def series_shift(f, a):
-    """f(u+a) for rational a."""
-    return f.shift(a)
-
-
-def series_invert(f):
-    """g with f*g = 1 up to the truncation order."""
-    return f.invert()
 
 
 class UPolynomial:

@@ -21,7 +21,6 @@ from math import factorial
 
 from .rationals import Q, binomial, rational_str
 from .series import USeries
-from .tau import tau_mul
 from .pbw import (
     AlgebraElement,
     free_context,
@@ -39,7 +38,7 @@ from .tensor import (
     matrix_on_leg,
     perm_op,
     r_matrix,
-    t_leg,
+    t_product,
     tm_mul,
     trace_full,
     trace_partial,
@@ -67,6 +66,7 @@ from .symfun import (
 )
 from .capelli import (
     HighestWeight,
+    _mat_mul,
     capelli_p,
     check_e_star_composition,
     check_eh_star,
@@ -286,16 +286,6 @@ def _check_a3_factorizations(n):
     return A3.equal(by_fusion) and A3.equal(by_b)
 
 
-def _t_chain(shifts, legs, k, n, N, ctx, left=None, right=None):
-    acc = left
-    for s, a in zip(legs, shifts):
-        leg = t_leg(s, a, k, n, N, ctx)
-        acc = leg if acc is None else tm_mul(acc, leg)
-    if right is not None:
-        acc = tm_mul(acc, right)
-    return acc
-
-
 def suite_intertwining(cfg):
     rep = Reporter("intertwining")
     N = cfg.order or 4
@@ -310,14 +300,14 @@ def suite_intertwining(cfg):
             rep.run("antisym_intertwine", "projector_intertwining",
                     {"n": n, "k": k, "order": N},
                     lambda A=A, dec=dec, k=k, n=n, ctx=ctx:
-                    _t_chain(dec, range(1, k + 1), k, n, N, ctx, left=A).equal(
-                        _t_chain(dec[::-1], range(k, 0, -1), k, n, N, ctx, right=A)),
+                    t_product(dec, k, n, N, ctx, left=A).equal(
+                        t_product(dec[::-1], k, n, N, ctx, legs=range(k, 0, -1), right=A)),
                     determined_order=N)
             rep.run("sym_intertwine", "projector_intertwining",
                     {"n": n, "k": k, "order": N},
                     lambda S=S, inc=inc, k=k, n=n, ctx=ctx:
-                    _t_chain(inc, range(1, k + 1), k, n, N, ctx, left=S).equal(
-                        _t_chain(inc[::-1], range(k, 0, -1), k, n, N, ctx, right=S)),
+                    t_product(inc, k, n, N, ctx, left=S).equal(
+                        t_product(inc[::-1], k, n, N, ctx, legs=range(k, 0, -1), right=S)),
                     determined_order=N)
     return rep.records
 
@@ -415,7 +405,7 @@ def suite_inverse_op(cfg):
     ctx = default_context(n, N)
     E = gen_E(n, N, ctx)
     H = gen_Hminus(L, n, N, ctx)
-    prod = tau_mul(E, H.shift_arg(1))
+    prod = E * H.shift_arg(1)
     rep.run("unit_term", "inverse_identity_unit", {"n": n, "order": N, "tau_order": L},
             lambda: check_series(prod.coeff(0), unit_series(n, N, ctx)),
             determined_order=N)
@@ -835,20 +825,13 @@ def _check_trace_lemma(n, rng, kmax=4):
         lhs = trace_full(acc)
         prod = mats[0]
         for M in mats[1:]:
-            prod = [[_dot(prod, M, i, j, fc) for j in range(n)] for i in range(n)]
+            prod = _mat_mul(prod, M)
         rhs = fc.zero()
         for i in range(n):
             rhs = rhs + prod[i][i]
         if lhs != rhs:
             return False
     return True
-
-
-def _dot(A, B, i, j, fc):
-    acc = fc.zero()
-    for t in range(len(A)):
-        acc = acc + A[i][t] * B[t][j]
-    return acc
 
 
 def _check_truncation_instrumentation(n, N):

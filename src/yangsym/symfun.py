@@ -10,7 +10,6 @@ AlgebraElements of the (level-capped) Yangian, and identities are checked
 coefficient-by-coefficient.
 """
 
-from itertools import permutations
 from math import factorial
 
 from .rationals import Q, QONE, as_rational
@@ -194,7 +193,12 @@ def cached_projector(kind, k, n):
 
 
 def _resolve_ctx(n, N, ctx):
-    return ctx if ctx is not None else default_context(n, N)
+    if ctx is None:
+        return default_context(n, N)
+    if ctx.kind != "yangian" or ctx.n != n:
+        raise ValueError(f"need a yangian context for n={n}, "
+                         f"got a {ctx.kind} context for n={ctx.n}")
+    return ctx
 
 
 def unit_series(n, N, ctx=None):
@@ -279,54 +283,36 @@ def p_tau(k, sign, n, N, ctx=None):
     return TauOperator.from_series(power_p(k, sign, n, N, ctx), sign * k)
 
 
-def tau_matrix_ring(N):
-    return RingSpec(TauOperator.zero(), TauOperator.one(N))
-
-
-def e_tau_direct(k, n, N, ctx=None):
-    """tr(A_k ((T(u) tau^{-1})_1 ... (T(u) tau^{-1})_k)), evaluated in the
-    shift-operator calculus instead of through the closed form."""
+def _tau_trace(left, d, legs, k, n, N, ctx):
+    """tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k legs,
+    evaluated in the shift-operator calculus instead of through the closed
+    forms; an independent oracle for e_tau, h_tau and p_tau."""
     ctx = _resolve_ctx(n, N, ctx)
-    ring = tau_matrix_ring(N)
-    acc = cached_projector("A", k, n)
-    for s in range(1, k + 1):
+    ring = RingSpec(TauOperator.zero(), TauOperator.one(N))
+    acc = left
+    for s in legs:
         leg = t_leg(s, 0, k, n, N, ctx)
         tau_leg = TensorMatrix(n, k, {
-            r: {c: TauOperator.from_series(v, -1) for c, v in row.items()}
+            r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
             for r, row in leg.rows.items()}, ring)
-        acc = tm_mul(acc, tau_leg)
-    tr = trace_full(acc)
-    return tr if isinstance(tr, TauOperator) else TauOperator.zero()
-
-
-def h_tau_direct(k, n, N, ctx=None):
-    """Same as e_tau_direct for the symmetrizer with tau^{+1} factors."""
-    ctx = _resolve_ctx(n, N, ctx)
-    ring = tau_matrix_ring(N)
-    acc = cached_projector("S", k, n)
-    for s in range(1, k + 1):
-        leg = t_leg(s, 0, k, n, N, ctx)
-        tau_leg = TensorMatrix(n, k, {
-            r: {c: TauOperator.from_series(v, 1) for c, v in row.items()}
-            for r, row in leg.rows.items()}, ring)
-        acc = tm_mul(acc, tau_leg)
-    tr = trace_full(acc)
-    return tr if isinstance(tr, TauOperator) else TauOperator.zero()
-
-
-def p_tau_direct(k, sign, n, N, ctx=None):
-    """tr((T(u) tau^{sign})^k) via the shift-operator calculus."""
-    ctx = _resolve_ctx(n, N, ctx)
-    ring = tau_matrix_ring(N)
-    leg = t_leg(1, 0, 1, n, N, ctx)
-    tau_leg = TensorMatrix(n, 1, {
-        r: {c: TauOperator.from_series(v, sign) for c, v in row.items()}
-        for r, row in leg.rows.items()}, ring)
-    acc = None
-    for _ in range(k):
         acc = tau_leg if acc is None else tm_mul(acc, tau_leg)
     tr = trace_full(acc)
     return tr if isinstance(tr, TauOperator) else TauOperator.zero()
+
+
+def e_tau_direct(k, n, N, ctx=None):
+    """tr(A_k ((T(u) tau^{-1})_1 ... (T(u) tau^{-1})_k))."""
+    return _tau_trace(cached_projector("A", k, n), -1, range(1, k + 1), k, n, N, ctx)
+
+
+def h_tau_direct(k, n, N, ctx=None):
+    """tr(S_k ((T(u) tau^{+1})_1 ... (T(u) tau^{+1})_k))."""
+    return _tau_trace(cached_projector("S", k, n), 1, range(1, k + 1), k, n, N, ctx)
+
+
+def p_tau_direct(k, sign, n, N, ctx=None):
+    """tr((T(u) tau^{sign})^k) on a single leg."""
+    return _tau_trace(None, sign, [1] * k, 1, n, N, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +346,7 @@ def prop_eB_traces(k, variant, n, N, ctx=None):
     ctx = _resolve_ctx(n, N, ctx)
     if variant in (1, 2):
         sign = -1 if variant == 1 else +1
-        left = TensorMatrix.identity(n, k) if k == 1 else _b_full(k, sign, n)
+        left = TensorMatrix.identity(n, k) if k == 1 else b_factor(k, sign, k, n)
     elif variant == 3:
         left = cached_projector("A", k, n)
     elif variant == 4:
@@ -371,10 +357,6 @@ def prop_eB_traces(k, variant, n, N, ctx=None):
     inc = list(range(k))
     shifts = dec if variant in (1, 4) else inc
     return trace_full(t_product(shifts, k, n, N, ctx, left=left))
-
-
-def _b_full(k, sign, n):
-    return b_factor(k, sign, k, n)
 
 
 # ---------------------------------------------------------------------------
@@ -423,40 +405,44 @@ def newton_check(m, kind, n, N, ctx=None):
 # row determinants and determinant formulas
 
 def rdet(rows):
-    """Row determinant: sum over permutations of signed row-ordered products."""
+    """Row determinant sum_sigma sgn(sigma) a_{1,sigma(1)} ... a_{m,sigma(m)}.
+
+    Expands along the first row and memoizes each minor on its set of
+    remaining columns: O(m 2^m) products instead of m! m.  Every product
+    keeps the row order, so the entries need not commute.
+    """
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("rdet needs a square matrix")
     if m == 0:
         raise ValueError("rdet of an empty matrix")
-    acc = None
-    for sigma in permutations(range(m)):
-        prod = None
-        ok = True
-        for i in range(m):
-            v = rows[i][sigma[i]]
+    memo = {}
+
+    def minor(cols):
+        # rdet of the last len(cols) rows on the columns cols; None if zero
+        if cols in memo:
+            return memo[cols]
+        i = m - len(cols)
+        acc = None
+        for pos, c in enumerate(cols):
+            v = rows[i][c]
             if not v:
-                ok = False
-                break
-            prod = v if prod is None else prod * v
-        if not ok:
-            continue
-        sign = _sign_of(sigma)
-        term = prod if sign > 0 else -prod
-        acc = term if acc is None else acc + term
+                continue
+            if i < m - 1:
+                sub = minor(cols[:pos] + cols[pos + 1:])
+                if sub is None:
+                    continue
+                v = v * sub
+            term = -v if pos % 2 else v
+            acc = term if acc is None else acc + term
+        memo[cols] = acc if acc else None
+        return memo[cols]
+
+    acc = minor(tuple(range(m)))
     if acc is None:
         z = rows[0][0]
         return z - z if not isinstance(z, int) else 0
     return acc
-
-
-def _sign_of(sigma):
-    sign = 1
-    for i in range(len(sigma)):
-        for j in range(i + 1, len(sigma)):
-            if sigma[i] > sigma[j]:
-                sign = -sign
-    return sign
 
 
 def det_formulas(m, which, n, N, ctx=None):

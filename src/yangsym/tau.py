@@ -112,8 +112,3 @@ class TauOperator:
             return "TauOperator(0)"
         parts = [f"[{self.terms[d]!r}] tau^{d}" for d in sorted(self.terms)]
         return f"TauOperator({' + '.join(parts)})"
-
-
-def tau_mul(a, b):
-    """Product of two shift operators under tau^c f(u) = f(u+c) tau^c."""
-    return a * b

@@ -41,13 +41,6 @@ def algebra_ring(ctx):
     return RingSpec(ctx.zero(), ctx.one())
 
 
-def _entry_mul(a, b):
-    # scalars are central; route around gmpy2's eager coercion
-    if isinstance(a, RATIONAL_TYPES) and not isinstance(b, RATIONAL_TYPES):
-        return b.__rmul__(a)
-    return a * b
-
-
 class TensorMatrix:
     """Square matrix on (C^n)^{tensor k} with sparse rows."""
 
@@ -108,7 +101,7 @@ class TensorMatrix:
             return TensorMatrix(self.n, self.k, {}, self.ring)
         rows = {}
         for r, row in self.rows.items():
-            rows[r] = {c: _entry_mul(q, v) for c, v in row.items()}
+            rows[r] = {c: q * v for c, v in row.items()}
         return TensorMatrix(self.n, self.k, rows, self.ring)
 
     def __add__(self, other):
@@ -374,13 +367,18 @@ def z_leg(Z, s, k, n, ring=Q_RING):
     return matrix_on_leg(Zq, s, k, n, ring)
 
 
-def t_product(shifts, k, n, N, ctx, left=None):
-    """Product T_1(u+shifts[0]) ... T_k(u+shifts[k-1]), optionally times a
-    rational matrix on the left (applied first, preserving factor order)."""
+def t_product(shifts, k, n, N, ctx, left=None, legs=None, right=None):
+    """Ordered product of T_{legs[t]}(u+shifts[t]) on k legs, legs 1, 2, ...
+    by default, between optional rational matrices on the left and right
+    (factor order is preserved)."""
+    if legs is None:
+        legs = range(1, len(shifts) + 1)
     acc = left
-    for s, a in enumerate(shifts, start=1):
+    for s, a in zip(legs, shifts):
         leg = t_leg(s, a, k, n, N, ctx)
         acc = leg if acc is None else tm_mul(acc, leg)
+    if right is not None:
+        acc = tm_mul(acc, right)
     return acc
 
 
@@ -400,7 +398,7 @@ def tm_mul(a, b):
             if not row_b:
                 continue
             for c, vb in row_b.items():
-                p = _entry_mul(va, vb)
+                p = va * vb
                 if not p:
                     continue
                 s = acc.get(c)

@@ -112,12 +112,31 @@ def test_corrupt_cache_entry_is_evicted(tmp_path, capsys):
             "--cache-dir", str(tmp_path)]
     code, out1, _ = run_cli(capsys, *args)
     (entry,) = list(tmp_path.iterdir())
-    entry.write_text("{not json")
-    code, out2, err = run_cli(capsys, *args)
-    assert code == 0
-    assert "evicting corrupt cache entry" in err
-    assert out1 == out2
-    assert json.loads(entry.read_text())["value"]  # rewritten
+    # not JSON, and JSON that is not an entry object
+    for corrupt in ("{not json", "[1,2]"):
+        entry.write_text(corrupt)
+        code, out2, err = run_cli(capsys, *args)
+        assert code == 0
+        assert "evicting corrupt cache entry" in err
+        assert out1 == out2
+        assert json.loads(entry.read_text())["value"]  # rewritten
+
+
+def test_cache_hit_skips_computation(tmp_path, capsys, monkeypatch):
+    import yangsym.cli as cli
+
+    args = ["compute", "h", "--k", "2", "--n", "2", "--order", "3",
+            "--cache-dir", str(tmp_path)]
+    code, miss, err = run_cli(capsys, *args)
+    assert code == 0 and "cache miss" in err
+
+    def refuse(*a, **kw):
+        raise AssertionError("a cache hit must not compute the value")
+
+    monkeypatch.setattr(cli, "_compute_value", refuse)
+    code, hit, err = run_cli(capsys, *args)
+    assert code == 0 and "cache hit" in err
+    assert hit == miss
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -188,3 +207,40 @@ def test_skipped_checks_do_not_fail(capsys):
                            "--order", "3", "--tau-order", "2")
     assert code == 0
     assert "[SKIP]" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "newton", "--n", "0"],
+    ["verify", "newton", "--n", "-2"],
+    ["verify", "newton", "--order", "0"],
+    ["verify", "newton", "--max-m", "0"],
+    ["verify", "composition", "--max-k", "-1"],
+    ["verify", "inverse-op", "--tau-order", "0"],
+    ["verify", "newton", "--n", "two"],
+    ["compute", "e", "--k", "1", "--n", "0", "--order", "2"],
+])
+def test_non_positive_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be a positive integer" in captured.err or "expects an integer" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "e", "--k", "-1", "--n", "2", "--order", "2"], "k must be >= 0"),
+    (["compute", "p", "--k", "0", "--n", "2", "--order", "2"], "k must be >= 1"),
+    (["compute", "schur", "--lambda", "1,2", "--n", "2", "--order", "2"],
+     "weakly decreasing"),
+    (["compute", "schur", "--lambda", "1,x", "--n", "2", "--order", "2"],
+     "comma-separated integer list"),
+])
+def test_library_value_errors_are_usage_errors(tmp_path, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []

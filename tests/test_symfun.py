@@ -1,9 +1,12 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q, binomial
 from yangsym.series import USeries
-from yangsym.tau import TauOperator, tau_mul
-from yangsym.pbw import yangian_context
+from yangsym.tau import TauOperator
+from yangsym.pbw import free_context, gl_context, yangian_context
 from yangsym.tensor import perm_op, t_leg, tm_mul, trace_full
 from yangsym.symfun import (
     BetheTwist,
@@ -42,6 +45,13 @@ N2 = 4
 @pytest.fixture(scope="module")
 def ctx2():
     return default_context(2, N2)
+
+
+def test_context_must_match_n():
+    with pytest.raises(ValueError, match="n=2"):
+        power_p(1, 1, 2, 2, default_context(3, 2))
+    with pytest.raises(ValueError, match="yangian"):
+        elem_e(1, 2, 2, gl_context(2))
 
 
 # -- the three families --------------------------------------------------------
@@ -172,7 +182,7 @@ def test_composition_sum_k1(ctx2):
 
 def test_composition_sum_k2_explicit(ctx2):
     p1 = p_tau(1, -1, 2, N2, ctx2)
-    expected = p_tau(2, -1, 2, N2, ctx2).scale(Q(-1, 2)) + tau_mul(p1, p1).scale(Q(1, 2))
+    expected = p_tau(2, -1, 2, N2, ctx2).scale(Q(-1, 2)) + (p1 * p1).scale(Q(1, 2))
     assert composition_sum(2, "e", 2, N2, ctx2) == expected
     assert composition_sum(2, "e", 2, N2, ctx2) == e_tau(2, 2, N2, ctx2)
     assert composition_sum(2, "h", 2, N2, ctx2) == h_tau(2, 2, N2, ctx2)
@@ -205,6 +215,53 @@ def test_rdet_commuting_matches_ordinary_det():
     assert rdet(m) == -2
     m3 = [[Q(2), Q(0), Q(1)], [Q(1), Q(1), Q(1)], [Q(0), Q(3), Q(1)]]
     assert rdet(m3) == 2 * (1 - 3) - 0 + 1 * (3 - 0)
+
+
+def _rdet_by_definition(rows):
+    """The m!-term permutation sum of signed row-ordered products."""
+    acc = None
+    for sigma in permutations(range(len(rows))):
+        inversions = sum(1 for i in range(len(sigma))
+                         for j in range(i + 1, len(sigma)) if sigma[i] > sigma[j])
+        prod = None
+        for i, c in enumerate(sigma):
+            prod = rows[i][c] if prod is None else prod * rows[i][c]
+        term = -prod if inversions % 2 else prod
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@st.composite
+def free_matrices(draw):
+    """Square matrices of sizes 1-5 over a free algebra, some entries zero."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    fc = free_context(4)
+    gens = [fc.gen(g) for g in range(4)]
+    entry = st.one_of(
+        st.just(fc.zero()),
+        st.tuples(st.integers(0, 3), st.integers(-2, 2)).map(
+            lambda p: gens[p[0]].scale(p[1])),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+            lambda p: gens[p[0]] * gens[p[1]] + fc.one()))
+    return [[draw(entry) for _ in range(m)] for _ in range(m)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(free_matrices())
+def test_rdet_matches_permutation_sum(rows):
+    assert rdet(rows) == _rdet_by_definition(rows)
+
+
+def test_rdet_matches_permutation_sum_on_hessenberg_series(ctx2):
+    # the lower-Hessenberg layout of det_formulas and h_minus, with
+    # generating-matrix entries t_ab(u+i), which do not commute
+    from yangsym.tensor import t_series
+    m = 4
+    one = unit_series(2, N2, ctx2)
+    rows = [[t_series(ctx2, 1 + (i + j) % 2, 1 + i % 2, i, N2) if j <= i
+             else one.scale(-(i + 1)) if j == i + 1 else USeries.zero(N2)
+             for j in range(m)] for i in range(m)]
+    assert rdet(rows) == _rdet_by_definition(rows)
 
 
 def test_rdet_row_order_for_noncommuting_entries():
@@ -264,7 +321,7 @@ def test_h_minus_det_matches_recursion(ctx2, m):
 def test_inverse_identity_low_tau_degrees(ctx2):
     E = gen_E(2, N2, ctx2)
     H = gen_Hminus(4, 2, N2, ctx2)
-    prod = tau_mul(E, H.shift_arg(1))
+    prod = E * H.shift_arg(1)
     assert prod.coeff(0) == unit_series(2, N2, ctx2)
     for d in (1, 2, 3, 4):
         assert prod.coeff(-d).is_zero()
