@@ -2,7 +2,9 @@
 
 Entries are keyed by a hash of the canonical parameter JSON plus a code
 version tag, so changing any parameter (or the code version) yields a fresh
-key.  Corrupt entries are evicted with a warning and recomputed.
+key.  Corrupt entries are evicted with a warning and recomputed.  Each
+write goes to its own temporary file in the cache directory and is renamed
+into place, so processes writing the same key at once leave one whole entry.
 """
 
 import hashlib
@@ -65,8 +67,19 @@ def cache_put(cache_dir, key, obj_name, params, value_jsonable):
         "version": CODE_VERSION,
         "value": value_jsonable,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(entry))
-    os.replace(tmp, path)
+    # imported here, since only a write needs it: tempfile pulls in shutil,
+    # which would lengthen the start-up of every process, cache hits included
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key[:12] + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(canonical_dumps(entry))
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
+        raise
     return canonical_dumps(value_jsonable).encode("utf-8")

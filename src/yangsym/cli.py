@@ -75,7 +75,6 @@ def build_parser():
     ver.add_argument("--tau-order", dest="tau_order", type=_positive_int)
     ver.add_argument("--seed", type=int, default=20240811)
     ver.add_argument("--format", choices=["json", "text"], default="text")
-    ver.add_argument("--cache-dir")
     ver.add_argument("--out")
 
     sub.add_parser("list-suites", help="list verification suites")
@@ -92,6 +91,8 @@ def _request(args, parser):
     def need(cond, msg):
         if not cond:
             parser.error(msg)
+
+    need(args.k is None or args.m is None, "give the degree as --k or --m, not both")
 
     if obj in ("e", "h", "p", "b", "h_minus"):
         need(deg is not None, f"compute {obj} needs --k")

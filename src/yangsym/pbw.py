@@ -23,11 +23,17 @@ eliminating along decreasing first level.
 
 A free instance (no relations) is also provided; it is handy as a
 relation-free oracle ring in tests.
+
+Coefficients in element terms, in the exchange table and in the
+normal-form memo are plain ints when integral and Fractions (denominator
+above 1) otherwise, never floats; `rationals.demote` puts a value into that
+form.  The exchange table and the memo are integral, so straightening runs
+on machine-sized ints.  `coeff` and `as_scalar` return Fractions.
 """
 
 import sys
 
-from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational
+from .rationals import Q, RATIONAL_TYPES, demote
 
 if sys.getrecursionlimit() < 20000:
     sys.setrecursionlimit(20000)
@@ -81,8 +87,8 @@ def _gen_factor(n, r, x, y):
     Returns (scalar, word); the level-0 coefficient is the scalar delta_xy.
     """
     if r == 0:
-        return (QONE, ()) if x == y else (QZERO, ())
-    return (QONE, (encode_t(n, r, x, y),))
+        return (1, ()) if x == y else (0, ())
+    return (1, (encode_t(n, r, x, y),))
 
 
 def _ordered_product(n, first, second):
@@ -122,7 +128,7 @@ def _acc(out, term, sign):
     c, w = term
     if not c:
         return
-    s = out.get(w, QZERO) + sign * c
+    s = out.get(w, 0) + sign * c
     if s:
         out[w] = s
     elif w in out:
@@ -150,7 +156,7 @@ def yangian_commutator_words(n, r, i, j, s, k, l):
     a, b = r, s
     while a >= 1:
         for w, c in _exchange_rhs(n, i, j, k, l, a - 1, b).items():
-            s2 = out.get(w, QZERO) + c
+            s2 = out.get(w, 0) + c
             if s2:
                 out[w] = s2
             elif w in out:
@@ -164,10 +170,10 @@ def gl_commutator_words(n, i, j, k, l):
     out = {}
     if j == k:
         w = (encode_e(n, i, l),)
-        out[w] = out.get(w, QZERO) + QONE
+        out[w] = out.get(w, 0) + 1
     if l == i:
         w = (encode_e(n, k, j),)
-        out[w] = out.get(w, QZERO) - QONE
+        out[w] = out.get(w, 0) - 1
     return {w: c for w, c in out.items() if c}
 
 
@@ -217,7 +223,7 @@ class RewriteSystem:
                 comm = gl_commutator_words(n, i, j, k, l)
             else:
                 raise AssertionError("free algebra has no exchange rules")
-            exp = ((QONE, (b, a)),) + tuple((c, w) for w, c in comm.items())
+            exp = ((1, (b, a)),) + tuple((c, w) for w, c in comm.items())
             self.table[key] = exp
         return exp
 
@@ -247,7 +253,7 @@ class RewriteSystem:
     def normal_word(self, word):
         """Normal form of a word as a map normal-word -> coefficient."""
         if self.kind == "free":
-            return {word: QONE}
+            return {word: 1}
         memo = self.nf_memo
         res = memo.get(word)
         if res is not None:
@@ -261,13 +267,13 @@ class RewriteSystem:
                 break
             prev = g
         if pos < 0:
-            res = {word: QONE}
+            res = {word: 1}
         else:
             head, tail = word[:pos], word[pos + 2:]
             out = {}
             for c, mid in self.expansion(word[pos], word[pos + 1]):
                 for w, q in self.normal_word(head + mid + tail).items():
-                    s = out.get(w, QZERO) + c * q
+                    s = out.get(w, 0) + c * q
                     if s:
                         out[w] = s
                     elif w in out:
@@ -345,24 +351,24 @@ class AlgebraContext:
         return AlgebraElement(self, {})
 
     def one(self):
-        return AlgebraElement(self, {(): QONE})
+        return AlgebraElement(self, {(): 1})
 
     def scalar(self, q):
-        q = as_rational(q)
+        q = demote(q)
         return AlgebraElement(self, {(): q} if q else {})
 
     def t(self, r, i, j):
         if self.kind != "yangian":
             raise ValueError("t generators live in the yangian instance")
-        return AlgebraElement(self, {(encode_t(self.n, r, i, j),): QONE})
+        return AlgebraElement(self, {(encode_t(self.n, r, i, j),): 1})
 
     def e(self, i, j):
         if self.kind != "gl":
             raise ValueError("e generators live in the gl instance")
-        return AlgebraElement(self, {(encode_e(self.n, i, j),): QONE})
+        return AlgebraElement(self, {(encode_e(self.n, i, j),): 1})
 
     def gen(self, gid):
-        return AlgebraElement(self, {(gid,): QONE})
+        return AlgebraElement(self, {(gid,): 1})
 
     def normal_form(self, raw):
         """Normal-ordered element from raw (coeff, word) data or an element."""
@@ -373,11 +379,11 @@ class AlgebraContext:
         out = {}
         nw = self.rs.normal_word
         for c, w in items:
-            c = as_rational(c)
+            c = demote(c)
             if not c:
                 continue
             for w2, q in nw(tuple(w)).items():
-                s = out.get(w2, QZERO) + c * q
+                s = out.get(w2, 0) + c * q
                 if s:
                     out[w2] = s
                 elif w2 in out:
@@ -385,6 +391,10 @@ class AlgebraContext:
         return AlgebraElement(self, self._apply_cap(out))
 
     def _apply_cap(self, terms):
+        """terms with stored-form coefficients, minus monomials above the cap."""
+        for w, c in terms.items():
+            if type(c) is not int:
+                terms[w] = demote(c)
         cap = self.level_cap
         if cap is None:
             return terms
@@ -406,14 +416,14 @@ class AlgebraContext:
                 c = ca * cb
                 if wa and wb:
                     for w, q in nw(wa + wb).items():
-                        s = out.get(w, QZERO) + c * q
+                        s = out.get(w, 0) + c * q
                         if s:
                             out[w] = s
                         elif w in out:
                             del out[w]
                 else:
                     w = wa + wb
-                    s = out.get(w, QZERO) + c
+                    s = out.get(w, 0) + c
                     if s:
                         out[w] = s
                     elif w in out:
@@ -450,9 +460,9 @@ class AlgebraElement:
     def as_scalar(self):
         """The rational q if self == q * 1, else None."""
         if not self.terms:
-            return QZERO
+            return Q(0)
         if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
+            return Q(self.terms[()])
         return None
 
     # -- basic structure -----------------------------------------------------
@@ -469,7 +479,7 @@ class AlgebraElement:
         return max((wl(w) for w in self.terms), default=0)
 
     def coeff(self, word):
-        return self.terms.get(tuple(word), QZERO)
+        return Q(self.terms.get(tuple(word), 0))
 
     def _compatible(self, other):
         return self.ctx.rs is other.ctx.rs
@@ -481,9 +491,9 @@ class AlgebraElement:
             raise ValueError("algebra instance mismatch")
         out = dict(self.terms)
         for w, c in other.terms.items():
-            s = out.get(w, QZERO) + c
+            s = out.get(w, 0) + c
             if s:
-                out[w] = s
+                out[w] = s if type(s) is int else demote(s)
             elif w in out:
                 del out[w]
         return AlgebraElement(self.ctx, out)
@@ -502,10 +512,10 @@ class AlgebraElement:
         return (-self) + other
 
     def scale(self, q):
-        q = as_rational(q)
+        q = demote(q)
         if not q:
             return AlgebraElement(self.ctx, {})
-        return AlgebraElement(self.ctx, {w: q * c for w, c in self.terms.items()})
+        return AlgebraElement(self.ctx, {w: demote(q * c) for w, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -523,7 +533,7 @@ class AlgebraElement:
 
     def __eq__(self, other):
         if isinstance(other, RATIONAL_TYPES):
-            q = as_rational(other)
+            q = demote(other)
             if not q:
                 return not self.terms
             return self.terms == {(): q}

@@ -3,6 +3,13 @@
 Every coefficient in this package is an arbitrary-precision rational;
 nothing is ever rounded.  The scalar type Q is the standard library's
 fractions.Fraction; plain ints are accepted wherever a rational is.
+
+Coefficients stored inside algebra elements follow one rule (see
+`demote`): a plain int when the value is integral, a Fraction with
+denominator above 1 otherwise, and never a float.  Integer arithmetic is
+several times faster than Fraction arithmetic, and int and Fraction agree
+on equality, hashing and `str`, so the rule is invisible in results.
+Public accessors that return a single scalar still return a Fraction.
 """
 
 from fractions import Fraction as Q
@@ -24,6 +31,15 @@ def as_rational(x):
     raise TypeError(f"not a rational scalar: {x!r}")
 
 
+def demote(x):
+    """Stored form of an exact rational: an int when x is integral, else a
+    Fraction with denominator above 1.  Accepts what `as_rational` does."""
+    if type(x) is int:
+        return x
+    q = as_rational(x)
+    return q.numerator if q.denominator == 1 else q
+
+
 def rational_str(x):
     """Canonical string form 'p' or 'p/q' with q > 0 and gcd(p,q)=1."""
     return str(as_rational(x))
@@ -42,6 +58,7 @@ __all__ = [
     "QONE",
     "RATIONAL_TYPES",
     "as_rational",
+    "demote",
     "rational_str",
     "binomial",
     "factorial",

@@ -1,11 +1,12 @@
 import json
 import os
+import threading
 
 import pytest
 
 from yangsym.cli import main
 from yangsym.suites import SUITES, CheckRecord
-from yangsym.cache import CACHE_ENV_VAR
+from yangsym.cache import CACHE_ENV_VAR, cache_get, cache_key, cache_put
 
 
 def run_cli(capsys, *argv):
@@ -139,6 +140,38 @@ def test_cache_hit_skips_computation(tmp_path, capsys, monkeypatch):
     assert hit == miss
 
 
+def test_concurrent_cache_writers_leave_one_whole_entry(tmp_path):
+    params = {"k": 1, "n": 2, "order": 2}
+    key = cache_key("e", params)
+    values = [{"writer": i, "payload": ["x" * 2000] * 50} for i in range(8)]
+    start = threading.Barrier(len(values))
+    errors = []
+
+    def write(value):
+        start.wait()
+        try:
+            for _ in range(20):
+                cache_put(str(tmp_path), key, "e", params, value)
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(v,)) for v in values]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    stored = cache_get(str(tmp_path), key)
+    assert json.loads(stored) in values
+    assert [p.name for p in tmp_path.iterdir()] == [key + ".json"]
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path):
+    with pytest.raises(TypeError):
+        cache_put(str(tmp_path), "k", "e", {}, {"value": object()})
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     code, _, err = run_cli(capsys, "compute", "h", "--k", "1", "--n", "2",
@@ -244,3 +277,20 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys, argv, message):
     assert message in captured.err
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "e", "--k", "1", "--m", "2", "--n", "2", "--order", "2"],
+     "--k or --m, not both"),
+    (["compute", "capelli_p", "--k", "2", "--m", "2", "--n", "2"],
+     "--k or --m, not both"),
+    (["verify", "newton", "--n", "2", "--cache-dir", "unused"],
+     "unrecognized arguments: --cache-dir"),
+])
+def test_ignored_or_conflicting_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

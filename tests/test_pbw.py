@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q
 from yangsym.pbw import (
@@ -8,8 +9,11 @@ from yangsym.pbw import (
     yangian_context,
     yangian_relations,
     yangian_commutator_words,
+    encode_e,
     encode_t,
 )
+from yangsym.series import USeries
+from yangsym.suites import _proportionality
 
 
 # -- independent oracle: the defining exchange relation, expanded in a free
@@ -215,3 +219,88 @@ def test_one_step_confluence_on_small_words():
                         results.append({w: v for w, v in out.items() if v})
                 if len(results) == 2:
                     assert results[0] == results[1]
+
+
+# -- coefficient format: an int when integral, a Fraction otherwise ----------
+
+# U(gl_2), Y(gl_2) and Y(gl_2) capped at level 3; the Yangian words use
+# generators of levels 1 and 2
+_FORMAT_CONTEXTS = {
+    "gl2": (gl_context(2), [encode_e(2, i, j) for i in (1, 2) for j in (1, 2)]),
+    "y2": (yangian_context(2),
+           [encode_t(2, r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]),
+    "y2_cap3": (yangian_context(2, level_cap=3),
+                [encode_t(2, r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]),
+}
+
+# numerators over denominators 1, 1, 2, 3: about half the coefficients integral
+_coefficients = st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+def _elements(ctx, gens):
+    word = st.lists(st.sampled_from(gens), max_size=2).map(tuple)
+    return st.lists(st.tuples(_coefficients, word), max_size=3).map(ctx.normal_form)
+
+
+def _assert_stored_form(values):
+    for c in values:
+        assert type(c) is int or (type(c) is Q and c.denominator > 1), repr(c)
+
+
+def _assert_engine_stored_form(ctx, *elements):
+    for x in elements:
+        _assert_stored_form(x.terms.values())
+    for nf in ctx.rs.nf_memo.values():
+        _assert_stored_form(nf.values())
+    for exp in ctx.rs.table.values():
+        _assert_stored_form(c for c, _ in exp)
+
+
+@pytest.mark.parametrize("name", sorted(_FORMAT_CONTEXTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_coefficients_are_int_or_proper_fraction(name, data):
+    ctx, gens = _FORMAT_CONTEXTS[name]
+    x = data.draw(_elements(ctx, gens))
+    y = data.draw(_elements(ctx, gens))
+    q = data.draw(_coefficients)
+    results = [x, y, x * y, x + y, x - y, x.scale(q), q * x, x + q,
+               ctx.scalar(q), x.scale(Q(1, 2)) + x.scale(Q(1, 2))]
+    _assert_engine_stored_form(ctx, *results)
+    for z in results:
+        for w in list(z.terms) + [(gens[0],) * 3]:
+            assert type(z.coeff(w)) is Q
+    assert type(ctx.scalar(q).as_scalar()) is Q
+    assert type((x - x).as_scalar()) is Q
+    assert type(ctx.one().as_scalar()) is Q
+
+
+@pytest.mark.parametrize("name", sorted(_FORMAT_CONTEXTS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_products_with_rational_coefficients(name, data):
+    ctx, gens = _FORMAT_CONTEXTS[name]
+    x, y, z = (data.draw(_elements(ctx, gens)) for _ in range(3))
+    assert (x.scale(Q(1, 2)) * y).scale(2) == x * y
+    if ctx.level_cap is None:
+        assert (x * y) * z == x * (y * z)
+    else:
+        # a capped product is the uncapped one with the high levels dropped
+        full = yangian_context(ctx.n)
+        big = full.normal_form(x) * full.normal_form(y)
+        kept = {w: c for w, c in big.terms.items()
+                if ctx.rs.word_level(w) <= ctx.level_cap}
+        assert (x * y).terms == kept
+    _assert_engine_stored_form(ctx, x * y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_proportionality_constant_is_a_fraction(data):
+    ctx, gens = _FORMAT_CONTEXTS["y2"]
+    x = data.draw(_elements(ctx, gens).filter(bool))
+    q = data.draw(_coefficients.filter(bool))
+    base = USeries(2, {0: x, 2: x * x})
+    ratio, ok = _proportionality(base.scale(q), base)
+    assert ok
+    assert type(ratio) is Q and ratio == q
