@@ -1,7 +1,7 @@
 """Content-addressed cache of computed values.
 
-Entries are keyed by a hash of the canonical parameter JSON plus a code
-version tag, so changing any parameter (or the code version) yields a fresh
+Entries are keyed by a hash of the canonical parameter JSON plus the value
+format version, so changing any parameter (or the format) yields a fresh
 key.  Corrupt entries are evicted with a warning and recomputed.  Each
 write goes to its own temporary file in the cache directory and is renamed
 into place, so processes writing the same key at once leave one whole entry.
@@ -14,7 +14,10 @@ import sys
 
 from .serialize import canonical_dumps
 
-CODE_VERSION = "0.1.0"
+# Bump whenever a computed value or its encoding changes, so that entries
+# written by older code are not served; a test pins the bytes of one value
+# next to this number.
+FORMAT_VERSION = 1
 
 CACHE_ENV_VAR = "YANGSYM_CACHE_DIR"
 
@@ -23,7 +26,7 @@ def cache_key(obj_name, params):
     payload = canonical_dumps({
         "object": obj_name,
         "params": params,
-        "version": CODE_VERSION,
+        "version": FORMAT_VERSION,
     })
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -64,7 +67,7 @@ def cache_put(cache_dir, key, obj_name, params, value_jsonable):
         "key": key,
         "object": obj_name,
         "params": params,
-        "version": CODE_VERSION,
+        "version": FORMAT_VERSION,
         "value": value_jsonable,
     }
     # imported here, since only a write needs it: tempfile pulls in shutil,

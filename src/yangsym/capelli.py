@@ -20,17 +20,7 @@ from .symfun import (
     homog_h,
     power_p,
     h_minus,
-    default_context,
 )
-
-_DEFAULT_GL = {}
-
-
-def default_gl_context(n):
-    ctx = _DEFAULT_GL.get(n)
-    if ctx is None:
-        ctx = _DEFAULT_GL[n] = gl_context(n)
-    return ctx
 
 
 class HighestWeight:
@@ -114,20 +104,12 @@ class ShiftedPolynomial:
         return cls(n, {e: q})
 
     @classmethod
-    def linear(cls, n, mu_index=None, u_coeff=0, const=0):
-        """c + u_coeff*u + (mu_{mu_index} if given)."""
-        out = {}
-        if mu_index is not None:
-            e = [0] * (n + 1)
-            e[mu_index - 1] = 1
-            out[tuple(e)] = QONE
-        if u_coeff:
-            e = [0] * (n + 1)
-            e[n] = 1
-            out[tuple(e)] = as_rational(u_coeff)
-        if const:
-            out[(0,) * (n + 1)] = as_rational(const)
-        return cls(n, out)
+    def linear(cls, n, mu_index, const=0):
+        """mu_{mu_index} + u + const."""
+        mu = [0] * (n + 1)
+        mu[mu_index - 1] = 1
+        u = [0] * n + [1]
+        return cls(n, {tuple(mu): 1, tuple(u): 1, (0,) * (n + 1): const})
 
     def is_zero(self):
         return not self.coeffs
@@ -244,8 +226,7 @@ def shifted_e_star(k, n):
     for subset in combinations(range(1, n + 1), k):
         prod = ShiftedPolynomial.const(n, QONE)
         for t, idx in enumerate(subset, start=1):
-            prod = prod * ShiftedPolynomial.linear(n, mu_index=idx, u_coeff=1,
-                                                   const=k - t)
+            prod = prod * ShiftedPolynomial.linear(n, idx, k - t)
         acc = acc + prod
     return acc
 
@@ -261,8 +242,7 @@ def shifted_h_star(k, n):
     for subset in combinations_with_replacement(range(1, n + 1), k):
         prod = ShiftedPolynomial.const(n, QONE)
         for t, idx in enumerate(subset, start=1):
-            prod = prod * ShiftedPolynomial.linear(n, mu_index=idx, u_coeff=1,
-                                                   const=-k + t)
+            prod = prod * ShiftedPolynomial.linear(n, idx, t - k)
         acc = acc + prod
     return acc
 
@@ -302,24 +282,18 @@ def pp_eigen_trEk(k, mu):
 # ---------------------------------------------------------------------------
 # evaluation homomorphism and U(gl_n) machinery
 
-def ev_hom(x, glctx=None):
+def ev_hom(x):
     """Evaluation: t[1,i,j] -> e[i,j], t[r,i,j] -> 0 for r >= 2.
 
     Accepts an AlgebraElement of the yangian instance or a USeries of them;
     results are normal-ordered in U(gl_n).
     """
     if isinstance(x, USeries):
-        gl = glctx
-        for c in x.coeffs.values():
-            gl = gl or default_gl_context(c.ctx.n)
-            break
-        if gl is None:
-            return USeries.zero(x.order)
-        return x.map_coeffs(lambda c: ev_hom(c, gl))
+        return x.map_coeffs(ev_hom)
     if not isinstance(x, AlgebraElement) or x.ctx.kind != "yangian":
         raise ValueError("ev_hom expects a yangian element or series")
     n = x.ctx.n
-    gl = glctx or default_gl_context(n)
+    gl = gl_context(n)
     raw = []
     for word, c in x.terms.items():
         image = []
@@ -336,9 +310,9 @@ def ev_hom(x, glctx=None):
     return gl.normal_form(raw)
 
 
-def gl_matrix(n, glctx=None):
+def gl_matrix(n):
     """The n x n matrix of generators as a list of rows of AlgebraElements."""
-    gl = glctx or default_gl_context(n)
+    gl = gl_context(n)
     return [[gl.e(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
@@ -358,12 +332,12 @@ def _mat_mul(A, B):
     return out
 
 
-def tr_E_power(k, n, glctx=None):
+def tr_E_power(k, n):
     """The Gelfand invariant tr E^k as an element of U(gl_n)."""
-    gl = glctx or default_gl_context(n)
+    gl = gl_context(n)
     if k == 0:
         return gl.scalar(n)
-    E = gl_matrix(n, gl)
+    E = gl_matrix(n)
     M = E
     for _ in range(k - 1):
         M = _mat_mul(M, E)
@@ -373,11 +347,11 @@ def tr_E_power(k, n, glctx=None):
     return acc
 
 
-def capelli_p(m, n, glctx=None):
+def capelli_p(m, n):
     """tr((E+u)(E+u+1)...(E+u+m-1)) as a polynomial in u over U(gl_n)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    gl = glctx or default_gl_context(n)
+    gl = gl_context(n)
     one = gl.one()
 
     def shifted_E(c):
@@ -433,11 +407,11 @@ def hw_eigenvalue(z, mu):
     return acc
 
 
-def defining_rep_value(z, n=None):
-    """Image of a U(gl_n) element under e_ij -> E_ij, as a rational matrix."""
+def defining_rep_value(z):
+    """Image of a U(gl_n) element under e_ij -> E_ij, as a rational n x n matrix."""
     if not isinstance(z, AlgebraElement) or z.ctx.kind != "gl":
         raise ValueError("defining_rep_value expects a U(gl_n) element")
-    n = n or z.ctx.n
+    n = z.ctx.n
     out = [[QZERO] * n for _ in range(n)]
     for word, c in z.terms.items():
         M = None
@@ -528,14 +502,12 @@ def check_h_star_composition(k, mu):
     return lhs == rhs, (lhs, rhs)
 
 
-def ev_e_bridge(k, n, N, mu, ctx=None, glctx=None):
+def ev_e_bridge(k, n, N, mu):
     """ev(e_k(u)) * (u falling k) == e*_k(u-k+1), compared as rational series
     after taking highest-weight values at the given weight."""
-    ctx = ctx or default_context(n, N)
-    gl = glctx or default_gl_context(n)
     if not isinstance(mu, HighestWeight):
         mu = HighestWeight(mu)
-    img = ev_hom(elem_e(k, n, N, ctx), gl)
+    img = ev_hom(elem_e(k, n, N))
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
     ff = falling_factorial(UPolynomial.variable(), k).to_series(k, N)
     lhs = hw_series * ff
@@ -543,13 +515,11 @@ def ev_e_bridge(k, n, N, mu, ctx=None, glctx=None):
     return lhs == rhs, (lhs, rhs)
 
 
-def ev_h_bridge(k, n, N, mu, ctx=None, glctx=None):
+def ev_h_bridge(k, n, N, mu):
     """ev(h_k(u)) * (u rising k) == h*_k(u+k-1), as rational series at a weight."""
-    ctx = ctx or default_context(n, N)
-    gl = glctx or default_gl_context(n)
     if not isinstance(mu, HighestWeight):
         mu = HighestWeight(mu)
-    img = ev_hom(homog_h(k, n, N, ctx), gl)
+    img = ev_hom(homog_h(k, n, N))
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
     rf = rising_factorial(UPolynomial.variable(), k).to_series(k, N)
     lhs = hw_series * rf
@@ -557,23 +527,19 @@ def ev_h_bridge(k, n, N, mu, ctx=None, glctx=None):
     return lhs == rhs, (lhs, rhs)
 
 
-def ev_p_bridge(m, n, N, ctx=None, glctx=None):
+def ev_p_bridge(m, n, N):
     """ev(p^+_m(u)) * (u rising m) == tr((E+u)...(E+u+m-1)), exactly in U(gl_n),
     and ev(p^-_m(u+m-1)) == ev(p^+_m(u))."""
-    ctx = ctx or default_context(n, N)
-    gl = glctx or default_gl_context(n)
-    plus = ev_hom(power_p(m, +1, n, N, ctx), gl)
-    minus = ev_hom(power_p(m, -1, n, N, ctx).shift(m - 1), gl)
+    plus = ev_hom(power_p(m, +1, n, N))
+    minus = ev_hom(power_p(m, -1, n, N).shift(m - 1))
     rf = rising_factorial(UPolynomial.variable(), m).to_series(m, N)
     lhs = plus * rf
-    rhs = capelli_p(m, n, gl).to_series(m, N)
+    rhs = capelli_p(m, n).to_series(m, N)
     return (lhs == rhs) and (plus == minus), (lhs, rhs, plus, minus)
 
 
-def ev_hminus_bridge(m, n, N, ctx=None, glctx=None):
+def ev_hminus_bridge(m, n, N):
     """ev(h^-_m(u)) == ev(h_m(u)), exactly in U(gl_n)."""
-    ctx = ctx or default_context(n, N)
-    gl = glctx or default_gl_context(n)
-    lhs = ev_hom(h_minus(m, n, N, ctx), gl)
-    rhs = ev_hom(homog_h(m, n, N, ctx), gl)
+    lhs = ev_hom(h_minus(m, n, N))
+    rhs = ev_hom(homog_h(m, n, N))
     return lhs == rhs, (lhs, rhs)

@@ -31,12 +31,7 @@ form.  The exchange table and the memo are integral, so straightening runs
 on machine-sized ints.  `coeff` and `as_scalar` return Fractions.
 """
 
-import sys
-
 from .rationals import Q, RATIONAL_TYPES, demote
-
-if sys.getrecursionlimit() < 20000:
-    sys.setrecursionlimit(20000)
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +331,6 @@ class AlgebraContext:
     def n(self):
         return self.rs.n
 
-    def reset_drop_stats(self):
-        self.drop_count = 0
-        self.min_dropped_level = None
-
     def _note_drop(self, level):
         self.drop_count += 1
         if self.min_dropped_level is None or level < self.min_dropped_level:
@@ -435,8 +426,15 @@ def yangian_context(n, level_cap=None):
     return AlgebraContext("yangian", n, level_cap)
 
 
+_GL = {}
+
+
 def gl_context(n):
-    return AlgebraContext("gl", n)
+    """The U(gl_n) context; U(gl_n) is never truncated, so one per n serves."""
+    ctx = _GL.get(n)
+    if ctx is None:
+        ctx = _GL[n] = AlgebraContext("gl", n)
+    return ctx
 
 
 def free_context(num_gens):

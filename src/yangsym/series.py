@@ -75,14 +75,13 @@ class USeries:
             return self
         return USeries(order, {m: c for m, c in self.coeffs.items() if m <= order})
 
-    def map_coeffs(self, fn, order=None):
+    def map_coeffs(self, fn):
         """Apply fn to every stored coefficient (used e.g. for ring homomorphisms)."""
-        out = USeries(self.order if order is None else order)
+        out = USeries(self.order)
         for m, c in self.coeffs.items():
-            if m <= out.order:
-                v = fn(c)
-                if v:
-                    out.coeffs[m] = v
+            v = fn(c)
+            if v:
+                out.coeffs[m] = v
         return out
 
     def __add__(self, other):
@@ -208,12 +207,9 @@ class USeries:
     def __bool__(self):
         return bool(self.coeffs)
 
-    def first_difference(self, other, order=None):
+    def first_difference(self, other):
         """(m, lhs, rhs) for the first differing coefficient, or None."""
-        m_max = min(self.order, other.order)
-        if order is not None:
-            m_max = min(m_max, order)
-        for m in range(m_max + 1):
+        for m in range(min(self.order, other.order) + 1):
             a, b = self.coeff(m), other.coeff(m)
             if a != b:
                 return (m, a, b)

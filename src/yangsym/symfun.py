@@ -147,10 +147,10 @@ class BetheTwist:
         return cls([[QONE if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def random(cls, n, rng, span=5):
-        """Random integer-entried twist (entries in [-span, span], not all zero)."""
+    def random(cls, n, rng):
+        """Random integer-entried twist (entries in [-5, 5], not all zero)."""
         while True:
-            m = [[Q(rng.randint(-span, span)) for _ in range(n)] for _ in range(n)]
+            m = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
             if any(v for row in m for v in row):
                 return cls(m)
 
@@ -221,7 +221,7 @@ def elem_e(k, n, N, ctx=None):
 
     def build():
         A = cached_projector("A", k, n)
-        prod = t_product([-s for s in range(k)], k, n, N, ctx, left=A)
+        prod = t_product([-s for s in range(k)], N, ctx, left=A)
         return trace_full(prod)
 
     return _cached(("e", ctx, k, N), build)
@@ -237,7 +237,7 @@ def homog_h(k, n, N, ctx=None):
 
     def build():
         S = cached_projector("S", k, n)
-        prod = t_product(list(range(k)), k, n, N, ctx, left=S)
+        prod = t_product(list(range(k)), N, ctx, left=S)
         return trace_full(prod)
 
     return _cached(("h", ctx, k, N), build)
@@ -254,7 +254,7 @@ def power_p(k, sign, n, N, ctx=None):
     def build():
         acc = None
         for s in range(k):
-            leg = t_leg(1, sign * s, 1, n, N, ctx)
+            leg = t_leg(1, sign * s, 1, N, ctx)
             acc = leg if acc is None else tm_mul(acc, leg)
         return trace_full(acc)
 
@@ -288,10 +288,10 @@ def _tau_trace(left, d, legs, k, n, N, ctx):
     evaluated in the shift-operator calculus instead of through the closed
     forms; an independent oracle for e_tau, h_tau and p_tau."""
     ctx = _resolve_ctx(n, N, ctx)
-    ring = RingSpec(TauOperator.zero(), TauOperator.one(N))
+    ring = RingSpec(TauOperator.zero())
     acc = left
     for s in legs:
-        leg = t_leg(s, 0, k, n, N, ctx)
+        leg = t_leg(s, 0, k, N, ctx)
         tau_leg = TensorMatrix(n, k, {
             r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
             for r, row in leg.rows.items()}, ring)
@@ -329,9 +329,9 @@ def bethe_b(k, Z, n, N, ctx=None):
     ctx = _resolve_ctx(n, N, ctx)
     acc = cached_projector("A", n, n)
     for s in range(1, k + 1):
-        acc = tm_mul(acc, t_leg(s, -(s - 1), n, n, N, ctx))
+        acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, ctx))
     for s in range(k + 1, n + 1):
-        acc = tm_mul(acc, z_leg(Zm, s, n, n, ring=acc.ring))
+        acc = tm_mul(acc, z_leg(Zm, s, n, acc.ring))
     return trace_full(acc)
 
 
@@ -356,7 +356,7 @@ def prop_eB_traces(k, variant, n, N, ctx=None):
     dec = [-s for s in range(k)]
     inc = list(range(k))
     shifts = dec if variant in (1, 4) else inc
-    return trace_full(t_product(shifts, k, n, N, ctx, left=left))
+    return trace_full(t_product(shifts, N, ctx, left=left))
 
 
 # ---------------------------------------------------------------------------

@@ -18,27 +18,25 @@ from .series import USeries
 
 
 class RingSpec:
-    """Zero and one of the entry ring, plus a flag for rational entries."""
+    """Zero of the entry ring, plus a flag for rational entries."""
 
-    __slots__ = ("zero", "one", "rational")
+    __slots__ = ("zero", "rational")
 
-    def __init__(self, zero, one, rational=False):
+    def __init__(self, zero, rational=False):
         self.zero = zero
-        self.one = one
         self.rational = rational
 
 
-Q_RING = RingSpec(QZERO, QONE, rational=True)
+Q_RING = RingSpec(QZERO, rational=True)
 
 
-def series_ring(order, ctx=None):
-    """Ring of USeries at a fixed order, rational or algebra-valued."""
-    one = USeries.one(order) if ctx is None else USeries.const(ctx.one(), order)
-    return RingSpec(USeries.zero(order), one)
+def series_ring(order):
+    """Ring of USeries at a fixed order."""
+    return RingSpec(USeries.zero(order))
 
 
 def algebra_ring(ctx):
-    return RingSpec(ctx.zero(), ctx.one())
+    return RingSpec(ctx.zero())
 
 
 class TensorMatrix:
@@ -52,21 +50,18 @@ class TensorMatrix:
         self.rows = rows if rows is not None else {}
         self.ring = ring
 
-    @property
-    def dim(self):
-        return self.n ** self.k
-
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def identity(cls, n, k, ring=Q_RING):
-        one = ring.one
-        return cls(n, k, {i: {i: one} for i in range(n ** k)}, ring)
+    def identity(cls, n, k):
+        return cls(n, k, {i: {i: QONE} for i in range(n ** k)})
 
     @classmethod
     def from_permutation(cls, sigma, k, n, coeff=QONE):
         """Operator sending e_{j_1} x ... x e_{j_k} to the basis vector whose
         sigma(t)-th slot holds j_t; sigma is a tuple with sigma[t-1] = sigma(t)."""
+        if not coeff:
+            return cls(n, k)
         powers = [n ** (k - 1 - t) for t in range(k)]
         rows = {}
         for col in range(n ** k):
@@ -133,40 +128,21 @@ class TensorMatrix:
             return self.scale(other)
         return NotImplemented
 
-    def embed(self, extra_legs, ring=None):
-        """Tensor with the identity on `extra_legs` additional trailing legs."""
-        if extra_legs == 0:
-            return self
-        n, k = self.n, self.k
-        m = n ** extra_legs
-        ring = ring or self.ring
+    def embed(self):
+        """Tensor with the identity on one additional trailing leg."""
+        n = self.n
         rows = {}
         for r, row in self.rows.items():
-            for d in range(m):
-                rows[r * m + d] = {c * m + d: v for c, v in row.items()}
-        return TensorMatrix(n, k + extra_legs, rows, ring)
+            for d in range(n):
+                rows[r * n + d] = {c * n + d: v for c, v in row.items()}
+        return TensorMatrix(n, self.k + 1, rows, self.ring)
 
     def equal(self, other):
-        if self.n != other.n or self.k != other.k:
-            return False
-        keys = set(self.rows) | set(other.rows)
-        for r in keys:
-            ra = self.rows.get(r, {})
-            rb = other.rows.get(r, {})
-            for c in set(ra) | set(rb):
-                va, vb = ra.get(c), rb.get(c)
-                if va is None:
-                    if vb:
-                        return False
-                elif vb is None:
-                    if va:
-                        return False
-                elif va != vb:
-                    return False
-        return True
+        # every constructor and operation prunes zero entries and empty rows
+        return self.n == other.n and self.k == other.k and self.rows == other.rows
 
     def is_zero(self):
-        return all(not v for row in self.rows.values() for v in row.values())
+        return not self.rows
 
     def __repr__(self):
         return f"TensorMatrix(n={self.n}, k={self.k}, nnz={sum(len(r) for r in self.rows.values())})"
@@ -306,7 +282,7 @@ def fusion_step(proj, direction):
     if direction not in ("A", "S"):
         raise ValueError("direction must be 'A' or 'S'")
     n, k = proj.n, proj.k
-    ext = proj.embed(1)
+    ext = proj.embed()
     arg = Q(1, k) if direction == "A" else Q(-1, k)
     r = r_matrix(k, k + 1, arg, k + 1, n)
     return tm_mul(tm_mul(ext, r), ext).scale(Q(1, k + 1))
@@ -326,29 +302,24 @@ def t_series(ctx, i, j, a, N):
     return s.shift(a) if a else s
 
 
-def t_leg(s, a, k, n, N, ctx):
-    """T_s(u+a) on k legs: leg s carries the generating matrix entries."""
+def t_leg(s, a, k, N, ctx):
+    """T_s(u+a) on k legs over the (C^n)^{tensor k} of the yangian context
+    ctx: leg s carries the generating matrix entries."""
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
     if ctx.kind != "yangian":
         raise ValueError("t_leg needs a yangian context")
-    ring = series_ring(N, ctx)
+    n = ctx.n
     table = [[t_series(ctx, i, j, a, N) for j in range(1, n + 1)]
              for i in range(1, n + 1)]
-    pow_s = n ** (k - s)
-    rows = {}
-    for col in range(n ** k):
-        j_s = (col // pow_s) % n
-        base = col - j_s * pow_s
-        for i_s in range(n):
-            rows.setdefault(base + i_s * pow_s, {})[col] = table[i_s][j_s]
-    return TensorMatrix(n, k, rows, ring)
+    return matrix_on_leg(table, s, k, series_ring(N))
 
 
-def matrix_on_leg(M, s, k, n, ring=Q_RING):
-    """An n x n matrix with arbitrary ring entries acting on leg s."""
+def matrix_on_leg(M, s, k, ring):
+    """An n x n matrix (n = len(M)) with arbitrary ring entries acting on leg s."""
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
+    n = len(M)
     pow_s = n ** (k - s)
     rows = {}
     for col in range(n ** k):
@@ -361,21 +332,22 @@ def matrix_on_leg(M, s, k, n, ring=Q_RING):
     return TensorMatrix(n, k, rows, ring)
 
 
-def z_leg(Z, s, k, n, ring=Q_RING):
+def z_leg(Z, s, k, ring):
     """A scalar n x n matrix Z acting on leg s (identity elsewhere)."""
     Zq = [[as_rational(v) for v in row] for row in Z]
-    return matrix_on_leg(Zq, s, k, n, ring)
+    return matrix_on_leg(Zq, s, k, ring)
 
 
-def t_product(shifts, k, n, N, ctx, left=None, legs=None, right=None):
-    """Ordered product of T_{legs[t]}(u+shifts[t]) on k legs, legs 1, 2, ...
-    by default, between optional rational matrices on the left and right
-    (factor order is preserved)."""
+def t_product(shifts, N, ctx, left=None, legs=None, right=None):
+    """Ordered product of T_{legs[t]}(u+shifts[t]) on k = len(shifts) legs,
+    legs 1, 2, ... by default, between optional rational matrices on the left
+    and right (factor order is preserved)."""
+    k = len(shifts)
     if legs is None:
-        legs = range(1, len(shifts) + 1)
+        legs = range(1, k + 1)
     acc = left
     for s, a in zip(legs, shifts):
-        leg = t_leg(s, a, k, n, N, ctx)
+        leg = t_leg(s, a, k, N, ctx)
         acc = leg if acc is None else tm_mul(acc, leg)
     if right is not None:
         acc = tm_mul(acc, right)

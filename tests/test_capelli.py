@@ -13,7 +13,6 @@ from yangsym.capelli import (
     check_e_star_composition,
     check_eh_star,
     check_h_star_composition,
-    default_gl_context,
     default_weight_grid,
     defining_rep_value,
     ev_e_bridge,
@@ -39,63 +38,63 @@ def y2():
 
 @pytest.fixture(scope="module")
 def gl2():
-    return default_gl_context(2)
+    return gl_context(2)
 
 
 # -- evaluation homomorphism ---------------------------------------------------
 
 def test_ev_on_generators(y2, gl2):
-    assert ev_hom(y2.t(1, 1, 2), gl2) == gl2.e(1, 2)
-    assert ev_hom(y2.t(2, 1, 2), gl2) == gl2.zero()
-    assert ev_hom(y2.t(3, 2, 2), gl2) == gl2.zero()
-    assert ev_hom(y2.one(), gl2) == gl2.one()
+    assert ev_hom(y2.t(1, 1, 2)) == gl2.e(1, 2)
+    assert ev_hom(y2.t(2, 1, 2)) == gl2.zero()
+    assert ev_hom(y2.t(3, 2, 2)) == gl2.zero()
+    assert ev_hom(y2.one()) == gl2.one()
 
 
 def test_ev_on_e1_series(y2, gl2):
-    img = ev_hom(elem_e(1, 2, 4, y2), gl2)
+    img = ev_hom(elem_e(1, 2, 4, y2))
     assert img.coeff(0) == 2
     assert img.coeff(1) == gl2.e(1, 1) + gl2.e(2, 2)
     for m in (2, 3, 4):
         assert img.coeff(m) == 0
 
 
-def test_ev_is_multiplicative(y2, gl2):
+def test_ev_is_multiplicative(y2):
     rng = random.Random(3)
     gens = [y2.t(1, 1, 1), y2.t(1, 1, 2), y2.t(2, 2, 1), y2.t(1, 2, 2)]
     for _ in range(10):
         x = sum((g.scale(rng.randint(-2, 2)) for g in gens), y2.zero())
         y = sum((g.scale(rng.randint(-2, 2)) for g in gens), y2.zero())
         xy = x * y
-        assert ev_hom(xy, gl2) == ev_hom(x, gl2) * ev_hom(y, gl2)
+        assert ev_hom(xy) == ev_hom(x) * ev_hom(y)
 
 
 # -- Capelli polynomials ---------------------------------------------------------
 
 def test_capelli_p1(gl2):
-    p1 = capelli_p(1, 2, gl2)
+    p1 = capelli_p(1, 2)
     assert p1.coeff(1) == gl2.one().scale(2)
     assert p1.coeff(0) == gl2.e(1, 1) + gl2.e(2, 2)
 
 
-def test_ev_p_bridge_m2(y2, gl2):
-    ok, (lhs, rhs, plus, minus) = ev_p_bridge(2, 2, 4, y2, gl2)
+def test_ev_p_bridge_m2():
+    ok, (lhs, rhs, plus, minus) = ev_p_bridge(2, 2, 4)
     assert ok
     assert lhs == rhs
     assert plus == minus
 
 
-def test_ev_p_bridge_explicit(y2, gl2):
+def test_ev_p_bridge_explicit(y2):
     # ev(p^+_2(u)) * (u rising 2) reproduces tr((E+u)(E+u+1)) term by term
     N = 4
-    plus = ev_hom(power_p(2, +1, 2, N, y2), gl2)
+    plus = ev_hom(power_p(2, +1, 2, N, y2))
     lhs = plus * rising_factorial(UPolynomial.variable(), 2).to_series(2, N)
-    rhs = capelli_p(2, 2, gl2).to_series(2, N)
+    rhs = capelli_p(2, 2).to_series(2, N)
     assert lhs == rhs
 
 
-def test_ev_hminus_equals_ev_h(y2, gl2):
+def test_ev_hminus_equals_ev_h():
     for m in (1, 2):
-        ok, (lhs, rhs) = ev_hminus_bridge(m, 2, 4, y2, gl2)
+        ok, (lhs, rhs) = ev_hminus_bridge(m, 2, 4)
         assert ok and lhs == rhs
 
 
@@ -103,8 +102,8 @@ def test_ev_hminus_equals_ev_h(y2, gl2):
 
 def test_e_star_k1():
     p = shifted_e_star(1, 2)
-    expected = ShiftedPolynomial.linear(2, mu_index=1, u_coeff=1) \
-        + ShiftedPolynomial.linear(2, mu_index=2, u_coeff=1)
+    expected = ShiftedPolynomial.linear(2, mu_index=1) \
+        + ShiftedPolynomial.linear(2, mu_index=2)
     assert p == expected
 
 
@@ -116,8 +115,8 @@ def test_e_star_vanishes_beyond_n():
 def test_h_star_k2_n1():
     # single variable: (mu_1 + u - 1)(mu_1 + u)
     p = shifted_h_star(2, 1)
-    f1 = ShiftedPolynomial.linear(1, mu_index=1, u_coeff=1, const=-1)
-    f2 = ShiftedPolynomial.linear(1, mu_index=1, u_coeff=1)
+    f1 = ShiftedPolynomial.linear(1, mu_index=1, const=-1)
+    f2 = ShiftedPolynomial.linear(1, mu_index=1)
     assert p == f1 * f2
 
 
@@ -144,9 +143,9 @@ def test_pp_trivial_weight():
     assert pp_eigen_trEk(0, (2, 1, 0)) == 3
 
 
-def test_pp_defining_weight_matches_matrix_oracle(gl2):
-    trE2 = tr_E_power(2, 2, gl2)
-    M = defining_rep_value(trE2, 2)
+def test_pp_defining_weight_matches_matrix_oracle():
+    trE2 = tr_E_power(2, 2)
+    M = defining_rep_value(trE2)
     ok, scalar = is_scalar_matrix(M)
     assert ok and scalar == 2
     assert pp_eigen_trEk(2, (1, 0)) == 2
@@ -155,9 +154,8 @@ def test_pp_defining_weight_matches_matrix_oracle(gl2):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pp_matches_hw_on_grid(n):
-    gl = default_gl_context(n)
     for k in (1, 2, 3):
-        trEk = tr_E_power(k, n, gl)
+        trEk = tr_E_power(k, n)
         for mu in default_weight_grid(n, 6):
             assert pp_eigen_trEk(k, mu) == hw_eigenvalue(trEk, mu)
 
@@ -171,10 +169,22 @@ def test_hw_examples(gl2):
 
 
 def test_defining_rep_examples(gl2):
-    M = defining_rep_value(gl2.e(1, 2) * gl2.e(2, 1), 2)
+    M = defining_rep_value(gl2.e(1, 2) * gl2.e(2, 1))
     assert M == [[Q(1), Q(0)], [Q(0), Q(0)]]
-    trace_mat = defining_rep_value(gl2.e(1, 1) + gl2.e(2, 2), 2)
+    trace_mat = defining_rep_value(gl2.e(1, 1) + gl2.e(2, 2))
     assert is_scalar_matrix(trace_mat) == (True, Q(1))
+
+
+def test_defining_rep_value_is_n_by_n():
+    assert defining_rep_value(gl_context(2).e(1, 2)) == [[0, 1], [0, 0]]
+    assert len(defining_rep_value(tr_E_power(2, 3))) == 3
+
+
+def test_one_gl_context_per_n(y2):
+    assert gl_context(2) is gl_context(2)
+    assert gl_context(2) is not gl_context(3)
+    assert ev_hom(y2.t(1, 1, 2)).ctx is gl_context(2)
+    assert tr_E_power(1, 2).ctx is gl_context(2)
 
 
 def test_highest_weight_validation():
@@ -216,20 +226,20 @@ def test_p_star_k1_matches_first_casimir():
 # -- the evaluation bridges -------------------------------------------------------------
 
 @pytest.mark.parametrize("k", [1, 2])
-def test_ev_bridges_n2(y2, gl2, k):
+def test_ev_bridges_n2(k):
     for mu in default_weight_grid(2, 6):
-        assert ev_e_bridge(k, 2, 4, mu, y2, gl2)[0]
-        assert ev_h_bridge(k, 2, 4, mu, y2, gl2)[0]
+        assert ev_e_bridge(k, 2, 4, mu)[0]
+        assert ev_h_bridge(k, 2, 4, mu)[0]
 
 
-def test_ev_bridge_beyond_top_degree(y2, gl2):
+def test_ev_bridge_beyond_top_degree():
     # e_3 = 0 at n=2 and e*_3 has no index choices: both sides vanish
-    ok, (lhs, rhs) = ev_e_bridge(3, 2, 4, HighestWeight((2, 0)), y2, gl2)
+    ok, (lhs, rhs) = ev_e_bridge(3, 2, 4, HighestWeight((2, 0)))
     assert ok and lhs.is_zero() and rhs.is_zero()
 
 
-def test_ev_bridge_k1_explicit(y2, gl2):
+def test_ev_bridge_k1_explicit():
     mu = HighestWeight((4, 1))
-    ok, (lhs, rhs) = ev_e_bridge(1, 2, 4, mu, y2, gl2)
+    ok, (lhs, rhs) = ev_e_bridge(1, 2, 4, mu)
     assert ok
     assert lhs.coeff(0) == 2 and lhs.coeff(1) == 5

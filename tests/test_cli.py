@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -6,7 +7,8 @@ import pytest
 
 from yangsym.cli import main
 from yangsym.suites import SUITES, CheckRecord
-from yangsym.cache import CACHE_ENV_VAR, cache_get, cache_key, cache_put
+from yangsym import cache
+from yangsym.cache import CACHE_ENV_VAR, FORMAT_VERSION, cache_get, cache_key, cache_put
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +108,27 @@ def test_cache_key_depends_on_order(tmp_path, capsys):
     run_cli(capsys, *base, "--order", "2")
     run_cli(capsys, *base, "--order", "3")
     assert len(list(tmp_path.iterdir())) == 2
+
+
+# sha256 of the stdout of `compute e --k 2 --n 2 --order 3` per value format
+# version: a change to the values or their encoding fails this test until
+# FORMAT_VERSION is bumped and the new digest recorded under it.
+FORMAT_DIGESTS = {
+    1: "7ab8e657edd5f5dba9f2c396c7409dc82bb609a4ff68b65cd0a9b7cae705f448",
+}
+
+
+def test_format_version_pins_the_value_bytes(capsys):
+    code, out, _ = run_cli(capsys, "compute", "e", "--k", "2", "--n", "2", "--order", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORMAT_DIGESTS[FORMAT_VERSION]
+
+
+def test_cache_key_depends_on_format_version(monkeypatch):
+    params = {"k": 2, "n": 2, "order": 3}
+    key = cache_key("e", params)
+    monkeypatch.setattr(cache, "FORMAT_VERSION", FORMAT_VERSION + 1)
+    assert cache_key("e", params) != key
 
 
 def test_corrupt_cache_entry_is_evicted(tmp_path, capsys):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -304,3 +308,33 @@ def test_proportionality_constant_is_a_fraction(data):
     ratio, ok = _proportionality(base.scale(q), base)
     assert ok
     assert type(ratio) is Q and ratio == q
+
+
+# -- no global state: the interpreter's recursion limit is left alone ------------
+
+def _fresh_python(code):
+    """stdout of `code` in a fresh interpreter that imports this yangsym."""
+    import yangsym
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(yangsym.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    before, after = _fresh_python(
+        "import sys; before = sys.getrecursionlimit(); import yangsym.cli; "
+        "print(before, sys.getrecursionlimit())")
+    assert before == after
+
+
+def test_deep_word_straightens_under_the_default_limit():
+    # e12^10 e21^10 recurses about 100 deep on a cold memo
+    limit, terms = _fresh_python(
+        "import sys; from yangsym.pbw import encode_e, gl_context; "
+        "w = (encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10; "
+        "print(sys.getrecursionlimit(), len(gl_context(2).normal_form([(1, w)]).terms))")
+    assert int(limit) <= 1000
+    assert int(terms) == 285

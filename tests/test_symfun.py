@@ -109,8 +109,8 @@ def test_p2_via_cyclic_trace(ctx2):
     # tr(P_{1,2} (T(u))_1 (T(u-1))_2) computed on two legs
     n, k = 2, 2
     acc = perm_op(1, 2, k, n)
-    acc = tm_mul(acc, t_leg(1, 0, k, n, N2, ctx2))
-    acc = tm_mul(acc, t_leg(2, -1, k, n, N2, ctx2))
+    acc = tm_mul(acc, t_leg(1, 0, k, N2, ctx2))
+    acc = tm_mul(acc, t_leg(2, -1, k, N2, ctx2))
     assert trace_full(acc) == power_p(2, -1, 2, N2, ctx2)
 
 

@@ -1,4 +1,7 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q, binomial
 from yangsym.series import USeries
@@ -132,7 +135,7 @@ def test_fusion_beyond_top_degree_vanishes():
 
 def test_t_leg_constant_term_is_identity():
     ctx = yangian_context(2)
-    T = t_leg(1, 0, 2, 2, 2, ctx)
+    T = t_leg(1, 0, 2, 2, ctx)
     for col in range(4):
         for row in range(4):
             c = T.entry(row, col)
@@ -142,7 +145,7 @@ def test_t_leg_constant_term_is_identity():
 
 def test_t_leg_level_one_entries():
     ctx = yangian_context(2)
-    T = t_leg(1, 0, 1, 2, 1, ctx)
+    T = t_leg(1, 0, 1, 1, ctx)
     for i in (1, 2):
         for j in (1, 2):
             s = T.entry(i - 1, j - 1)
@@ -152,7 +155,7 @@ def test_t_leg_level_one_entries():
 def test_t_leg_shift_oracle():
     # entry (1,1) of T(u-1) at order 2: 1 + t1 u^-1 + (t1+t2) u^-2
     ctx = yangian_context(2)
-    T = t_leg(1, -1, 1, 2, 2, ctx)
+    T = t_leg(1, -1, 1, 2, ctx)
     s = T.entry(0, 0)
     assert s.coeff(0) == ctx.one()
     assert s.coeff(1) == ctx.t(1, 1, 1)
@@ -203,7 +206,7 @@ def test_trace_lemma_on_free_entries():
             left = P if left is None else tm_mul(left, P)
         acc = left
         for s, M in enumerate(mats, start=1):
-            acc = tm_mul(acc, matrix_on_leg(M, s, k, n, ring))
+            acc = tm_mul(acc, matrix_on_leg(M, s, k, ring))
         lhs = trace_full(acc)
         prod = mats[0]
         for M in mats[1:]:
@@ -218,8 +221,8 @@ def test_intertwining_small():
     n, N, k = 2, 2, 2
     ctx = yangian_context(n)
     A = antisymmetrizer(k, n)
-    lhs = t_product([0, -1], k, n, N, ctx, left=A)
-    rhs = tm_mul(tm_mul(t_leg(2, -1, k, n, N, ctx), t_leg(1, 0, k, n, N, ctx)), A)
+    lhs = t_product([0, -1], N, ctx, left=A)
+    rhs = tm_mul(tm_mul(t_leg(2, -1, k, N, ctx), t_leg(1, 0, k, N, ctx)), A)
     assert lhs.equal(rhs)
 
 
@@ -242,3 +245,59 @@ def test_trace_is_cyclic_for_commuting_entries():
 def test_tm_mul_shape_mismatch():
     with pytest.raises(ValueError):
         tm_mul(TensorMatrix.identity(2, 2), TensorMatrix.identity(2, 3))
+
+
+def test_t_leg_reads_n_from_its_context():
+    # the trace of T(u) over gl_3 reaches the third diagonal generator
+    ctx = yangian_context(3)
+    T = t_leg(1, 0, 1, 2, ctx)
+    assert T.n == 3
+    assert trace_full(T).coeff(1) == ctx.t(1, 1, 1) + ctx.t(1, 2, 2) + ctx.t(1, 3, 3)
+    assert t_product([0, -1, -2], 2, ctx).k == 3
+
+
+# -- stored form: no zero entries, no empty rows ---------------------------------
+
+_ENTRIES = st.sampled_from([Q(0), Q(0), Q(1), Q(-1), Q(1, 2), Q(-3, 2)])
+
+
+@st.composite
+def _matrix_pairs(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 2 if n == 3 else 3))
+
+    def matrix():
+        m = TensorMatrix(n, k)
+        for r in range(n ** k):
+            for c in range(n ** k):
+                m.set_entry(r, c, draw(_ENTRIES))
+        return m
+
+    return matrix(), matrix()
+
+
+def _assert_pruned(m):
+    for row in m.rows.values():
+        assert row
+        assert all(v for v in row.values())
+
+
+def _entrywise_equal(a, b):
+    dim = a.n ** a.k
+    return all(a.entry(r, c) == b.entry(r, c) for r in range(dim) for c in range(dim))
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_matrix_pairs(), data=st.data())
+def test_operations_keep_the_stored_form(pair, data):
+    a, b = pair
+    n, k = a.n, a.k
+    q = data.draw(_ENTRIES)
+    legs = data.draw(st.sets(st.integers(1, k)))
+    sigma = data.draw(st.sampled_from(list(permutations(range(1, k + 1)))))
+    results = [a.scale(q), a + b, a - b, a - a, tm_mul(a, b), a.embed(),
+               trace_partial(a, legs), TensorMatrix.from_permutation(sigma, k, n, q)]
+    for m in results:
+        _assert_pruned(m)
+    assert (a - a).is_zero() and (a - a).equal(TensorMatrix(n, k))
+    assert a.equal(b) == _entrywise_equal(a, b) == (a - b).is_zero()
