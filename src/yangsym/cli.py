@@ -21,8 +21,18 @@ from .serialize import canonical_dumps, to_jsonable
 from .cache import cache_get, cache_key, cache_put, resolve_cache_dir
 from .suites import SUITES, SuiteConfig, run_suites
 
-COMPUTE_OBJECTS = ("e", "h", "p", "b", "h_minus", "schur", "capelli_p",
-                   "e_star", "h_star", "p_star")
+# Each object with the options without a default that it reads, all of
+# which it needs; giving another is a usage error, not an ignored value.
+_DEGREE = "--k/--m"
+OPTIONS_READ = {
+    **{obj: (_DEGREE, "--order") for obj in ("e", "h", "p", "b", "h_minus")},
+    "schur": ("--lambda", "--order"),
+    "capelli_p": (_DEGREE,),
+    "e_star": (_DEGREE,),
+    "h_star": (_DEGREE,),
+    "p_star": (_DEGREE, "--mu"),
+}
+COMPUTE_OBJECTS = tuple(OPTIONS_READ)
 
 
 def _positive_int(text):
@@ -93,10 +103,13 @@ def _request(args, parser):
             parser.error(msg)
 
     need(args.k is None or args.m is None, "give the degree as --k or --m, not both")
+    given = {_DEGREE: deg, "--order": N, "--lambda": args.lam, "--mu": args.mu}
+    for flag, value in given.items():
+        if flag in OPTIONS_READ[obj]:
+            need(value is not None, f"compute {obj} needs {flag}")
+        else:
+            need(value is None, f"compute {obj} does not take {flag}")
 
-    if obj in ("e", "h", "p", "b", "h_minus"):
-        need(deg is not None, f"compute {obj} needs --k")
-        need(N is not None, f"compute {obj} needs --order")
     if obj == "e":
         return {"k": deg, "n": n, "order": N}, lambda: elem_e(deg, n, N)
     if obj == "h":
@@ -119,23 +132,16 @@ def _request(args, parser):
     if obj == "h_minus":
         return {"m": deg, "n": n, "order": N}, lambda: h_minus(deg, n, N)
     if obj == "schur":
-        need(args.lam, "compute schur needs --lambda")
-        need(N is not None, "compute schur needs --order")
         lam = _parse_int_list(args.lam, "--lambda", parser)
         return ({"lambda": lam, "via": args.via, "n": n, "order": N},
                 lambda: schur_s(lam, args.via, n, N))
     if obj == "capelli_p":
-        need(deg is not None, "compute capelli_p needs --m")
         return {"m": deg, "n": n}, lambda: capelli_p(deg, n)
     if obj == "e_star":
-        need(deg is not None, "compute e_star needs --k")
         return {"k": deg, "n": n}, lambda: shifted_e_star(deg, n)
     if obj == "h_star":
-        need(deg is not None, "compute h_star needs --k")
         return {"k": deg, "n": n}, lambda: shifted_h_star(deg, n)
     if obj == "p_star":
-        need(deg is not None, "compute p_star needs --k")
-        need(args.mu, "compute p_star needs --mu")
         mu = _parse_int_list(args.mu, "--mu", parser)
         need(len(mu) == n, "--mu must have n entries")
         return {"k": deg, "n": n, "mu": mu}, lambda: shifted_p_star(deg, mu)

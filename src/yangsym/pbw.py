@@ -2,9 +2,9 @@
 
 Two instances are used throughout the package:
 
-* the level-truncated Yangian of gl_n, generated by t[r,i,j] (r >= 1; the
-  level-0 entry of the generating matrix is the scalar delta_ij and is never
-  stored), ordered by (level, i, j);
+* the Yangian of gl_n, generated by t[r,i,j] (r >= 1; the level-0 entry
+  of the generating matrix is the scalar delta_ij and is never stored),
+  ordered by (level, i, j);
 * U(gl_n), generated by e[i,j], ordered so that strictly lower-triangular
   generators come first, then diagonal, then strictly upper-triangular
   (raising generators rightmost), lexicographic in (i,j) within each block.
@@ -23,6 +23,11 @@ eliminating along decreasing first level.
 
 A free instance (no relations) is also provided; it is handy as a
 relation-free oracle ring in tests.
+
+Neither algebra is truncated.  The u^{-m} coefficient of a series of the
+generating matrix has total level at most m, so a series of order N never
+needs a generator above level N and no product drops a monomial;
+`yangian_context(n)` and `gl_context(n)` return one context per n.
 
 Coefficients in element terms, in the exchange table and in the
 normal-form memo are plain ints when integral and Fractions (denominator
@@ -97,26 +102,6 @@ def _ordered_product(n, first, second):
     return (c1 * c2, w1 + w2)
 
 
-def _t1t2_coeff(n, i, k, j, l, a, b):
-    """Coefficient of u^{-a} v^{-b} in entry ((i,k),(j,l)) of T1(u)T2(v)."""
-    return _ordered_product(n, (a, i, j), (b, k, l))
-
-
-def _t2t1_coeff(n, i, k, j, l, a, b):
-    """Same entry of T2(v)T1(u); the v-factor multiplies on the left."""
-    return _ordered_product(n, (b, k, l), (a, i, j))
-
-
-def _p_left_coeff(n, i, k, j, l, a, b):
-    """Entry of P.T1(u)T2(v): the permutation swaps the two row indices."""
-    return _t1t2_coeff(n, k, i, j, l, a, b)
-
-
-def _p_right_coeff(n, i, k, j, l, a, b):
-    """Entry of T2(v)T1(u).P: the permutation swaps the two column indices."""
-    return _t2t1_coeff(n, i, k, l, j, a, b)
-
-
 def _acc(out, term, sign):
     if term is None:
         return
@@ -135,8 +120,10 @@ def _exchange_rhs(n, i, j, k, l, a, b):
     [t^(a+1)_ij, t^(b)_kl] - [t^(a)_ij, t^(b+1)_kl] = Q(a,b),
     read off from the u^{-a} v^{-b} coefficient of the cleared relation."""
     out = {}
-    _acc(out, _p_left_coeff(n, i, k, j, l, a, b), 1)
-    _acc(out, _p_right_coeff(n, i, k, j, l, a, b), -1)
+    # P T1(u) T2(v): the permutation swaps the two row indices
+    _acc(out, _ordered_product(n, (a, k, j), (b, i, l)), 1)
+    # T2(v) T1(u) P: the permutation swaps the two column indices
+    _acc(out, _ordered_product(n, (b, k, j), (a, i, l)), -1)
     return out
 
 
@@ -307,21 +294,16 @@ def ugl_relations(n):
 # contexts and elements
 
 class AlgebraContext:
-    """An algebra instance: shared rewrite system plus a truncation policy.
+    """An algebra instance over the shared rewrite system of (kind, n)."""
 
-    For the Yangian, `level_cap` drops normal-ordered monomials of total
-    level above the cap after each product (None = never drop).  Every drop
-    is counted, together with the smallest level ever dropped, so that a
-    computation can assert it never discarded anything it needed.
-    """
+    __slots__ = ("rs",)
 
-    __slots__ = ("rs", "level_cap", "drop_count", "min_dropped_level")
+    # Products drop nothing.  bench/tracer.py reads this count around
+    # `_apply_cap` to report drops, so it stays until the benchmark changes.
+    drop_count = 0
 
-    def __init__(self, kind, n, level_cap=None):
+    def __init__(self, kind, n):
         self.rs = _shared_system(kind, n)
-        self.level_cap = level_cap
-        self.drop_count = 0
-        self.min_dropped_level = None
 
     @property
     def kind(self):
@@ -330,11 +312,6 @@ class AlgebraContext:
     @property
     def n(self):
         return self.rs.n
-
-    def _note_drop(self, level):
-        self.drop_count += 1
-        if self.min_dropped_level is None or level < self.min_dropped_level:
-            self.min_dropped_level = level
 
     # -- element constructors ------------------------------------------------
 
@@ -382,22 +359,13 @@ class AlgebraContext:
         return AlgebraElement(self, self._apply_cap(out))
 
     def _apply_cap(self, terms):
-        """terms with stored-form coefficients, minus monomials above the cap."""
+        """terms with stored-form coefficients.  bench/tracer.py wraps this
+        method by name around every product's output, so the name stays
+        until the benchmark changes."""
         for w, c in terms.items():
             if type(c) is not int:
                 terms[w] = demote(c)
-        cap = self.level_cap
-        if cap is None:
-            return terms
-        wl = self.rs.word_level
-        kept = {}
-        for w, c in terms.items():
-            lv = wl(w)
-            if lv > cap:
-                self._note_drop(lv)
-            else:
-                kept[w] = c
-        return kept
+        return terms
 
     def mul_terms(self, A, B):
         out = {}
@@ -422,19 +390,24 @@ class AlgebraContext:
         return self._apply_cap(out)
 
 
-def yangian_context(n, level_cap=None):
-    return AlgebraContext("yangian", n, level_cap)
+_CONTEXTS = {}
 
 
-_GL = {}
+def _interned_context(kind, n):
+    ctx = _CONTEXTS.get((kind, n))
+    if ctx is None:
+        ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
+    return ctx
+
+
+def yangian_context(n):
+    """The Y(gl_n) context; nothing is truncated, so one per n serves."""
+    return _interned_context("yangian", n)
 
 
 def gl_context(n):
     """The U(gl_n) context; U(gl_n) is never truncated, so one per n serves."""
-    ctx = _GL.get(n)
-    if ctx is None:
-        ctx = _GL[n] = AlgebraContext("gl", n)
-    return ctx
+    return _interned_context("gl", n)
 
 
 def free_context(num_gens):

@@ -48,7 +48,6 @@ from .symfun import (
     bethe_b,
     cached_projector,
     composition_sum,
-    default_context,
     det_formulas,
     e_from_h_minus,
     e_tau,
@@ -196,9 +195,12 @@ def check_series(lhs, rhs):
 
 
 def check_tau(lhs, rhs):
-    degs = sorted(set(lhs.terms) | set(rhs.terms))
-    for d in degs:
-        f = series_failure(lhs.coeff(d), rhs.coeff(d))
+    for d in sorted(set(lhs.terms) | set(rhs.terms)):
+        a, b = lhs.terms.get(d), rhs.terms.get(d)
+        # an absent degree is zero up to the other side's order
+        a = a if a is not None else USeries.zero(b.order)
+        b = b if b is not None else USeries.zero(a.order)
+        f = series_failure(a, b)
         if f is not None:
             f["tau"] = d
             return (False, f)
@@ -296,7 +298,7 @@ def suite_intertwining(cfg):
     N = cfg.order or 4
     kmax = cfg.max_k or 3
     for n in _ns(cfg):
-        ctx = default_context(n, N)
+        ctx = yangian_context(n)
         for k in range(1, kmax + 1):
             A = cached_projector("A", k, n)
             S = cached_projector("S", k, n)
@@ -323,19 +325,18 @@ def suite_eb_traces(cfg):
     kmax = cfg.max_k or 3
     from .symfun import prop_eB_traces
     for n in _ns(cfg):
-        ctx = default_context(n, N)
         for k in range(1, kmax + 1):
             targets = {
-                1: elem_e(k, n, N, ctx),
-                2: homog_h(k, n, N, ctx),
-                3: elem_e(k, n, N, ctx).shift(k - 1),
-                4: homog_h(k, n, N, ctx).shift(-(k - 1)),
+                1: elem_e(k, n, N),
+                2: homog_h(k, n, N),
+                3: elem_e(k, n, N).shift(k - 1),
+                4: homog_h(k, n, N).shift(-(k - 1)),
             }
             for variant in (1, 2, 3, 4):
                 rep.run(f"trace_variant_{variant}", "alt_trace_presentations",
                         {"n": n, "k": k, "variant": variant, "order": N},
-                        lambda k=k, variant=variant, n=n, ctx=ctx, targets=targets:
-                        check_series(prop_eB_traces(k, variant, n, N, ctx), targets[variant]),
+                        lambda k=k, variant=variant, n=n, targets=targets:
+                        check_series(prop_eB_traces(k, variant, n, N), targets[variant]),
                         determined_order=N)
     return rep.records
 
@@ -348,13 +349,12 @@ def suite_newton(cfg):
     else:
         shapes = [(2, 6, 4), (3, 5, 3)]
     for n, N, m_max in shapes:
-        ctx = default_context(n, N)
         for m in range(1, m_max + 1):
             for kind in ("e", "h"):
                 rep.run(f"newton_{kind}_m{m}", f"newton_{kind}",
                         {"n": n, "order": N, "m": m},
-                        lambda m=m, kind=kind, n=n, N=N, ctx=ctx:
-                        check_tau(*newton_check(m, kind, n, N, ctx)[1:]),
+                        lambda m=m, kind=kind, n=n, N=N:
+                        check_tau(*newton_check(m, kind, n, N)[1:]),
                         determined_order=N)
     return rep.records
 
@@ -364,17 +364,16 @@ def suite_composition(cfg):
     n = cfg.n or 2
     N = cfg.order or 5
     kmax = cfg.max_k or 4
-    ctx = default_context(n, N)
     for k in range(1, kmax + 1):
         rep.run(f"composition_e_k{k}", "power_sum_composition_e",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: check_tau(composition_sum(k, "e", n, N, ctx),
-                                      e_tau(k, n, N, ctx)),
+                lambda k=k: check_tau(composition_sum(k, "e", n, N),
+                                      e_tau(k, n, N)),
                 determined_order=N)
         rep.run(f"composition_h_k{k}", "power_sum_composition_h",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: check_tau(composition_sum(k, "h", n, N, ctx),
-                                      h_tau(k, n, N, ctx)),
+                lambda k=k: check_tau(composition_sum(k, "h", n, N),
+                                      h_tau(k, n, N)),
                 determined_order=N)
     return rep.records
 
@@ -384,19 +383,18 @@ def suite_determinants(cfg):
     n = cfg.n or 2
     N = cfg.order or 5
     m_max = cfg.max_m or 3
-    ctx = default_context(n, N)
     for m in range(1, m_max + 1):
         targets = {
-            "e_from_p": elem_e(m, n, N, ctx),
-            "h_from_p": homog_h(m, n, N, ctx),
-            "p_from_e": power_p(m, -1, n, N, ctx),
-            "p_from_h": power_p(m, +1, n, N, ctx),
+            "e_from_p": elem_e(m, n, N),
+            "h_from_p": homog_h(m, n, N),
+            "p_from_e": power_p(m, -1, n, N),
+            "p_from_h": power_p(m, +1, n, N),
         }
         for which, target in targets.items():
             rep.run(f"{which}_m{m}", f"determinant_{which}",
                     {"n": n, "order": N, "m": m},
                     lambda which=which, m=m, target=target:
-                    check_series(det_formulas(m, which, n, N, ctx), target),
+                    check_series(det_formulas(m, which, n, N), target),
                     determined_order=N)
     return rep.records
 
@@ -407,12 +405,11 @@ def suite_inverse_op(cfg):
     N = cfg.order or 6
     L = cfg.tau_order or 6
     required_depth = 4
-    ctx = default_context(n, N)
-    E = gen_E(n, N, ctx)
-    H = gen_Hminus(L, n, N, ctx)
+    E = gen_E(n, N)
+    H = gen_Hminus(L, n, N)
     prod = E * H.shift_arg(1)
     rep.run("unit_term", "inverse_identity_unit", {"n": n, "order": N, "tau_order": L},
-            lambda: check_series(prod.coeff(0), unit_series(n, N, ctx)),
+            lambda: check_series(prod.coeff(0), unit_series(n, N)),
             determined_order=N)
     for d in range(1, max(required_depth, L) + 1):
         if d > L:
@@ -427,14 +424,14 @@ def suite_inverse_op(cfg):
     for k in range(1, 3):
         rep.run(f"e_from_h_minus_k{k}", "elementary_from_inverse_family",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: check_series(e_from_h_minus(k, n, N, ctx),
-                                         elem_e(k, n, N, ctx)),
+                lambda k=k: check_series(e_from_h_minus(k, n, N),
+                                         elem_e(k, n, N)),
                 determined_order=N)
     for m in range(1, 5):
         rep.run(f"h_minus_det_vs_recursion_m{m}", "inverse_family_two_routes",
                 {"n": n, "order": N, "m": m},
-                lambda m=m: check_series(h_minus(m, n, N, ctx),
-                                         h_minus_from_inverse(m, n, N, ctx)),
+                lambda m=m: check_series(h_minus(m, n, N),
+                                         h_minus_from_inverse(m, n, N)),
                 determined_order=N)
     return rep.records
 
@@ -443,13 +440,12 @@ def suite_schur(cfg):
     rep = Reporter("schur")
     n = cfg.n or 2
     N = cfg.order or 5
-    ctx = default_context(n, N)
     lams = [(1,), (2,), (1, 1), (2, 1), (2, 2)]
     for lam in lams:
         rep.run(f"schur_duality_{'_'.join(map(str, lam))}", "schur_two_routes",
                 {"n": n, "order": N, "lambda": list(lam)},
-                lambda lam=lam: check_series(schur_s(lam, "h", n, N, ctx),
-                                             schur_s(lam, "e", n, N, ctx)),
+                lambda lam=lam: check_series(schur_s(lam, "h", n, N),
+                                             schur_s(lam, "e", n, N)),
                 determined_order=N)
     return rep.records
 
@@ -460,30 +456,30 @@ def suite_commutativity(cfg):
     kmax = cfg.max_k or 3
     rng = random.Random(cfg.seed)
     for n in _ns(cfg):
-        ctx = yangian_context(n, level_cap=None)
         family = []
         for k in range(1, kmax + 1):
-            family.append((f"p-_{k}", power_p(k, -1, n, N, ctx)))
+            family.append((f"p-_{k}", power_p(k, -1, n, N)))
             if k <= n:
-                family.append((f"e_{k}", elem_e(k, n, N, ctx)))
-            family.append((f"h-_{k}", h_minus(k, n, N, ctx)))
+                family.append((f"e_{k}", elem_e(k, n, N)))
+            family.append((f"h-_{k}", h_minus(k, n, N)))
         _pairwise_commute(rep, "bethe_family", n, N, family)
         Z = BetheTwist.random(n, rng)
-        twisted = [(f"b_{k}", bethe_b(k, Z, n, N, ctx)) for k in range(1, min(kmax, n) + 1)]
+        twisted = [(f"b_{k}", bethe_b(k, Z, n, N)) for k in range(1, min(kmax, n) + 1)]
         _pairwise_commute(rep, "twisted_family", n, N, twisted,
                           extra={"twist": [[rational_str(v) for v in row] for row in Z.matrix]})
         if n == 2:
             rep.run("top_elementary_central", "top_elementary_centrality",
                     {"n": n, "order": N, "max_level": N - n + 1},
-                    lambda n=n, ctx=ctx: _check_top_e_central(n, N, ctx),
+                    lambda n=n: _check_top_e_central(n, N),
                     determined_order=N)
     return rep.records
 
 
-def _check_top_e_central(n, N, ctx):
+def _check_top_e_central(n, N):
     """Coefficients of e_n(u) commute with every generator of level
     <= N - n + 1 (the levels the truncation fully determines)."""
-    en = elem_e(n, n, N, ctx)
+    ctx = yangian_context(n)
+    en = elem_e(n, n, N)
     for c in en.coeffs.values():
         if not isinstance(c, AlgebraElement) or c.as_scalar() is not None:
             continue
@@ -528,12 +524,11 @@ def suite_lemma_constant(cfg):
     rep = Reporter("lemma-constant")
     N = cfg.order or 4
     for n in _ns(cfg):
-        ctx = default_context(n, N)
         Z = BetheTwist.identity(n)
         for k in range(1, n + 1):
-            def check(k=k, n=n, ctx=ctx):
-                e = elem_e(k, n, N, ctx)
-                b = bethe_b(k, Z, n, N, ctx)
+            def check(k=k, n=n):
+                e = elem_e(k, n, N)
+                b = bethe_b(k, Z, n, N)
                 ratio, ok = _proportionality(e, b)
                 # the closed form recorded alongside: n! / (k! (n-1)^(n-k))
                 base = (n - 1) ** (n - k)
@@ -620,7 +615,6 @@ def _random_yangian_element(ctx, rng):
 
 
 def _check_ev_multiplicative(n, rng):
-    # uncapped: a level cap would drop monomials of x * y that ev_hom keeps
     ctx = yangian_context(n)
     for _ in range(5):
         x = _random_yangian_element(ctx, rng)
@@ -837,20 +831,30 @@ def _check_trace_lemma(n):
 
 
 def _check_truncation_instrumentation(n, N):
-    ctx = yangian_context(n, level_cap=N)
+    """The u^{-m} coefficient of every family series has total level at most
+    m, so truncating at order N needs no generator above level N.  Counts
+    the monomials that break this and the smallest level among them."""
+    def levels(series):
+        for m, c in series.coeffs.items():
+            if isinstance(c, AlgebraElement):
+                for w in c.terms:
+                    lv = c.ctx.rs.word_level(w)
+                    if lv > m:
+                        yield lv
+
+    families = []
     for k in range(1, n + 1):
-        elem_e(k, n, N, ctx)
-        bethe_b(k, BetheTwist.identity(n), n, N, ctx)
+        families += [elem_e(k, n, N), bethe_b(k, BetheTwist.identity(n), n, N)]
     for k in range(1, 4):
-        homog_h(k, n, N, ctx)
-        power_p(k, -1, n, N, ctx)
-        power_p(k, +1, n, N, ctx)
-        h_minus(k, n, N, ctx)
-    newton_check(2, "e", n, N, ctx)
-    wrong = ctx.min_dropped_level is not None and ctx.min_dropped_level <= N
-    return (ctx.drop_count == 0 and not wrong,
-            {"_detail": True, "drop_count": ctx.drop_count,
-             "min_dropped_level": ctx.min_dropped_level})
+        families += [homog_h(k, n, N), power_p(k, -1, n, N), power_p(k, +1, n, N),
+                     h_minus(k, n, N)]
+    _, lhs, rhs = newton_check(2, "e", n, N)
+    for op in (lhs, rhs):
+        families += op.terms.values()
+    excess = [lv for s in families for lv in levels(s)]
+    return (not excess,
+            {"_detail": True, "drop_count": len(excess),
+             "min_dropped_level": min(excess, default=None)})
 
 
 SUITES = {

@@ -6,8 +6,9 @@ identities; determinant formulas; the inverse of the alternating generating
 operator; and Jacobi-Trudi style Schur series.
 
 Everything is computed in the exact engine: series coefficients are
-AlgebraElements of the (level-capped) Yangian, and identities are checked
-coefficient-by-coefficient.
+AlgebraElements of the Yangian (one context per n, see `pbw`), and
+identities are checked coefficient-by-coefficient.  Family values are cached
+on (family, n, parameters, order).
 """
 
 from math import factorial
@@ -156,19 +157,7 @@ class BetheTwist:
 
 
 # ---------------------------------------------------------------------------
-# contexts and caching
-
-_DEFAULT_CTX = {}
-
-
-def default_context(n, level_cap):
-    """Shared yangian context per (n, cap); computations on it are cached."""
-    key = (n, level_cap)
-    ctx = _DEFAULT_CTX.get(key)
-    if ctx is None:
-        ctx = _DEFAULT_CTX[key] = yangian_context(n, level_cap)
-    return ctx
-
+# caching
 
 _CACHE = {}
 
@@ -192,102 +181,90 @@ def cached_projector(kind, k, n):
     return m
 
 
-def _resolve_ctx(n, N, ctx):
-    if ctx is None:
-        return default_context(n, N)
-    if ctx.kind != "yangian" or ctx.n != n:
-        raise ValueError(f"need a yangian context for n={n}, "
-                         f"got a {ctx.kind} context for n={ctx.n}")
-    return ctx
-
-
-def unit_series(n, N, ctx=None):
-    ctx = _resolve_ctx(n, N, ctx)
-    return USeries.const(ctx.one(), N)
+def unit_series(n, N):
+    return USeries.const(yangian_context(n).one(), N)
 
 
 # ---------------------------------------------------------------------------
 # the three families
 
-def elem_e(k, n, N, ctx=None):
+def elem_e(k, n, N):
     """Trace of A_k T_1(u) T_2(u-1) ... T_k(u-k+1); zero for k > n."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ctx = _resolve_ctx(n, N, ctx)
     if k == 0:
-        return unit_series(n, N, ctx)
+        return unit_series(n, N)
     if k > n:
         return USeries.zero(N)
 
     def build():
         A = cached_projector("A", k, n)
-        prod = t_product([-s for s in range(k)], N, ctx, left=A)
+        prod = t_product([-s for s in range(k)], N, yangian_context(n), left=A)
         return trace_full(prod)
 
-    return _cached(("e", ctx, k, N), build)
+    return _cached(("e", n, k, N), build)
 
 
-def homog_h(k, n, N, ctx=None):
+def homog_h(k, n, N):
     """Trace of S_k T_1(u) T_2(u+1) ... T_k(u+k-1)."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    ctx = _resolve_ctx(n, N, ctx)
     if k == 0:
-        return unit_series(n, N, ctx)
+        return unit_series(n, N)
 
     def build():
         S = cached_projector("S", k, n)
-        prod = t_product(list(range(k)), N, ctx, left=S)
+        prod = t_product(list(range(k)), N, yangian_context(n), left=S)
         return trace_full(prod)
 
-    return _cached(("h", ctx, k, N), build)
+    return _cached(("h", n, k, N), build)
 
 
-def power_p(k, sign, n, N, ctx=None):
+def power_p(k, sign, n, N):
     """Trace of the plain matrix product T(u) T(u+sign) ... T(u+sign*(k-1))."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    ctx = _resolve_ctx(n, N, ctx)
 
     def build():
+        ctx = yangian_context(n)
         acc = None
         for s in range(k):
             leg = t_leg(1, sign * s, 1, N, ctx)
             acc = leg if acc is None else tm_mul(acc, leg)
         return trace_full(acc)
 
-    return _cached(("p", ctx, k, sign, N), build)
+    return _cached(("p", n, k, sign, N), build)
 
 
 # ---------------------------------------------------------------------------
 # shift-operator forms
 
-def e_tau(k, n, N, ctx=None):
+def e_tau(k, n, N):
     """e_k(u) attached to tau^{-k}."""
     if k == 0:
-        return TauOperator.from_series(unit_series(n, N, ctx), 0)
-    return TauOperator.from_series(elem_e(k, n, N, ctx), -k)
+        return TauOperator.from_series(unit_series(n, N), 0)
+    return TauOperator.from_series(elem_e(k, n, N), -k)
 
 
-def h_tau(k, n, N, ctx=None):
+def h_tau(k, n, N):
     """h_k(u) attached to tau^{+k}."""
     if k == 0:
-        return TauOperator.from_series(unit_series(n, N, ctx), 0)
-    return TauOperator.from_series(homog_h(k, n, N, ctx), k)
+        return TauOperator.from_series(unit_series(n, N), 0)
+    return TauOperator.from_series(homog_h(k, n, N), k)
 
 
-def p_tau(k, sign, n, N, ctx=None):
+def p_tau(k, sign, n, N):
     """p^sign_k(u) attached to tau^{sign*k}."""
-    return TauOperator.from_series(power_p(k, sign, n, N, ctx), sign * k)
+    return TauOperator.from_series(power_p(k, sign, n, N), sign * k)
 
 
-def _tau_trace(left, d, legs, k, n, N, ctx):
+def _tau_trace(left, d, legs, k, n, N):
     """tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k legs,
     evaluated in the shift-operator calculus instead of through the closed
     forms; an independent oracle for e_tau, h_tau and p_tau."""
-    ctx = _resolve_ctx(n, N, ctx)
+    ctx = yangian_context(n)
     ring = RingSpec(TauOperator.zero())
     acc = left
     for s in legs:
@@ -300,25 +277,25 @@ def _tau_trace(left, d, legs, k, n, N, ctx):
     return tr if isinstance(tr, TauOperator) else TauOperator.zero()
 
 
-def e_tau_direct(k, n, N, ctx=None):
+def e_tau_direct(k, n, N):
     """tr(A_k ((T(u) tau^{-1})_1 ... (T(u) tau^{-1})_k))."""
-    return _tau_trace(cached_projector("A", k, n), -1, range(1, k + 1), k, n, N, ctx)
+    return _tau_trace(cached_projector("A", k, n), -1, range(1, k + 1), k, n, N)
 
 
-def h_tau_direct(k, n, N, ctx=None):
+def h_tau_direct(k, n, N):
     """tr(S_k ((T(u) tau^{+1})_1 ... (T(u) tau^{+1})_k))."""
-    return _tau_trace(cached_projector("S", k, n), 1, range(1, k + 1), k, n, N, ctx)
+    return _tau_trace(cached_projector("S", k, n), 1, range(1, k + 1), k, n, N)
 
 
-def p_tau_direct(k, sign, n, N, ctx=None):
+def p_tau_direct(k, sign, n, N):
     """tr((T(u) tau^{sign})^k) on a single leg."""
-    return _tau_trace(None, sign, [1] * k, 1, n, N, ctx)
+    return _tau_trace(None, sign, [1] * k, 1, n, N)
 
 
 # ---------------------------------------------------------------------------
 # Bethe generators
 
-def bethe_b(k, Z, n, N, ctx=None):
+def bethe_b(k, Z, n, N):
     """Trace over n legs of A_n T_1(u)...T_k(u-k+1) Z_{k+1}...Z_n."""
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
@@ -326,7 +303,7 @@ def bethe_b(k, Z, n, N, ctx=None):
         Zm = Z.matrix
     else:
         Zm = BetheTwist(Z).matrix
-    ctx = _resolve_ctx(n, N, ctx)
+    ctx = yangian_context(n)
     acc = cached_projector("A", n, n)
     for s in range(1, k + 1):
         acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, ctx))
@@ -335,7 +312,7 @@ def bethe_b(k, Z, n, N, ctx=None):
     return trace_full(acc)
 
 
-def prop_eB_traces(k, variant, n, N, ctx=None):
+def prop_eB_traces(k, variant, n, N):
     """The four alternative trace presentations.
 
     1: tr(B^-_k T_1(u)...T_k(u-k+1))   -> e_k(u)
@@ -343,7 +320,6 @@ def prop_eB_traces(k, variant, n, N, ctx=None):
     3: tr(A_k  T_1(u)...T_k(u+k-1))    -> e_k(u+k-1)
     4: tr(S_k  T_1(u)...T_k(u-k+1))    -> h_k(u-k+1)
     """
-    ctx = _resolve_ctx(n, N, ctx)
     if variant in (1, 2):
         sign = -1 if variant == 1 else +1
         left = TensorMatrix.identity(n, k) if k == 1 else b_factor(k, sign, k, n)
@@ -356,18 +332,17 @@ def prop_eB_traces(k, variant, n, N, ctx=None):
     dec = [-s for s in range(k)]
     inc = list(range(k))
     shifts = dec if variant in (1, 4) else inc
-    return trace_full(t_product(shifts, N, ctx, left=left))
+    return trace_full(t_product(shifts, N, yangian_context(n), left=left))
 
 
 # ---------------------------------------------------------------------------
 # composition sums and Newton identities
 
-def composition_sum(k, kind, n, N, ctx=None):
+def composition_sum(k, kind, n, N):
     """Sum over compositions of k of scaled products of power sums (tau form)."""
     if kind not in ("e", "h"):
         raise ValueError("kind must be 'e' or 'h'")
     sign = -1 if kind == "e" else +1
-    ctx = _resolve_ctx(n, N, ctx)
     total = None
     for lam in compositions(k):
         m = len(lam)
@@ -377,27 +352,26 @@ def composition_sum(k, kind, n, N, ctx=None):
         coeff = Q((-1) ** (k - m), denom) if kind == "e" else Q(1, denom)
         prod = None
         for part in lam:
-            f = p_tau(part, sign, n, N, ctx)
+            f = p_tau(part, sign, n, N)
             prod = f if prod is None else prod * f
         prod = prod.scale(coeff)
         total = prod if total is None else total + prod
     return total
 
 
-def newton_check(m, kind, n, N, ctx=None):
+def newton_check(m, kind, n, N):
     """Both sides of the Newton identity at degree m; returns (ok, lhs, rhs)."""
     if kind not in ("e", "h"):
         raise ValueError("kind must be 'e' or 'h'")
-    ctx = _resolve_ctx(n, N, ctx)
     lhs = None
     for k in range(m):
         if kind == "e":
-            term = (e_tau(k, n, N, ctx) * p_tau(m - k, -1, n, N, ctx)) \
+            term = (e_tau(k, n, N) * p_tau(m - k, -1, n, N)) \
                 .scale(Q((-1) ** (m - k - 1)))
         else:
-            term = h_tau(k, n, N, ctx) * p_tau(m - k, +1, n, N, ctx)
+            term = h_tau(k, n, N) * p_tau(m - k, +1, n, N)
         lhs = term if lhs is None else lhs + term
-    rhs = (e_tau(m, n, N, ctx) if kind == "e" else h_tau(m, n, N, ctx)).scale(m)
+    rhs = (e_tau(m, n, N) if kind == "e" else h_tau(m, n, N)).scale(m)
     return (lhs == rhs, lhs, rhs)
 
 
@@ -445,14 +419,13 @@ def rdet(rows):
     return acc
 
 
-def det_formulas(m, which, n, N, ctx=None):
+def det_formulas(m, which, n, N):
     """One of the four determinant presentations, normalized to its target.
 
     e_from_p -> e_m(u); h_from_p -> h_m(u); p_from_e -> p^-_m(u);
     p_from_h -> p^+_m(u).
     """
-    ctx = _resolve_ctx(n, N, ctx)
-    one = unit_series(n, N, ctx)
+    one = unit_series(n, N)
     zero = USeries.zero(N)
 
     def scalar(q):
@@ -474,16 +447,16 @@ def det_formulas(m, which, n, N, ctx=None):
             else:
                 d = i - j + 1
                 if which == "e_from_p":
-                    row.append(power_p(d, -1, n, N, ctx).shift(-(j - 1)))
+                    row.append(power_p(d, -1, n, N).shift(-(j - 1)))
                 elif which == "h_from_p":
-                    row.append(power_p(d, +1, n, N, ctx).shift(j - 1))
+                    row.append(power_p(d, +1, n, N).shift(j - 1))
                 elif which == "p_from_e":
                     # the degree weight sits on the last row (the factor the
                     # Newton recursion attaches to the final part)
-                    s = elem_e(d, n, N, ctx).shift(-(j - 1))
+                    s = elem_e(d, n, N).shift(-(j - 1))
                     row.append(s.scale(d) if i == m else s)
                 elif which == "p_from_h":
-                    s = homog_h(d, n, N, ctx).shift(j - 1)
+                    s = homog_h(d, n, N).shift(j - 1)
                     row.append(s.scale(d) if i == m else s)
                 else:
                     raise ValueError(f"unknown determinant formula {which!r}")
@@ -499,18 +472,17 @@ def det_formulas(m, which, n, N, ctx=None):
 # ---------------------------------------------------------------------------
 # the inverse generating operator
 
-def h_minus(m, n, N, ctx=None):
+def h_minus(m, n, N):
     """h^-_m(u) from its determinant in downward power sums at climbing
     arguments: entry (i,j) is p^-_{i-j+1}(u+i-1) for j <= i, the superdiagonal
     entry of row i is -i, zeros above."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    ctx = _resolve_ctx(n, N, ctx)
     if m == 0:
-        return unit_series(n, N, ctx)
+        return unit_series(n, N)
 
     def build():
-        one = unit_series(n, N, ctx)
+        one = unit_series(n, N)
         zero = USeries.zero(N)
         rows = []
         for i in range(1, m + 1):
@@ -521,51 +493,47 @@ def h_minus(m, n, N, ctx=None):
                 elif j == i + 1:
                     row.append(one.scale(-i))
                 else:
-                    row.append(power_p(i - j + 1, -1, n, N, ctx).shift(i - 1))
+                    row.append(power_p(i - j + 1, -1, n, N).shift(i - 1))
             rows.append(row)
         return rdet(rows).scale(Q(1, factorial(m)))
 
-    return _cached(("h_minus", ctx, m, N), build)
+    return _cached(("h_minus", n, m, N), build)
 
 
-def h_minus_from_inverse(m, n, N, ctx=None):
+def h_minus_from_inverse(m, n, N):
     """h^-_m(u) as the unique solution of the inverse identity; independent
     cross-check of the determinant layout."""
-    ctx = _resolve_ctx(n, N, ctx)
-    hs = [unit_series(n, N, ctx)]
+    hs = [unit_series(n, N)]
     for t in range(1, m + 1):
         acc = None
         for k in range(1, min(n, t) + 1):
-            term = (elem_e(k, n, N, ctx).shift(t - 1) * hs[t - k]).scale(Q((-1) ** k))
+            term = (elem_e(k, n, N).shift(t - 1) * hs[t - k]).scale(Q((-1) ** k))
             acc = term if acc is None else acc + term
         hs.append(acc.scale(-1))
     return hs[m]
 
 
-def gen_E(n, N, ctx=None):
+def gen_E(n, N):
     """The alternating generating operator sum_k (-1)^k e_k(u) tau^{-k}."""
-    ctx = _resolve_ctx(n, N, ctx)
     acc = TauOperator.zero()
     for k in range(n + 1):
-        acc = acc + e_tau(k, n, N, ctx).scale(Q((-1) ** k))
+        acc = acc + e_tau(k, n, N).scale(Q((-1) ** k))
     return acc
 
 
-def gen_Hminus(L, n, N, ctx=None):
+def gen_Hminus(L, n, N):
     """sum_{l=0..L} tau^{-l} h^-_l(u), normalized with coefficients on the left."""
     if L < 0:
         raise ValueError("L must be >= 0")
-    ctx = _resolve_ctx(n, N, ctx)
     acc = TauOperator.zero()
     for l in range(L + 1):
-        acc = acc + TauOperator.from_series(h_minus(l, n, N, ctx).shift(-l), -l)
+        acc = acc + TauOperator.from_series(h_minus(l, n, N).shift(-l), -l)
     return acc
 
 
-def e_from_h_minus(k, n, N, ctx=None):
+def e_from_h_minus(k, n, N):
     """e_k(u) as the Jacobi-Trudi style rdet in h^- with sliding arguments."""
-    ctx = _resolve_ctx(n, N, ctx)
-    one = unit_series(n, N, ctx)
+    one = unit_series(n, N)
     zero = USeries.zero(N)
     rows = []
     for i in range(1, k + 1):
@@ -577,7 +545,7 @@ def e_from_h_minus(k, n, N, ctx=None):
             elif d == 0:
                 row.append(one)
             else:
-                row.append(h_minus(d, n, N, ctx).shift(-(j - 1)))
+                row.append(h_minus(d, n, N).shift(-(j - 1)))
         rows.append(row)
     return rdet(rows)
 
@@ -585,14 +553,13 @@ def e_from_h_minus(k, n, N, ctx=None):
 # ---------------------------------------------------------------------------
 # Schur series
 
-def schur_s(lam, via, n, N, ctx=None):
+def schur_s(lam, via, n, N):
     """Schur series for a partition, via the h^- route or the e route."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if len(lam) == 0:
         raise ValueError("partition must be non-empty")
-    ctx = _resolve_ctx(n, N, ctx)
-    one = unit_series(n, N, ctx)
+    one = unit_series(n, N)
     zero = USeries.zero(N)
 
     def entry_h(i, j):
@@ -601,7 +568,7 @@ def schur_s(lam, via, n, N, ctx=None):
             return zero
         if d == 0:
             return one
-        return h_minus(d, n, N, ctx).shift(-(j - 1))
+        return h_minus(d, n, N).shift(-(j - 1))
 
     def entry_e(i, j, conj):
         # arguments climb by column, mirroring the h^- route
@@ -610,7 +577,7 @@ def schur_s(lam, via, n, N, ctx=None):
             return zero
         if d == 0:
             return one
-        return elem_e(d, n, N, ctx).shift(j - 1)
+        return elem_e(d, n, N).shift(j - 1)
 
     if via == "h":
         k = len(lam)

@@ -309,6 +309,20 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys, argv, message):
      "--k or --m, not both"),
     (["verify", "newton", "--n", "2", "--cache-dir", "unused"],
      "unrecognized arguments: --cache-dir"),
+    (["compute", "capelli_p", "--m", "2", "--n", "2", "--order", "5"],
+     "compute capelli_p does not take --order"),
+    (["compute", "e_star", "--k", "1", "--n", "2", "--order", "3"],
+     "compute e_star does not take --order"),
+    (["compute", "schur", "--lambda", "2,1", "--n", "2", "--order", "3", "--k", "4"],
+     "compute schur does not take --k/--m"),
+    (["compute", "schur", "--lambda", "2,1", "--n", "2", "--order", "3", "--m", "4"],
+     "compute schur does not take --k/--m"),
+    (["compute", "e", "--k", "1", "--n", "2", "--order", "2", "--lambda", "2,1"],
+     "compute e does not take --lambda"),
+    (["compute", "h", "--k", "1", "--n", "2", "--order", "2", "--mu", "1,0"],
+     "compute h does not take --mu"),
+    (["compute", "p_star", "--k", "1", "--n", "2", "--mu", "1,0", "--order", "2"],
+     "compute p_star does not take --order"),
 ])
 def test_ignored_or_conflicting_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -317,3 +331,17 @@ def test_ignored_or_conflicting_options_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "e", "--k", "1", "--n", "2"], "compute e needs --order"),
+    (["compute", "h", "--n", "2", "--order", "2"], "compute h needs --k/--m"),
+    (["compute", "schur", "--n", "2", "--order", "2"], "compute schur needs --lambda"),
+    (["compute", "capelli_p", "--n", "2"], "compute capelli_p needs --k/--m"),
+    (["compute", "p_star", "--k", "1", "--n", "2"], "compute p_star needs --mu"),
+])
+def test_missing_options_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err

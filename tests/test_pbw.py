@@ -160,15 +160,10 @@ def test_scalar_arithmetic_on_elements():
     assert x.as_scalar() is None
 
 
-def test_level_cap_drops_and_counts():
-    ctx = yangian_context(2, level_cap=2)
-    x, y = ctx.t(2, 1, 2), ctx.t(1, 2, 1)
-    prod = x * y
-    assert prod.level() <= 2
-    assert ctx.drop_count > 0
-    assert ctx.min_dropped_level == 3
-    ctx2 = yangian_context(2, level_cap=None)
-    assert (ctx2.t(2, 1, 2) * ctx2.t(1, 2, 1)).level() == 3
+def test_one_yangian_context_per_n():
+    assert yangian_context(2) is yangian_context(2)
+    assert yangian_context(2) is not yangian_context(3)
+    assert (yangian_context(2).t(2, 1, 2) * yangian_context(2).t(1, 2, 1)).level() == 3
 
 
 def test_free_context_has_no_relations():
@@ -227,14 +222,11 @@ def test_one_step_confluence_on_small_words():
 
 # -- coefficient format: an int when integral, a Fraction otherwise ----------
 
-# U(gl_2), Y(gl_2) and Y(gl_2) capped at level 3; the Yangian words use
-# generators of levels 1 and 2
+# U(gl_2) and Y(gl_2); the Yangian words use generators of levels 1 and 2
 _FORMAT_CONTEXTS = {
     "gl2": (gl_context(2), [encode_e(2, i, j) for i in (1, 2) for j in (1, 2)]),
     "y2": (yangian_context(2),
            [encode_t(2, r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]),
-    "y2_cap3": (yangian_context(2, level_cap=3),
-                [encode_t(2, r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]),
 }
 
 # numerators over denominators 1, 1, 2, 3: about half the coefficients integral
@@ -286,15 +278,7 @@ def test_products_with_rational_coefficients(name, data):
     ctx, gens = _FORMAT_CONTEXTS[name]
     x, y, z = (data.draw(_elements(ctx, gens)) for _ in range(3))
     assert (x.scale(Q(1, 2)) * y).scale(2) == x * y
-    if ctx.level_cap is None:
-        assert (x * y) * z == x * (y * z)
-    else:
-        # a capped product is the uncapped one with the high levels dropped
-        full = yangian_context(ctx.n)
-        big = full.normal_form(x) * full.normal_form(y)
-        kept = {w: c for w, c in big.terms.items()
-                if ctx.rs.word_level(w) <= ctx.level_cap}
-        assert (x * y).terms == kept
+    assert (x * y) * z == x * (y * z)
     _assert_engine_stored_form(ctx, x * y)
 
 

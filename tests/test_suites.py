@@ -1,6 +1,8 @@
 import pytest
 
-from yangsym.suites import SuiteConfig, run_suite
+from yangsym.series import USeries
+from yangsym.suites import SuiteConfig, check_tau, run_suite
+from yangsym.tau import TauOperator
 
 
 @pytest.mark.parametrize("field", ["n", "order", "max_m", "max_k", "tau_order"])
@@ -23,3 +25,12 @@ def test_capelli_bridge_passes_below_the_random_word_level(n):
     records = run_suite("capelli-bridge", SuiteConfig(n=n, order=2, max_k=1))
     assert [r.name for r in records if r.status != "pass"] == []
     assert "ev_algebra_map" in [r.name for r in records]
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_check_tau_compares_an_absent_degree_up_to_the_other_order(swap):
+    # u^{-2} tau against the zero operator differs at u^{-2}, not only at u^0
+    op = TauOperator.from_series(USeries(2, {2: 1}), 1)
+    ok, failure = check_tau(*((TauOperator.zero(), op) if swap else (op, TauOperator.zero())))
+    assert not ok
+    assert (failure["tau"], failure["u_power"]) == (1, 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from yangsym.rationals import Q, binomial
 from yangsym.series import USeries
 from yangsym.tau import TauOperator
-from yangsym.pbw import free_context, gl_context, yangian_context
+from yangsym.pbw import free_context, yangian_context
 from yangsym.tensor import perm_op, t_leg, tm_mul, trace_full
 from yangsym.symfun import (
     BetheTwist,
@@ -15,7 +15,6 @@ from yangsym.symfun import (
     bethe_b,
     composition_sum,
     compositions,
-    default_context,
     det_formulas,
     e_from_h_minus,
     e_tau,
@@ -44,20 +43,13 @@ N2 = 4
 
 @pytest.fixture(scope="module")
 def ctx2():
-    return default_context(2, N2)
-
-
-def test_context_must_match_n():
-    with pytest.raises(ValueError, match="n=2"):
-        power_p(1, 1, 2, 2, default_context(3, 2))
-    with pytest.raises(ValueError, match="yangian"):
-        elem_e(1, 2, 2, gl_context(2))
+    return yangian_context(2)
 
 
 # -- the three families --------------------------------------------------------
 
 def test_e1_is_trace_of_generating_matrix(ctx2):
-    e1 = elem_e(1, 2, N2, ctx2)
+    e1 = elem_e(1, 2, N2)
     assert e1.coeff(0) == 2
     for r in range(1, N2 + 1):
         assert e1.coeff(r) == ctx2.t(r, 1, 1) + ctx2.t(r, 2, 2)
@@ -68,9 +60,9 @@ def test_e_constant_term(n, k):
     assert elem_e(k, n, 2).coeff(0) == binomial(n, k)
 
 
-def test_e_above_top_degree_is_zero(ctx2):
-    assert elem_e(3, 2, N2, ctx2).is_zero()
-    assert elem_e(4, 2, N2, ctx2).is_zero()
+def test_e_above_top_degree_is_zero():
+    assert elem_e(3, 2, N2).is_zero()
+    assert elem_e(4, 2, N2).is_zero()
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -78,8 +70,8 @@ def test_h_constant_term(n, k):
     assert homog_h(k, n, 2).coeff(0) == binomial(n + k - 1, k)
 
 
-def test_h1_equals_e1(ctx2):
-    assert homog_h(1, 2, N2, ctx2) == elem_e(1, 2, N2, ctx2)
+def test_h1_equals_e1():
+    assert homog_h(1, 2, N2) == elem_e(1, 2, N2)
 
 
 def test_h2_brute_force_expansion(ctx2):
@@ -92,17 +84,17 @@ def test_h2_brute_force_expansion(ctx2):
             term = t_series(ctx2, i, i, 0, N2) * t_series(ctx2, j, j, 1, N2) \
                 + t_series(ctx2, i, j, 0, N2) * t_series(ctx2, j, i, 1, N2)
             acc = term if acc is None else acc + term
-    assert homog_h(2, n, N2, ctx2) == acc.scale(Q(1, 2))
+    assert homog_h(2, n, N2) == acc.scale(Q(1, 2))
 
 
-def test_p1_equals_e1(ctx2):
-    assert power_p(1, +1, 2, N2, ctx2) == elem_e(1, 2, N2, ctx2)
-    assert power_p(1, -1, 2, N2, ctx2) == elem_e(1, 2, N2, ctx2)
+def test_p1_equals_e1():
+    assert power_p(1, +1, 2, N2) == elem_e(1, 2, N2)
+    assert power_p(1, -1, 2, N2) == elem_e(1, 2, N2)
 
 
 @pytest.mark.parametrize("k,sign", [(2, 1), (2, -1), (3, -1)])
-def test_p_constant_term(ctx2, k, sign):
-    assert power_p(k, sign, 2, N2, ctx2).coeff(0) == 2
+def test_p_constant_term(k, sign):
+    assert power_p(k, sign, 2, N2).coeff(0) == 2
 
 
 def test_p2_via_cyclic_trace(ctx2):
@@ -111,22 +103,22 @@ def test_p2_via_cyclic_trace(ctx2):
     acc = perm_op(1, 2, k, n)
     acc = tm_mul(acc, t_leg(1, 0, k, N2, ctx2))
     acc = tm_mul(acc, t_leg(2, -1, k, N2, ctx2))
-    assert trace_full(acc) == power_p(2, -1, 2, N2, ctx2)
+    assert trace_full(acc) == power_p(2, -1, 2, N2)
 
 
 # -- shift-operator forms ------------------------------------------------------
 
-def test_tau_forms_match_direct_evaluation(ctx2):
-    assert e_tau_direct(2, 2, N2, ctx2) == e_tau(2, 2, N2, ctx2)
-    assert h_tau_direct(2, 2, N2, ctx2) == h_tau(2, 2, N2, ctx2)
-    assert p_tau_direct(2, -1, 2, N2, ctx2) == p_tau(2, -1, 2, N2, ctx2)
-    assert p_tau_direct(2, +1, 2, N2, ctx2) == p_tau(2, +1, 2, N2, ctx2)
+def test_tau_forms_match_direct_evaluation():
+    assert e_tau_direct(2, 2, N2) == e_tau(2, 2, N2)
+    assert h_tau_direct(2, 2, N2) == h_tau(2, 2, N2)
+    assert p_tau_direct(2, -1, 2, N2) == p_tau(2, -1, 2, N2)
+    assert p_tau_direct(2, +1, 2, N2) == p_tau(2, +1, 2, N2)
 
 
-def test_tau_degrees(ctx2):
-    assert e_tau(2, 2, N2, ctx2).tau_degrees() == [-2]
-    assert h_tau(3, 2, N2, ctx2).tau_degrees() == [3]
-    assert p_tau(2, -1, 2, N2, ctx2).tau_degrees() == [-2]
+def test_tau_degrees():
+    assert e_tau(2, 2, N2).tau_degrees() == [-2]
+    assert h_tau(3, 2, N2).tau_degrees() == [3]
+    assert p_tau(2, -1, 2, N2).tau_degrees() == [-2]
 
 
 # -- Bethe generators ----------------------------------------------------------
@@ -153,17 +145,17 @@ def test_b_rejects_out_of_range():
 
 # -- alternative trace presentations --------------------------------------------
 
-def test_eb_traces_collapse_at_k1(ctx2):
-    e1 = elem_e(1, 2, N2, ctx2)
+def test_eb_traces_collapse_at_k1():
+    e1 = elem_e(1, 2, N2)
     for variant in (1, 2, 3, 4):
-        assert prop_eB_traces(1, variant, 2, N2, ctx2) == e1
+        assert prop_eB_traces(1, variant, 2, N2) == e1
 
 
-def test_eb_traces_k2(ctx2):
-    assert prop_eB_traces(2, 1, 2, N2, ctx2) == elem_e(2, 2, N2, ctx2)
-    assert prop_eB_traces(2, 2, 2, N2, ctx2) == homog_h(2, 2, N2, ctx2)
-    assert prop_eB_traces(2, 3, 2, N2, ctx2) == elem_e(2, 2, N2, ctx2).shift(1)
-    assert prop_eB_traces(2, 4, 2, N2, ctx2) == homog_h(2, 2, N2, ctx2).shift(-1)
+def test_eb_traces_k2():
+    assert prop_eB_traces(2, 1, 2, N2) == elem_e(2, 2, N2)
+    assert prop_eB_traces(2, 2, 2, N2) == homog_h(2, 2, N2)
+    assert prop_eB_traces(2, 3, 2, N2) == elem_e(2, 2, N2).shift(1)
+    assert prop_eB_traces(2, 4, 2, N2) == homog_h(2, 2, N2).shift(-1)
 
 
 # -- compositions and Newton -----------------------------------------------------
@@ -175,32 +167,32 @@ def test_composition_count_and_prefix_sums():
     assert len(compositions(5)) == 16
 
 
-def test_composition_sum_k1(ctx2):
-    assert composition_sum(1, "e", 2, N2, ctx2) == p_tau(1, -1, 2, N2, ctx2)
-    assert composition_sum(1, "h", 2, N2, ctx2) == p_tau(1, +1, 2, N2, ctx2)
+def test_composition_sum_k1():
+    assert composition_sum(1, "e", 2, N2) == p_tau(1, -1, 2, N2)
+    assert composition_sum(1, "h", 2, N2) == p_tau(1, +1, 2, N2)
 
 
-def test_composition_sum_k2_explicit(ctx2):
-    p1 = p_tau(1, -1, 2, N2, ctx2)
-    expected = p_tau(2, -1, 2, N2, ctx2).scale(Q(-1, 2)) + (p1 * p1).scale(Q(1, 2))
-    assert composition_sum(2, "e", 2, N2, ctx2) == expected
-    assert composition_sum(2, "e", 2, N2, ctx2) == e_tau(2, 2, N2, ctx2)
-    assert composition_sum(2, "h", 2, N2, ctx2) == h_tau(2, 2, N2, ctx2)
+def test_composition_sum_k2_explicit():
+    p1 = p_tau(1, -1, 2, N2)
+    expected = p_tau(2, -1, 2, N2).scale(Q(-1, 2)) + (p1 * p1).scale(Q(1, 2))
+    assert composition_sum(2, "e", 2, N2) == expected
+    assert composition_sum(2, "e", 2, N2) == e_tau(2, 2, N2)
+    assert composition_sum(2, "h", 2, N2) == h_tau(2, 2, N2)
 
 
-def test_newton_m1_is_trivial(ctx2):
-    ok, lhs, rhs = newton_check(1, "e", 2, N2, ctx2)
-    assert ok and lhs == p_tau(1, -1, 2, N2, ctx2) == rhs
+def test_newton_m1_is_trivial():
+    ok, lhs, rhs = newton_check(1, "e", 2, N2)
+    assert ok and lhs == p_tau(1, -1, 2, N2) == rhs
 
 
-def test_newton_m2(ctx2):
-    assert newton_check(2, "e", 2, N2, ctx2)[0]
-    assert newton_check(2, "h", 2, N2, ctx2)[0]
+def test_newton_m2():
+    assert newton_check(2, "e", 2, N2)[0]
+    assert newton_check(2, "h", 2, N2)[0]
 
 
-def test_newton_above_top_degree_vanishes(ctx2):
+def test_newton_above_top_degree_vanishes():
     # m = n+1: the right side is (n+1) e_{n+1} = 0, so the left must vanish
-    ok, lhs, rhs = newton_check(3, "e", 2, N2, ctx2)
+    ok, lhs, rhs = newton_check(3, "e", 2, N2)
     assert ok and rhs.is_zero() and lhs.is_zero()
 
 
@@ -257,7 +249,7 @@ def test_rdet_matches_permutation_sum_on_hessenberg_series(ctx2):
     # generating-matrix entries t_ab(u+i), which do not commute
     from yangsym.tensor import t_series
     m = 4
-    one = unit_series(2, N2, ctx2)
+    one = unit_series(2, N2)
     rows = [[t_series(ctx2, 1 + (i + j) % 2, 1 + i % 2, i, N2) if j <= i
              else one.scale(-(i + 1)) if j == i + 1 else USeries.zero(N2)
              for j in range(m)] for i in range(m)]
@@ -272,64 +264,64 @@ def test_rdet_row_order_for_noncommuting_entries():
     assert rdet([[a, b], [c, d]]) != d * a - b * c
 
 
-def test_det_formulas_m1(ctx2):
-    e1 = elem_e(1, 2, N2, ctx2)
+def test_det_formulas_m1():
+    e1 = elem_e(1, 2, N2)
     for which in ("e_from_p", "h_from_p", "p_from_e", "p_from_h"):
-        assert det_formulas(1, which, 2, N2, ctx2) == e1
+        assert det_formulas(1, which, 2, N2) == e1
 
 
-def test_det_formula_m2_displayed_matrices(ctx2):
+def test_det_formula_m2_displayed_matrices():
     # the displayed 2x2 matrices, assembled directly
-    one = unit_series(2, N2, ctx2)
-    h1, h2 = homog_h(1, 2, N2, ctx2), homog_h(2, 2, N2, ctx2)
+    one = unit_series(2, N2)
+    h1, h2 = homog_h(1, 2, N2), homog_h(2, 2, N2)
     d = rdet([[h1, one], [h2.scale(2), h1.shift(1)]])
-    assert d == power_p(2, +1, 2, N2, ctx2).scale(-1)
-    p1, p2 = power_p(1, -1, 2, N2, ctx2), power_p(2, -1, 2, N2, ctx2)
+    assert d == power_p(2, +1, 2, N2).scale(-1)
+    p1, p2 = power_p(1, -1, 2, N2), power_p(2, -1, 2, N2)
     d2 = rdet([[p1, one], [p2, p1.shift(-1)]])
-    assert d2 == elem_e(2, 2, N2, ctx2).scale(2)
+    assert d2 == elem_e(2, 2, N2).scale(2)
 
 
 @pytest.mark.parametrize("which,sign", [("e_from_p", -1), ("h_from_p", +1),
                                         ("p_from_e", -1), ("p_from_h", +1)])
-def test_det_formulas_m2_m3(ctx2, which, sign):
+def test_det_formulas_m2_m3(which, sign):
     targets = {
-        "e_from_p": lambda m: elem_e(m, 2, N2, ctx2),
-        "h_from_p": lambda m: homog_h(m, 2, N2, ctx2),
-        "p_from_e": lambda m: power_p(m, -1, 2, N2, ctx2),
-        "p_from_h": lambda m: power_p(m, +1, 2, N2, ctx2),
+        "e_from_p": lambda m: elem_e(m, 2, N2),
+        "h_from_p": lambda m: homog_h(m, 2, N2),
+        "p_from_e": lambda m: power_p(m, -1, 2, N2),
+        "p_from_h": lambda m: power_p(m, +1, 2, N2),
     }
     for m in (2, 3):
-        assert det_formulas(m, which, 2, N2, ctx2) == targets[which](m)
+        assert det_formulas(m, which, 2, N2) == targets[which](m)
 
 
 # -- inverse family ---------------------------------------------------------------
 
-def test_h_minus_low_degrees(ctx2):
-    assert h_minus(0, 2, N2, ctx2) == unit_series(2, N2, ctx2)
-    assert h_minus(1, 2, N2, ctx2) == elem_e(1, 2, N2, ctx2)
-    p1 = power_p(1, -1, 2, N2, ctx2)
-    p2 = power_p(2, -1, 2, N2, ctx2)
+def test_h_minus_low_degrees():
+    assert h_minus(0, 2, N2) == unit_series(2, N2)
+    assert h_minus(1, 2, N2) == elem_e(1, 2, N2)
+    p1 = power_p(1, -1, 2, N2)
+    p2 = power_p(2, -1, 2, N2)
     expected = (p2.shift(1) + p1 * p1.shift(1)).scale(Q(1, 2))
-    assert h_minus(2, 2, N2, ctx2) == expected
+    assert h_minus(2, 2, N2) == expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_h_minus_det_matches_recursion(ctx2, m):
-    assert h_minus(m, 2, N2, ctx2) == h_minus_from_inverse(m, 2, N2, ctx2)
+def test_h_minus_det_matches_recursion(m):
+    assert h_minus(m, 2, N2) == h_minus_from_inverse(m, 2, N2)
 
 
-def test_inverse_identity_low_tau_degrees(ctx2):
-    E = gen_E(2, N2, ctx2)
-    H = gen_Hminus(4, 2, N2, ctx2)
+def test_inverse_identity_low_tau_degrees():
+    E = gen_E(2, N2)
+    H = gen_Hminus(4, 2, N2)
     prod = E * H.shift_arg(1)
-    assert prod.coeff(0) == unit_series(2, N2, ctx2)
+    assert prod.coeff(0) == unit_series(2, N2)
     for d in (1, 2, 3, 4):
         assert prod.coeff(-d).is_zero()
 
 
-def test_e_from_h_minus(ctx2):
-    assert e_from_h_minus(1, 2, N2, ctx2) == elem_e(1, 2, N2, ctx2)
-    assert e_from_h_minus(2, 2, N2, ctx2) == elem_e(2, 2, N2, ctx2)
+def test_e_from_h_minus():
+    assert e_from_h_minus(1, 2, N2) == elem_e(1, 2, N2)
+    assert e_from_h_minus(2, 2, N2) == elem_e(2, 2, N2)
 
 
 # -- Schur series ------------------------------------------------------------------
@@ -343,32 +335,31 @@ def test_partition_basics():
         Partition((1, 2))
 
 
-def test_schur_single_box(ctx2):
-    e1 = elem_e(1, 2, N2, ctx2)
-    assert schur_s((1,), "h", 2, N2, ctx2) == e1
-    assert schur_s((1,), "e", 2, N2, ctx2) == e1
+def test_schur_single_box():
+    e1 = elem_e(1, 2, N2)
+    assert schur_s((1,), "h", 2, N2) == e1
+    assert schur_s((1,), "e", 2, N2) == e1
 
 
-def test_schur_column_is_elementary(ctx2):
-    assert schur_s((1, 1), "h", 2, N2, ctx2) == elem_e(2, 2, N2, ctx2)
-    assert schur_s((1, 1), "e", 2, N2, ctx2) == elem_e(2, 2, N2, ctx2)
+def test_schur_column_is_elementary():
+    assert schur_s((1, 1), "h", 2, N2) == elem_e(2, 2, N2)
+    assert schur_s((1, 1), "e", 2, N2) == elem_e(2, 2, N2)
 
 
-def test_schur_row_is_h_minus(ctx2):
-    assert schur_s((2,), "h", 2, N2, ctx2) == h_minus(2, 2, N2, ctx2)
-    assert schur_s((2,), "e", 2, N2, ctx2) == h_minus(2, 2, N2, ctx2)
+def test_schur_row_is_h_minus():
+    assert schur_s((2,), "h", 2, N2) == h_minus(2, 2, N2)
+    assert schur_s((2,), "e", 2, N2) == h_minus(2, 2, N2)
 
 
 @pytest.mark.parametrize("lam", [(2, 1), (2, 2), (3, 1)])
 def test_schur_duality(lam):
     n, N = 2, 5
-    ctx = default_context(n, N)
-    assert schur_s(lam, "h", n, N, ctx) == schur_s(lam, "e", n, N, ctx)
+    assert schur_s(lam, "h", n, N) == schur_s(lam, "e", n, N)
 
 
-def test_commuting_coefficients_small(ctx2):
-    series = [power_p(1, -1, 2, 3, ctx2), power_p(2, -1, 2, 3, ctx2),
-              elem_e(2, 2, 3, ctx2), h_minus(2, 2, 3, ctx2)]
+def test_commuting_coefficients_small():
+    series = [power_p(1, -1, 2, 3), power_p(2, -1, 2, 3),
+              elem_e(2, 2, 3), h_minus(2, 2, 3)]
     coeffs = [c for s in series for c in s.coeffs.values()
               if c.as_scalar() is None]
     for a in coeffs:
@@ -378,7 +369,7 @@ def test_commuting_coefficients_small(ctx2):
 
 def test_top_elementary_coefficients_are_central(ctx2):
     # coefficients of e_2(u) at n=2 commute with every determined generator
-    en = elem_e(2, 2, N2, ctx2)
+    en = elem_e(2, 2, N2)
     for c in en.coeffs.values():
         if c.as_scalar() is not None:
             continue
@@ -391,12 +382,18 @@ def test_top_elementary_coefficients_are_central(ctx2):
 
 def test_series_coefficient_levels_bounded_by_order():
     # the u^-m coefficient only involves monomials of total level <= m
-    ctx = yangian_context(2, level_cap=4)
-    for s in (elem_e(2, 2, 4, ctx), homog_h(2, 2, 4, ctx),
-              power_p(2, -1, 2, 4, ctx), h_minus(2, 2, 4, ctx)):
+    for s in (elem_e(2, 2, 4), homog_h(2, 2, 4),
+              power_p(2, -1, 2, 4), h_minus(2, 2, 4)):
         for m, c in s.coeffs.items():
             assert c.level() <= m
-    assert ctx.drop_count == 0
+
+
+def test_products_of_series_coefficients_keep_every_level():
+    # e_1(u) at u^-3 is t[3,1,1] + t[3,2,2]; its square reaches level 6,
+    # above the order of the series it came from
+    c = elem_e(1, 2, 4).coeff(3)
+    assert c.level() == 3
+    assert (c * c).level() == 6
 
 
 def test_algebra_series_associativity_seeded():
