@@ -167,9 +167,10 @@ def cmd_compute(args, parser):
         if out_bytes is None:
             value, _ = _compute_value(args, parser)
             out_bytes = cache_put(cache_dir, key, args.object, params, to_jsonable(value))
-            print(f"cache miss ({key[:12]})", file=sys.stderr)
+            outcome = "miss"
         else:
-            print(f"cache hit ({key[:12]})", file=sys.stderr)
+            outcome = "hit"
+        print(json.dumps({"cache": outcome, "key": key[:12]}), file=sys.stderr)
     else:
         value, _ = _compute_value(args, parser)
         out_bytes = canonical_dumps(to_jsonable(value)).encode("utf-8")

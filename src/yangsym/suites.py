@@ -506,10 +506,14 @@ def _pairwise_commute(rep, label, n, N, family, extra=None):
 
 
 def _series_coeffs_commute(sa, sb):
+    # on a self pair only m < m' is needed: [y, x] = -[x, y] and [x, x] = 0
+    same = sa is sb
     for ma, ca in sa.coeffs.items():
         if not isinstance(ca, AlgebraElement) or ca.as_scalar() is not None:
             continue
         for mb, cb in sb.coeffs.items():
+            if same and mb <= ma:
+                continue
             if not isinstance(cb, AlgebraElement) or cb.as_scalar() is not None:
                 continue
             comm = ca * cb - cb * ca

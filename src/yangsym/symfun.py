@@ -9,9 +9,17 @@ Everything is computed in the exact engine: series coefficients are
 AlgebraElements of the Yangian (one context per n, see `pbw`), and
 identities are checked coefficient-by-coefficient.  Family values are cached
 on (family, n, parameters, order).
+
+e_k, h_k and b_k are defined as traces over tensor powers of C^n of a
+projector times ordered products of generating-matrix legs.  They are built
+from products of generating-matrix entries instead: e_k as a sum of quantum
+minors, h_k as a sum of quantum permanents, and b_k as quantum minors paired
+with the complementary minors of the twist.  The trace definitions stay as
+independent oracles (`prop_eB_traces`, the tau forms, the suites and tests).
 """
 
-from math import factorial
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial
 
 from .rationals import Q, QONE, as_rational
 from .series import USeries
@@ -25,9 +33,9 @@ from .tensor import (
     b_factor,
     t_leg,
     t_product,
+    t_series,
     tm_mul,
     trace_full,
-    z_leg,
 )
 
 
@@ -188,8 +196,42 @@ def unit_series(n, N):
 # ---------------------------------------------------------------------------
 # the three families
 
+def _quantum_minor(rows, cols, step, signed, n, N):
+    """Sum over the distinct rearrangements b of the sorted tuple `rows` of
+    [sgn b] t_{b_1 c_1}(u) t_{b_2 c_2}(u+step) ... t_{b_k c_k}(u+step(k-1)),
+    where c = cols.
+
+    Expands along the first factor and memoizes on the multiset of rows still
+    to place, like `rdet`; a repeated row is placed once per value.  With
+    distinct rows and signed=True this is rdet of the table
+    M[p][q] = t_{rows_q, cols_p}(u + step p).
+    """
+    ctx = yangian_context(n)
+    k = len(cols)
+    memo = {}
+
+    def rest(left):
+        if left not in memo:
+            p = k - len(left)
+            acc = USeries.zero(N)
+            for pos, r in enumerate(left):
+                if pos and left[pos - 1] == r:
+                    continue
+                v = t_series(ctx, r, cols[p], step * p, N)
+                if p < k - 1:
+                    v = v * rest(left[:pos] + left[pos + 1:])
+                acc = acc - v if signed and pos % 2 else acc + v
+            memo[left] = acc
+        return memo[left]
+
+    return rest(tuple(rows))
+
+
 def elem_e(k, n, N):
-    """Trace of A_k T_1(u) T_2(u-1) ... T_k(u-k+1); zero for k > n."""
+    """e_k(u) = tr(A_k T_1(u) T_2(u-1) ... T_k(u-k+1)); zero for k > n.
+
+    Built as the sum of the quantum minors on rows = columns a_1 < ... < a_k.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -198,24 +240,27 @@ def elem_e(k, n, N):
         return USeries.zero(N)
 
     def build():
-        A = cached_projector("A", k, n)
-        prod = t_product([-s for s in range(k)], N, yangian_context(n), left=A)
-        return trace_full(prod)
+        return sum((_quantum_minor(a, a, -1, True, n, N)
+                    for a in combinations(range(1, n + 1), k)), USeries.zero(N))
 
     return _cached(("e", n, k, N), build)
 
 
 def homog_h(k, n, N):
-    """Trace of S_k T_1(u) T_2(u+1) ... T_k(u+k-1)."""
+    """h_k(u) = tr(S_k T_1(u) T_2(u+1) ... T_k(u+k-1)).
+
+    Built as the sum of the quantum permanents on a_1 <= ... <= a_k, one
+    term per distinct rearrangement of the rows (no 1/k!).
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return unit_series(n, N)
 
     def build():
-        S = cached_projector("S", k, n)
-        prod = t_product(list(range(k)), N, yangian_context(n), left=S)
-        return trace_full(prod)
+        return sum((_quantum_minor(a, a, 1, False, n, N)
+                    for a in combinations_with_replacement(range(1, n + 1), k)),
+                   USeries.zero(N))
 
     return _cached(("h", n, k, N), build)
 
@@ -296,20 +341,29 @@ def p_tau_direct(k, sign, n, N):
 # Bethe generators
 
 def bethe_b(k, Z, n, N):
-    """Trace over n legs of A_n T_1(u)...T_k(u-k+1) Z_{k+1}...Z_n."""
+    """b_k(u) = tr(A_n T_1(u) ... T_k(u-k+1) Z_{k+1} ... Z_n) over n legs.
+
+    Built as C(n,k)^{-1} sum_{|I|=|J|=k} (-1)^{sum I + sum J} T^I_J(u)
+    det Z^{I^c}_{J^c}, with T^I_J the quantum minor on rows I and columns J
+    and det 1 for the empty minor at k = n.
+    """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     if isinstance(Z, BetheTwist):
         Zm = Z.matrix
     else:
         Zm = BetheTwist(Z).matrix
-    ctx = yangian_context(n)
-    acc = cached_projector("A", n, n)
-    for s in range(1, k + 1):
-        acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, ctx))
-    for s in range(k + 1, n + 1):
-        acc = tm_mul(acc, z_leg(Zm, s, n, acc.ring))
-    return trace_full(acc)
+    idx = range(1, n + 1)
+    acc = USeries.zero(N)
+    for I in combinations(idx, k):
+        Ic = [i for i in idx if i not in I]
+        for J in combinations(idx, k):
+            Jc = [j for j in idx if j not in J]
+            c = rdet([[Zm[i - 1][j - 1] for j in Jc] for i in Ic]) if Ic else 1
+            if c:
+                c = -c if (sum(I) + sum(J)) % 2 else c
+                acc = acc + _quantum_minor(I, J, -1, True, n, N).scale(c)
+    return acc.scale(Q(1, comb(n, k)))
 
 
 def prop_eB_traces(k, variant, n, N):

@@ -17,6 +17,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cache_event(err):
+    """The one JSON cache line on stderr, {"cache": "hit"|"miss", "key": ...}."""
+    events = []
+    for line in err.splitlines():
+        try:
+            doc = json.loads(line)
+        except ValueError:
+            continue
+        if isinstance(doc, dict) and "cache" in doc:
+            events.append(doc)
+    (event,) = events
+    assert sorted(event) == ["cache", "key"] and len(event["key"]) == 12
+    return event
+
+
 def test_list_suites(capsys):
     code, out, _ = run_cli(capsys, "list-suites")
     assert code == 0
@@ -95,11 +110,12 @@ def test_cache_roundtrip(tmp_path, capsys):
     args = ["compute", "e", "--k", "2", "--n", "2", "--order", "3",
             "--cache-dir", str(tmp_path)]
     code, out1, err1 = run_cli(capsys, *args)
-    assert code == 0 and "cache miss" in err1
+    assert code == 0 and cache_event(err1)["cache"] == "miss"
     entries = list(tmp_path.iterdir())
     assert len(entries) == 1
+    assert entries[0].name.startswith(cache_event(err1)["key"])
     code, out2, err2 = run_cli(capsys, *args)
-    assert code == 0 and "cache hit" in err2
+    assert code == 0 and cache_event(err2)["cache"] == "hit"
     assert out1 == out2  # hits byte-identical to recomputation
 
 
@@ -152,14 +168,14 @@ def test_cache_hit_skips_computation(tmp_path, capsys, monkeypatch):
     args = ["compute", "h", "--k", "2", "--n", "2", "--order", "3",
             "--cache-dir", str(tmp_path)]
     code, miss, err = run_cli(capsys, *args)
-    assert code == 0 and "cache miss" in err
+    assert code == 0 and cache_event(err)["cache"] == "miss"
 
     def refuse(*a, **kw):
         raise AssertionError("a cache hit must not compute the value")
 
     monkeypatch.setattr(cli, "_compute_value", refuse)
     code, hit, err = run_cli(capsys, *args)
-    assert code == 0 and "cache hit" in err
+    assert code == 0 and cache_event(err)["cache"] == "hit"
     assert hit == miss
 
 
@@ -199,7 +215,7 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     code, _, err = run_cli(capsys, "compute", "h", "--k", "1", "--n", "2",
                            "--order", "2")
-    assert code == 0 and "cache miss" in err
+    assert code == 0 and cache_event(err)["cache"] == "miss"
     assert len(list(tmp_path.iterdir())) == 1
 
 

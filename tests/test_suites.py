@@ -1,7 +1,8 @@
 import pytest
 
+from yangsym.pbw import AlgebraElement, yangian_context
 from yangsym.series import USeries
-from yangsym.suites import SuiteConfig, check_tau, run_suite
+from yangsym.suites import SuiteConfig, _series_coeffs_commute, check_tau, run_suite
 from yangsym.tau import TauOperator
 
 
@@ -34,3 +35,26 @@ def test_check_tau_compares_an_absent_degree_up_to_the_other_order(swap):
     ok, failure = check_tau(*((TauOperator.zero(), op) if swap else (op, TauOperator.zero())))
     assert not ok
     assert (failure["tau"], failure["u_power"]) == (1, 2)
+
+
+def test_self_pair_commutes_each_unordered_coefficient_pair_once(monkeypatch):
+    y = yangian_context(2)
+    s = USeries(3, {0: y.one(), 1: y.t(1, 1, 1), 2: y.t(2, 2, 2), 3: y.t(1, 2, 2)})
+    products = []
+    mul = AlgebraElement.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counting_mul)
+    assert _series_coeffs_commute(s, s) == (True, None)
+    assert len(products) == 2 * 3  # a*b and b*a for the 3 pairs m < m'
+
+
+def test_self_pair_finds_two_coefficients_that_do_not_commute():
+    y = yangian_context(2)
+    s = USeries(2, {1: y.t(1, 1, 2), 2: y.t(1, 2, 1)})
+    ok, failure = _series_coeffs_commute(s, s)
+    assert not ok
+    assert (failure["u_power_lhs"], failure["u_power_rhs"]) == (1, 2)

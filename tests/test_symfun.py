@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -7,12 +8,14 @@ from yangsym.rationals import Q, binomial
 from yangsym.series import USeries
 from yangsym.tau import TauOperator
 from yangsym.pbw import free_context, yangian_context
-from yangsym.tensor import perm_op, t_leg, tm_mul, trace_full
+from yangsym import symfun, tensor
+from yangsym.tensor import perm_op, t_leg, t_product, tm_mul, trace_full, z_leg
 from yangsym.symfun import (
     BetheTwist,
     Composition,
     Partition,
     bethe_b,
+    cached_projector,
     composition_sum,
     compositions,
     det_formulas,
@@ -124,7 +127,6 @@ def test_tau_degrees():
 # -- Bethe generators ----------------------------------------------------------
 
 def test_b_at_full_rank_is_e_n():
-    import random
     rng = random.Random(7)
     for n in (2, 3):
         Z = BetheTwist.random(n, rng)
@@ -141,6 +143,64 @@ def test_b1_identity_twist_ratios():
 def test_b_rejects_out_of_range():
     with pytest.raises(ValueError):
         bethe_b(3, BetheTwist.identity(2), 2, 2)
+
+
+# -- the trace definitions as oracles for the minor construction -----------------
+
+def e_by_trace(k, n, N):
+    """tr(A_k T_1(u) T_2(u-1) ... T_k(u-k+1)) on (C^n)^{tensor k}."""
+    A = cached_projector("A", k, n)
+    return trace_full(t_product([-s for s in range(k)], N, yangian_context(n), left=A))
+
+
+def h_by_trace(k, n, N):
+    """tr(S_k T_1(u) T_2(u+1) ... T_k(u+k-1)) on (C^n)^{tensor k}."""
+    S = cached_projector("S", k, n)
+    return trace_full(t_product(list(range(k)), N, yangian_context(n), left=S))
+
+
+def b_by_trace(k, Z, n, N):
+    """tr(A_n T_1(u) ... T_k(u-k+1) Z_{k+1} ... Z_n) on (C^n)^{tensor n}."""
+    acc = cached_projector("A", n, n)
+    for s in range(1, k + 1):
+        acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, yangian_context(n)))
+    for s in range(k + 1, n + 1):
+        acc = tm_mul(acc, z_leg(Z.matrix, s, n, acc.ring))
+    return trace_full(acc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_e_matches_its_trace_definition(k, n):
+    assert elem_e(k, n, N2) == e_by_trace(k, n, N2)
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)] + [(4, 2)])
+def test_h_matches_its_trace_definition(k, n):
+    assert homog_h(k, n, N2) == h_by_trace(k, n, N2)
+
+
+@pytest.mark.parametrize("twist", ["identity", 11, 12])
+@pytest.mark.parametrize("k,n", [(k, n) for n in (1, 2, 3) for k in range(1, n + 1)])
+def test_b_matches_its_trace_definition(k, n, twist):
+    if twist == "identity":
+        Z = BetheTwist.identity(n)
+    else:
+        Z = BetheTwist.random(n, random.Random(twist))
+    assert bethe_b(k, Z, n, N2) == b_by_trace(k, Z, n, N2)
+
+
+def test_family_builders_do_not_enter_the_tensor_layer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a production builder entered the tensor layer")
+
+    for mod in (tensor, symfun):
+        monkeypatch.setattr(mod, "tm_mul", refuse)
+        monkeypatch.setattr(mod, "t_leg", refuse)
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    assert elem_e(3, 3, N2).coeff(0) == 1
+    assert homog_h(4, 2, N2).coeff(0) == 5
+    assert bethe_b(2, BetheTwist.random(3, random.Random(11)), 3, N2)
 
 
 # -- alternative trace presentations --------------------------------------------
