@@ -2,7 +2,9 @@
 
 Entries are keyed by a hash of the canonical parameter JSON plus the value
 format version, so changing any parameter (or the format) yields a fresh
-key.  Corrupt entries are evicted with a warning and recomputed.  Each
+key.  Corrupt entries are evicted and recomputed; each eviction is reported
+as one JSON line on stderr, {"cache": "evict", "key": "<12 hex>"}, in the
+form `compute` uses for hits and misses.  Each
 write goes to its own temporary file in the cache directory and is renamed
 into place, so processes writing the same key at once leave one whole entry.
 """
@@ -51,7 +53,7 @@ def cache_get(cache_dir, key):
         if not isinstance(entry, dict) or entry.get("key") != key or "value" not in entry:
             raise ValueError("malformed entry")
     except (ValueError, UnicodeDecodeError):
-        print(f"warning: evicting corrupt cache entry {key}", file=sys.stderr)
+        print(json.dumps({"cache": "evict", "key": key[:12]}), file=sys.stderr)
         try:
             os.remove(path)
         except OSError:

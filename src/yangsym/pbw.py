@@ -15,6 +15,18 @@ increasing.  The exchange rule for an out-of-order adjacent pair x_a x_b
 (a > b) is x_b x_a plus correction terms of strictly smaller total level,
 which guarantees straightening terminates.
 
+Straightening works by insertion.  `RewriteSystem.normal_word` keeps the
+longest normal prefix of a word and inserts the remaining generators one at
+a time.  Inserting g into a normal word w moves g leftwards: past a letter
+whose exchange entry is the bare swap it slides with no further work, and
+at any other letter x it applies x g -> g x + corrections and continues
+into the prefix before x in a loop, so the Python stack does not grow with
+the length of a word or its number of inversions, only when a correction
+term itself needs straightening.  There is one memo, `nf_memo`, keyed by
+plain words: it holds each non-trivial insertion under the word w + (g,)
+and each whole word that `normal_word` was asked for, and maps a word to
+its normal form either way.  Normal words and slides are not memoized.
+
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
 by clearing the (u-v) denominator of the Yang matrix, expanding both sides
@@ -233,35 +245,102 @@ class RewriteSystem:
         return self
 
     def normal_word(self, word):
-        """Normal form of a word as a map normal-word -> coefficient."""
+        """Normal form of a word as a map normal-word -> coefficient.
+
+        The longest normal prefix is kept and the remaining generators are
+        inserted one at a time (`_extend`).  A word that is already normal
+        is returned as is and not memoized."""
         if self.kind == "free":
             return {word: 1}
         memo = self.nf_memo
         res = memo.get(word)
         if res is not None:
             return res
-        prev = word[0] if word else 0
-        pos = -1
-        for p in range(1, len(word)):
-            g = word[p]
-            if prev > g:
-                pos = p - 1
+        p, end = 1, len(word)
+        while p < end and word[p - 1] <= word[p]:
+            p += 1
+        if p >= end:
+            return {word: 1}
+        res = memo[word] = self._extend({word[:p]: 1}, word[p:], {})
+        return res
+
+    def _extend(self, terms, letters, out):
+        """Add the normal form of sum c*v*letters over the normal words
+        v -> c of `terms` into `out`, inserting the letters one at a time,
+        and return `out`."""
+        # from `tail` on, the letters are weakly increasing, so a word whose
+        # last generator does not exceed the next letter takes the rest whole
+        tail = len(letters) - 1
+        while tail > 0 and letters[tail - 1] <= letters[tail]:
+            tail -= 1
+        for i, g in enumerate(letters):
+            nxt = {}
+            for v, c in terms.items():
+                if v and v[-1] > g:
+                    for w, q in self._insert(v, g).items():
+                        s = nxt.get(w, 0) + c * q
+                        if s:
+                            nxt[w] = s
+                        elif w in nxt:
+                            del nxt[w]
+                    continue
+                if i >= tail:
+                    w, dest = v + letters[i:], out
+                else:
+                    w, dest = v + (g,), nxt
+                s = dest.get(w, 0) + c
+                if s:
+                    dest[w] = s
+                elif w in dest:
+                    del dest[w]
+            terms = nxt
+        for v, c in terms.items():
+            s = out.get(v, 0) + c
+            if s:
+                out[v] = s
+            elif v in out:
+                del out[v]
+        return out
+
+    def _insert(self, word, g):
+        """Normal form of word*g for a normal word ending above g.
+
+        g moves left through the word.  It slides past a letter whose
+        exchange entry is the bare swap; at any other letter x the entry
+        x g -> g x + corrections leaves the insertion of g into the prefix
+        before x, which the loop below follows down, so the depth of the
+        Python stack does not grow with the word.  Each such insertion is
+        memoized under its plain word prefix + (g,); slides are not."""
+        memo = self.nf_memo
+        table = self.table
+        pending = []
+        while True:
+            key = word + (g,)
+            res = memo.get(key)
+            if res is not None:
                 break
-            prev = g
-        if pos < 0:
-            res = {word: 1}
-        else:
-            head, tail = word[:pos], word[pos + 2:]
-            out = {}
-            for c, mid in self.expansion(word[pos], word[pos + 1]):
-                for w, q in self.normal_word(head + mid + tail).items():
-                    s = out.get(w, 0) + c * q
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
-            res = out
-        memo[word] = res
+            k = len(word) - 1
+            while k >= 0 and word[k] > g:
+                exp = table.get((word[k], g)) or self.expansion(word[k], g)
+                if len(exp) > 1:
+                    break
+                k -= 1
+            else:
+                res = {word[:k + 1] + (g,) + word[k + 1:]: 1}
+                break
+            pending.append((key, word, k, exp))
+            word = word[:k]
+            if not word or word[-1] <= g:
+                res = {word + (g,): 1}
+                break
+        # res is the normal form of word*g for the deepest word reached;
+        # climb back, appending x and the slid letters after it
+        for key, word, k, exp in reversed(pending):
+            out = self._extend(res, word[k:], {})
+            pre, post = word[:k], word[k + 1:]
+            for c, mid in exp[1:]:
+                self._extend({pre: c}, mid + post, out)
+            res = memo[key] = out
         return res
 
 
@@ -373,7 +452,9 @@ class AlgebraContext:
         for wa, ca in A.items():
             for wb, cb in B.items():
                 c = ca * cb
-                if wa and wb:
+                if wa and wb and wa[-1] > wb[0]:
+                    # the concatenation of two normal words needs
+                    # straightening only across the seam
                     for w, q in nw(wa + wb).items():
                         s = out.get(w, 0) + c * q
                         if s:

@@ -17,8 +17,8 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def cache_event(err):
-    """The one JSON cache line on stderr, {"cache": "hit"|"miss", "key": ...}."""
+def cache_events(err):
+    """The JSON cache lines on stderr, each {"cache": ..., "key": "<12 hex>"}."""
     events = []
     for line in err.splitlines():
         try:
@@ -26,9 +26,14 @@ def cache_event(err):
         except ValueError:
             continue
         if isinstance(doc, dict) and "cache" in doc:
+            assert sorted(doc) == ["cache", "key"] and len(doc["key"]) == 12
             events.append(doc)
-    (event,) = events
-    assert sorted(event) == ["cache", "key"] and len(event["key"]) == 12
+    return events
+
+
+def cache_event(err):
+    """The one JSON cache line on stderr, {"cache": "hit"|"miss", "key": ...}."""
+    (event,) = cache_events(err)
     return event
 
 
@@ -157,7 +162,10 @@ def test_corrupt_cache_entry_is_evicted(tmp_path, capsys):
         entry.write_text(corrupt)
         code, out2, err = run_cli(capsys, *args)
         assert code == 0
-        assert "evicting corrupt cache entry" in err
+        evict, miss = cache_events(err)
+        assert evict["cache"] == "evict" and miss["cache"] == "miss"
+        assert evict["key"] == miss["key"] and entry.name.startswith(evict["key"])
+        assert not [line for line in err.splitlines() if not line.startswith("{")]
         assert out1 == out2
         assert json.loads(entry.read_text())["value"]  # rewritten
 

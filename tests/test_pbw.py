@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q
 from yangsym.pbw import (
+    RewriteSystem,
     free_context,
     gl_context,
     ugl_relations,
@@ -17,7 +18,7 @@ from yangsym.pbw import (
     encode_t,
 )
 from yangsym.series import USeries
-from yangsym.suites import _proportionality
+from yangsym.suites import _one_step_results, _proportionality
 
 
 # -- independent oracle: the defining exchange relation, expanded in a free
@@ -206,18 +207,81 @@ def test_one_step_confluence_on_small_words():
     for a in gens:
         for b in gens:
             for c in gens:
-                word = (a, b, c)
-                results = []
-                for p in range(2):
-                    if word[p] > word[p + 1]:
-                        out = {}
-                        head, tail = word[:p], word[p + 2:]
-                        for q, mid in rs.expansion(word[p], word[p + 1]):
-                            for w, r in rs.normal_word(head + mid + tail).items():
-                                out[w] = out.get(w, 0) + q * r
-                        results.append({w: v for w, v in out.items() if v})
+                results = _one_step_results(rs, (a, b, c))
                 if len(results) == 2:
                     assert results[0] == results[1]
+
+
+# -- the straightener against a memo-free reference ----------------------------
+
+def _reference_normal_form(rs, word, rng):
+    """Normal form of `word` by rewriting a randomly chosen inversion of a
+    randomly chosen unfinished word, with no memo, until all words are normal."""
+    done, todo = {}, {word: 1}
+
+    def acc(terms, w, c):
+        s = terms.get(w, 0) + c
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
+
+    while todo:
+        w = rng.choice(sorted(todo))
+        c = todo.pop(w)
+        inversions = [p for p in range(len(w) - 1) if w[p] > w[p + 1]]
+        if not inversions:
+            acc(done, w, c)
+            continue
+        p = rng.choice(inversions)
+        for q, mid in rs.expansion(w[p], w[p + 1]):
+            acc(todo, w[:p] + mid + w[p + 2:], c * q)
+    return done
+
+
+_GL3_GENS = [encode_e(3, i, j) for i in (1, 2, 3) for j in (1, 2, 3)]
+
+
+def _y2_words(max_level):
+    """Words of Y(gl_2) generators of total level at most max_level."""
+    def capped(levels):
+        # the longest prefix within the level budget
+        total = 0
+        for m, r in enumerate(levels):
+            total += r
+            if total > max_level:
+                return levels[:m]
+        return levels
+
+    def word(levels):
+        return st.tuples(*(st.tuples(st.just(r), st.integers(1, 2), st.integers(1, 2))
+                           for r in levels)).map(
+            lambda gs: tuple(encode_t(2, *g) for g in gs))
+
+    return st.lists(st.integers(1, max_level), max_size=max_level).map(capped).flatmap(word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word=st.lists(st.sampled_from(_GL3_GENS), max_size=8).map(tuple),
+       rng=st.randoms(use_true_random=False))
+def test_normal_word_matches_random_inversion_reference_gl3(word, rng):
+    rs = gl_context(3).rs
+    assert rs.normal_word(word) == _reference_normal_form(rs, word, rng)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word=_y2_words(5), rng=st.randoms(use_true_random=False))
+def test_normal_word_matches_random_inversion_reference_y2(word, rng):
+    rs = yangian_context(2).rs
+    assert rs.normal_word(word) == _reference_normal_form(rs, word, rng)
+
+
+def test_insertion_memo_stays_small():
+    # one entry per insertion into a normal word, plus the whole word
+    rs = RewriteSystem("gl", 2)
+    word = (encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10
+    assert len(rs.normal_word(word)) == 285
+    assert len(rs.nf_memo) <= 4000
 
 
 # -- coefficient format: an int when integral, a Fraction otherwise ----------
@@ -315,10 +379,14 @@ def test_import_leaves_the_recursion_limit_alone():
 
 
 def test_deep_word_straightens_under_the_default_limit():
-    # e12^10 e21^10 recurses about 100 deep on a cold memo
-    limit, terms = _fresh_python(
+    # (e22)^500 (e11)^500 has 250k inversions of commuting generators, and
+    # e12^12 e21^12 needs the corrections of every exchange
+    limit, commuting, mixed = _fresh_python(
         "import sys; from yangsym.pbw import encode_e, gl_context; "
-        "w = (encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10; "
-        "print(sys.getrecursionlimit(), len(gl_context(2).normal_form([(1, w)]).terms))")
+        "e = lambda i, j, k: (encode_e(2, i, j),) * k; "
+        "nf = lambda w: len(gl_context(2).normal_form([(1, w)]).terms); "
+        "print(sys.getrecursionlimit(), nf(e(2, 2, 500) + e(1, 1, 500)), "
+        "nf(e(1, 2, 12) + e(2, 1, 12)))")
     assert int(limit) <= 1000
-    assert int(terms) == 285
+    assert int(commuting) == 1
+    assert int(mixed) == 454
