@@ -326,17 +326,18 @@ def suite_eb_traces(cfg):
     from .symfun import prop_eB_traces
     for n in _ns(cfg):
         for k in range(1, kmax + 1):
+            # built inside the checks, which are charged for the family builds
             targets = {
-                1: elem_e(k, n, N),
-                2: homog_h(k, n, N),
-                3: elem_e(k, n, N).shift(k - 1),
-                4: homog_h(k, n, N).shift(-(k - 1)),
+                1: lambda k=k, n=n: elem_e(k, n, N),
+                2: lambda k=k, n=n: homog_h(k, n, N),
+                3: lambda k=k, n=n: elem_e(k, n, N).shift(k - 1),
+                4: lambda k=k, n=n: homog_h(k, n, N).shift(-(k - 1)),
             }
             for variant in (1, 2, 3, 4):
                 rep.run(f"trace_variant_{variant}", "alt_trace_presentations",
                         {"n": n, "k": k, "variant": variant, "order": N},
-                        lambda k=k, variant=variant, n=n, targets=targets:
-                        check_series(prop_eB_traces(k, variant, n, N), targets[variant]),
+                        lambda k=k, variant=variant, n=n, target=targets[variant]:
+                        check_series(prop_eB_traces(k, variant, n, N), target()),
                         determined_order=N)
     return rep.records
 

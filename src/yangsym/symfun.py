@@ -28,9 +28,8 @@ from .pbw import yangian_context
 from .tensor import (
     TensorMatrix,
     RingSpec,
-    antisymmetrizer,
-    symmetrizer,
-    b_factor,
+    permutation_sum,
+    r_chain,
     t_leg,
     t_product,
     t_series,
@@ -177,16 +176,9 @@ def _cached(key, builder):
     return val
 
 
-_PROJ_CACHE = {}
-
-
 def cached_projector(kind, k, n):
-    key = (kind, k, n)
-    m = _PROJ_CACHE.get(key)
-    if m is None:
-        build = antisymmetrizer if kind == "A" else symmetrizer
-        m = _PROJ_CACHE[key] = build(k, n, method="group_sum")
-    return m
+    """k!*A_k (kind "A") or k!*S_k (kind "S") on (C^n)^{tensor k}, int entries."""
+    return _cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
 
 
 def unit_series(n, N):
@@ -306,9 +298,9 @@ def p_tau(k, sign, n, N):
 
 
 def _tau_trace(left, d, legs, k, n, N):
-    """tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k legs,
-    evaluated in the shift-operator calculus instead of through the closed
-    forms; an independent oracle for e_tau, h_tau and p_tau."""
+    """(1/k!) tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k
+    legs, left k! times a projector (None on one leg), in the shift-operator
+    calculus, not the closed forms; an oracle for e_tau, h_tau and p_tau."""
     ctx = yangian_context(n)
     ring = RingSpec(TauOperator.zero())
     acc = left
@@ -318,8 +310,7 @@ def _tau_trace(left, d, legs, k, n, N):
             r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
             for r, row in leg.rows.items()}, ring)
         acc = tau_leg if acc is None else tm_mul(acc, tau_leg)
-    tr = trace_full(acc)
-    return tr if isinstance(tr, TauOperator) else TauOperator.zero()
+    return trace_full(acc).scale(Q(1, factorial(k)))
 
 
 def e_tau_direct(k, n, N):
@@ -373,20 +364,20 @@ def prop_eB_traces(k, variant, n, N):
     2: tr(B^+_k T_1(u)...T_k(u+k-1))   -> h_k(u)
     3: tr(A_k  T_1(u)...T_k(u+k-1))    -> e_k(u+k-1)
     4: tr(S_k  T_1(u)...T_k(u-k+1))    -> h_k(u-k+1)
+
+    The legs are multiplied by the integral k! times B^-_k, B^+_k, A_k or
+    S_k, and the trace is divided by k! once.
     """
     if variant in (1, 2):
         sign = -1 if variant == 1 else +1
-        left = TensorMatrix.identity(n, k) if k == 1 else b_factor(k, sign, k, n)
-    elif variant == 3:
-        left = cached_projector("A", k, n)
-    elif variant == 4:
-        left = cached_projector("S", k, n)
+        left = TensorMatrix.identity(n, k) if k == 1 else r_chain(k, sign, k, n)
+    elif variant in (3, 4):
+        left = cached_projector("A" if variant == 3 else "S", k, n)
     else:
         raise ValueError("variant must be 1..4")
-    dec = [-s for s in range(k)]
-    inc = list(range(k))
-    shifts = dec if variant in (1, 4) else inc
-    return trace_full(t_product(shifts, N, yangian_context(n), left=left))
+    shifts = [-s if variant in (1, 4) else s for s in range(k)]
+    tr = trace_full(t_product(shifts, N, yangian_context(n), left=left))
+    return tr.scale(Q(1, factorial(k)))
 
 
 # ---------------------------------------------------------------------------

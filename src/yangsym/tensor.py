@@ -8,6 +8,11 @@ generating-matrix legs; shift operators for the tau calculus.
 
 Entry products never reorder factors, so matrices with noncommutative
 entries multiply correctly.
+
+The trace oracles multiply legs by the integral k!*A_k, k!*S_k
+(`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
+products, and divide each trace by k! once; `antisymmetrizer`, `symmetrizer`
+and `b_factor` are the normalized projectors.
 """
 
 from itertools import permutations
@@ -204,10 +209,12 @@ def _perm_sign(sigma):
     return sign
 
 
-def _projector_group_sum(k, n, signed):
+def permutation_sum(k, n, signed):
+    """Sum over S_k of the permutation operators on k legs, each times its
+    sign when signed: k!*A_k or k!*S_k, with int entries."""
     acc = TensorMatrix(n, k)
     for sigma in permutations(range(1, k + 1)):
-        coeff = Q(_perm_sign(sigma), factorial(k)) if signed else Q(1, factorial(k))
+        coeff = _perm_sign(sigma) if signed else 1
         acc = acc + TensorMatrix.from_permutation(sigma, k, n, coeff=coeff)
     return acc
 
@@ -223,18 +230,21 @@ def _projector_fusion(k, n, signed):
     return acc.scale(Q(1, factorial(k)))
 
 
-def b_factor(l, sign, k, n):
-    """B_l on k legs: (1/l!) R_{l-1,l}(s/(l-1)) ... R_{1,2}(s) with s = -sign.
-
-    sign=+1 builds the symmetrizer factors (negative R arguments), sign=-1
-    the antisymmetrizer ones.
-    """
+def r_chain(l, sign, k, n):
+    """l!*B_l on k legs: R_{l-1,l}(s/(l-1)) ... R_{1,2}(s) with s = -sign, each
+    factor 1 + sign*p*P_{p,p+1} integral.  sign=+1 builds the symmetrizer
+    factors (negative R arguments), sign=-1 the antisymmetrizer ones."""
     if l < 2 or l > k:
         raise ValueError("need 2 <= l <= k")
     acc = TensorMatrix.identity(n, k)
     for p in range(l - 1, 0, -1):
         acc = tm_mul(acc, r_matrix(p, p + 1, Q(-sign, p), k, n))
-    return acc.scale(Q(1, factorial(l)))
+    return acc
+
+
+def b_factor(l, sign, k, n):
+    """B_l on k legs: r_chain(l, sign, k, n) / l!."""
+    return r_chain(l, sign, k, n).scale(Q(1, factorial(l)))
 
 
 def _projector_b_product(k, n, signed):
@@ -246,32 +256,30 @@ def _projector_b_product(k, n, signed):
 
 
 _PROJ_METHODS = {
-    "group_sum": _projector_group_sum,
+    "group_sum": lambda k, n, signed: permutation_sum(k, n, signed).scale(Q(1, factorial(k))),
     "fusion": _projector_fusion,
     "b_product": _projector_b_product,
 }
 
 
-def antisymmetrizer(k, n, method="group_sum"):
-    """Projector onto the antisymmetric subspace of (C^n)^{tensor k}."""
+def _projector(k, n, method, signed):
     if k < 1:
         raise ValueError("k must be >= 1")
     if method not in _PROJ_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if k == 1:
         return TensorMatrix.identity(n, 1)
-    return _PROJ_METHODS[method](k, n, signed=True)
+    return _PROJ_METHODS[method](k, n, signed)
+
+
+def antisymmetrizer(k, n, method="group_sum"):
+    """Projector onto the antisymmetric subspace of (C^n)^{tensor k}."""
+    return _projector(k, n, method, signed=True)
 
 
 def symmetrizer(k, n, method="group_sum"):
     """Projector onto the symmetric subspace of (C^n)^{tensor k}."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if method not in _PROJ_METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if k == 1:
-        return TensorMatrix.identity(n, 1)
-    return _PROJ_METHODS[method](k, n, signed=False)
+    return _projector(k, n, method, signed=False)
 
 
 def fusion_step(proj, direction):

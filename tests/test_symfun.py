@@ -1,5 +1,6 @@
 import random
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,16 @@ from yangsym.series import USeries
 from yangsym.tau import TauOperator
 from yangsym.pbw import free_context, yangian_context
 from yangsym import symfun, tensor
-from yangsym.tensor import perm_op, t_leg, t_product, tm_mul, trace_full, z_leg
+from yangsym.tensor import (
+    antisymmetrizer,
+    perm_op,
+    symmetrizer,
+    t_leg,
+    t_product,
+    tm_mul,
+    trace_full,
+    z_leg,
+)
 from yangsym.symfun import (
     BetheTwist,
     Composition,
@@ -114,6 +124,8 @@ def test_p2_via_cyclic_trace(ctx2):
 def test_tau_forms_match_direct_evaluation():
     assert e_tau_direct(2, 2, N2) == e_tau(2, 2, N2)
     assert h_tau_direct(2, 2, N2) == h_tau(2, 2, N2)
+    assert e_tau_direct(3, 2, N2) == e_tau(3, 2, N2)
+    assert h_tau_direct(3, 2, N2) == h_tau(3, 2, N2)
     assert p_tau_direct(2, -1, 2, N2) == p_tau(2, -1, 2, N2)
     assert p_tau_direct(2, +1, 2, N2) == p_tau(2, +1, 2, N2)
 
@@ -150,13 +162,15 @@ def test_b_rejects_out_of_range():
 def e_by_trace(k, n, N):
     """tr(A_k T_1(u) T_2(u-1) ... T_k(u-k+1)) on (C^n)^{tensor k}."""
     A = cached_projector("A", k, n)
-    return trace_full(t_product([-s for s in range(k)], N, yangian_context(n), left=A))
+    tr = trace_full(t_product([-s for s in range(k)], N, yangian_context(n), left=A))
+    return tr.scale(Q(1, factorial(k)))
 
 
 def h_by_trace(k, n, N):
     """tr(S_k T_1(u) T_2(u+1) ... T_k(u+k-1)) on (C^n)^{tensor k}."""
     S = cached_projector("S", k, n)
-    return trace_full(t_product(list(range(k)), N, yangian_context(n), left=S))
+    tr = trace_full(t_product(list(range(k)), N, yangian_context(n), left=S))
+    return tr.scale(Q(1, factorial(k)))
 
 
 def b_by_trace(k, Z, n, N):
@@ -166,7 +180,25 @@ def b_by_trace(k, Z, n, N):
         acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, yangian_context(n)))
     for s in range(k + 1, n + 1):
         acc = tm_mul(acc, z_leg(Z.matrix, s, n, acc.ring))
-    return trace_full(acc)
+    return trace_full(acc).scale(Q(1, factorial(n)))
+
+
+@pytest.mark.parametrize("kind", ["A", "S"])
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3, 4) for n in (1, 2, 3)])
+def test_cached_projector_is_k_factorial_times_the_projector(kind, k, n):
+    P = cached_projector(kind, k, n)
+    assert all(type(v) is int for row in P.rows.values() for v in row.values())
+    normalized = antisymmetrizer(k, n) if kind == "A" else symmetrizer(k, n)
+    assert P.equal(normalized.scale(factorial(k)))
+
+
+def test_oracle_leg_products_stay_integral():
+    prod = t_product([0, -1, -2], 3, yangian_context(3), left=cached_projector("A", 3, 3))
+    assert prod.rows
+    for row in prod.rows.values():
+        for series in row.values():
+            for elem in series.coeffs.values():
+                assert all(type(c) is int for c in elem.terms.values())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -216,6 +248,11 @@ def test_eb_traces_k2():
     assert prop_eB_traces(2, 2, 2, N2) == homog_h(2, 2, N2)
     assert prop_eB_traces(2, 3, 2, N2) == elem_e(2, 2, N2).shift(1)
     assert prop_eB_traces(2, 4, 2, N2) == homog_h(2, 2, N2).shift(-1)
+
+
+def test_eb_traces_k4_divide_by_4_factorial():
+    assert prop_eB_traces(4, 2, 2, N2) == homog_h(4, 2, N2)
+    assert prop_eB_traces(4, 4, 2, N2) == homog_h(4, 2, N2).shift(-3)
 
 
 # -- compositions and Newton -----------------------------------------------------
