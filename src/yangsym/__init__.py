@@ -44,7 +44,6 @@ from .symfun import (
     composition_sum,
     compositions,
     det_formulas,
-    e_from_h_minus,
     e_tau,
     elem_e,
     gen_E,

@@ -122,11 +122,7 @@ class ShiftedPolynomial:
             other = ShiftedPolynomial.const(self.n, other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, QZERO) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, QZERO) + c
         return ShiftedPolynomial(self.n, out)
 
     __radd__ = __add__
@@ -149,11 +145,7 @@ class ShiftedPolynomial:
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, QZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+                out[e] = out.get(e, QZERO) + c1 * c2
         return ShiftedPolynomial(self.n, out)
 
     __rmul__ = __mul__
@@ -164,38 +156,29 @@ class ShiftedPolynomial:
         if not a:
             return self
         n = self.n
-        out = ShiftedPolynomial(n)
+        out = {}
         for e, c in self.coeffs.items():
             b = e[n]
             p = QONE
             for j in range(b, -1, -1):
-                q = binomial(b, j) * p * c
                 e2 = e[:n] + (j,)
-                s = out.coeffs.get(e2, QZERO) + q
-                if s:
-                    out.coeffs[e2] = s
-                elif e2 in out.coeffs:
-                    del out.coeffs[e2]
+                out[e2] = out.get(e2, QZERO) + binomial(b, j) * p * c
                 p = p * a
-        return out
+        return ShiftedPolynomial(n, out)
 
     def eval_mu(self, mu):
         """Substitute an integer weight for mu, leaving a polynomial in u."""
         vals = [as_rational(x) for x in mu]
         if len(vals) != self.n:
             raise ValueError("weight length mismatch")
-        out = UPolynomial()
+        out = {}
         for e, c in self.coeffs.items():
             q = c
             for i, a in enumerate(e[:self.n]):
                 for _ in range(a):
                     q = q * vals[i]
-            s = out.coeffs.get(e[self.n], QZERO) + q
-            if s:
-                out.coeffs[e[self.n]] = s
-            elif e[self.n] in out.coeffs:
-                del out.coeffs[e[self.n]]
-        return out
+            out[e[self.n]] = out.get(e[self.n], QZERO) + q
+        return UPolynomial(out)
 
     def __eq__(self, other):
         if not isinstance(other, ShiftedPolynomial):

@@ -47,7 +47,7 @@ def _positive_int(text):
 
 def _parse_int_list(text, flag, parser):
     try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
+        return [int(x) for x in text.split(",")]
     except ValueError:
         parser.error(f"{flag} expects a comma-separated integer list")
 

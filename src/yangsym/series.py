@@ -91,11 +91,7 @@ class USeries:
         out = dict(self.truncate(order).coeffs)
         for m, c in other.coeffs.items():
             if m <= order:
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                out[m] = out.get(m, 0) + c
         return USeries(order, out)
 
     __radd__ = __add__
@@ -130,13 +126,8 @@ class USeries:
                 continue
             for j, b in other.coeffs.items():
                 m = i + j
-                if m > order:
-                    continue
-                s = out.get(m, 0) + a * b
-                if s:
-                    out[m] = s
-                elif m in out:
-                    del out[m]
+                if m <= order:
+                    out[m] = out.get(m, 0) + a * b
         return USeries(order, out)
 
     def __rmul__(self, other):
@@ -164,11 +155,7 @@ class USeries:
             for j in range(0, N - m + 1):
                 q = binomial(m + j - 1, j) * p
                 if q:
-                    s = out.get(m + j, 0) + q * c
-                    if s:
-                        out[m + j] = s
-                    elif m + j in out:
-                        del out[m + j]
+                    out[m + j] = out.get(m + j, 0) + q * c
                 p = p * (-a)
         return USeries(N, out)
 
@@ -262,11 +249,7 @@ class UPolynomial:
             other = UPolynomial.const(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+            out[e] = out.get(e, 0) + c
         return UPolynomial(out)
 
     __radd__ = __add__
@@ -291,11 +274,7 @@ class UPolynomial:
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
-                s = out.get(i + j, 0) + a * b
-                if s:
-                    out[i + j] = s
-                elif i + j in out:
-                    del out[i + j]
+                out[i + j] = out.get(i + j, 0) + a * b
         return UPolynomial(out)
 
     def __rmul__(self, other):
@@ -311,19 +290,14 @@ class UPolynomial:
         a = as_rational(a)
         if not a:
             return self
-        out = UPolynomial()
+        out = {}
         for e, c in self.coeffs.items():
             p = QONE
             for j in range(e, -1, -1):
                 # binomial expansion of (u+a)^e, highest power first
-                q = binomial(e, j) * p
-                s = out.coeffs.get(j, 0) + q * c
-                if s:
-                    out.coeffs[j] = s
-                elif j in out.coeffs:
-                    del out.coeffs[j]
+                out[j] = out.get(j, 0) + binomial(e, j) * p * c
                 p = p * a
-        return out
+        return UPolynomial(out)
 
     def eval_at(self, x):
         """Value at a rational point x (Horner)."""

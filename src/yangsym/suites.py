@@ -49,7 +49,6 @@ from .symfun import (
     cached_projector,
     composition_sum,
     det_formulas,
-    e_from_h_minus,
     e_tau,
     elem_e,
     gen_E,
@@ -386,16 +385,16 @@ def suite_determinants(cfg):
     m_max = cfg.max_m or 3
     for m in range(1, m_max + 1):
         targets = {
-            "e_from_p": elem_e(m, n, N),
-            "h_from_p": homog_h(m, n, N),
-            "p_from_e": power_p(m, -1, n, N),
-            "p_from_h": power_p(m, +1, n, N),
+            "e_from_p": lambda m=m: elem_e(m, n, N),
+            "h_from_p": lambda m=m: homog_h(m, n, N),
+            "p_from_e": lambda m=m: power_p(m, -1, n, N),
+            "p_from_h": lambda m=m: power_p(m, +1, n, N),
         }
         for which, target in targets.items():
             rep.run(f"{which}_m{m}", f"determinant_{which}",
                     {"n": n, "order": N, "m": m},
                     lambda which=which, m=m, target=target:
-                    check_series(det_formulas(m, which, n, N), target),
+                    check_series(det_formulas(m, which, n, N), target()),
                     determined_order=N)
     return rep.records
 
@@ -425,7 +424,7 @@ def suite_inverse_op(cfg):
     for k in range(1, 3):
         rep.run(f"e_from_h_minus_k{k}", "elementary_from_inverse_family",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: check_series(e_from_h_minus(k, n, N),
+                lambda k=k: check_series(schur_s((1,) * k, "h", n, N),
                                          elem_e(k, n, N)),
                 determined_order=N)
     for m in range(1, 5):

@@ -16,6 +16,13 @@ from products of generating-matrix entries instead: e_k as a sum of quantum
 minors, h_k as a sum of quantum permanents, and b_k as quantum minors paired
 with the complementary minors of the twist.  The trace definitions stay as
 independent oracles (`prop_eB_traces`, the tau forms, the suites and tests).
+
+The determinant layer is one memoized row expansion (`_row_expansion`):
+`rdet` is its signed form over the columns of a matrix, and the quantum
+minors and permanents expand the table of generating-matrix factors directly.
+The Newton-type formulas (`det_formulas`, `h_minus`) are lower-Hessenberg
+determinants from one builder (`_hessenberg_det`), and `schur_s` fills one
+Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 """
 
 from itertools import combinations, combinations_with_replacement
@@ -191,32 +198,12 @@ def unit_series(n, N):
 def _quantum_minor(rows, cols, step, signed, n, N):
     """Sum over the distinct rearrangements b of the sorted tuple `rows` of
     [sgn b] t_{b_1 c_1}(u) t_{b_2 c_2}(u+step) ... t_{b_k c_k}(u+step(k-1)),
-    where c = cols.
-
-    Expands along the first factor and memoizes on the multiset of rows still
-    to place, like `rdet`; a repeated row is placed once per value.  With
-    distinct rows and signed=True this is rdet of the table
-    M[p][q] = t_{rows_q, cols_p}(u + step p).
+    where c = cols: the row expansion of the factors t_{r c_p}(u + step p).
     """
     ctx = yangian_context(n)
-    k = len(cols)
-    memo = {}
-
-    def rest(left):
-        if left not in memo:
-            p = k - len(left)
-            acc = USeries.zero(N)
-            for pos, r in enumerate(left):
-                if pos and left[pos - 1] == r:
-                    continue
-                v = t_series(ctx, r, cols[p], step * p, N)
-                if p < k - 1:
-                    v = v * rest(left[:pos] + left[pos + 1:])
-                acc = acc - v if signed and pos % 2 else acc + v
-            memo[left] = acc
-        return memo[left]
-
-    return rest(tuple(rows))
+    table = [{r: t_series(ctx, r, c, step * p, N) for r in dict.fromkeys(rows)}
+             for p, c in enumerate(cols)]
+    return _row_expansion(table, tuple(rows), signed) or USeries.zero(N)
 
 
 def elem_e(k, n, N):
@@ -340,10 +327,9 @@ def bethe_b(k, Z, n, N):
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
-    if isinstance(Z, BetheTwist):
-        Zm = Z.matrix
-    else:
-        Zm = BetheTwist(Z).matrix
+    Zm = (Z if isinstance(Z, BetheTwist) else BetheTwist(Z)).matrix
+    if len(Zm) != n:
+        raise ValueError(f"twist must be {n} x {n}, got {len(Zm)} x {len(Zm)}")
     idx = range(1, n + 1)
     acc = USeries.zero(N)
     for I in combinations(idx, k):
@@ -406,6 +392,8 @@ def composition_sum(k, kind, n, N):
 
 def newton_check(m, kind, n, N):
     """Both sides of the Newton identity at degree m; returns (ok, lhs, rhs)."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     if kind not in ("e", "h"):
         raise ValueError("kind must be 'e' or 'h'")
     lhs = None
@@ -423,45 +411,67 @@ def newton_check(m, kind, n, N):
 # ---------------------------------------------------------------------------
 # row determinants and determinant formulas
 
-def rdet(rows):
-    """Row determinant sum_sigma sgn(sigma) a_{1,sigma(1)} ... a_{m,sigma(m)}.
+def _row_expansion(table, labels, signed):
+    """Sum over the distinct rearrangements b of the sorted tuple `labels` of
+    [sgn b] table[0][b_0] table[1][b_1] ..., factors kept in order; None if
+    the sum is zero.
 
-    Expands along the first row and memoizes each minor on its set of
-    remaining columns: O(m 2^m) products instead of m! m.  Every product
-    keeps the row order, so the entries need not commute.
+    Expands along the first factor and memoizes on the labels still to place:
+    O(m 2^m) products for m distinct labels instead of m! m.  A repeated label
+    (permanents only) is placed once per value; zero entries and zero minors
+    are skipped.  Every product keeps the factor order, so the entries need
+    not commute.
     """
+    m = len(labels)
+    memo = {}
+
+    def rest(left):
+        if left in memo:
+            return memo[left]
+        p = m - len(left)
+        acc = None
+        for pos, b in enumerate(left):
+            if pos and left[pos - 1] == b:
+                continue
+            v = table[p][b]
+            if not v:
+                continue
+            if p < m - 1:
+                sub = rest(left[:pos] + left[pos + 1:])
+                if sub is None:
+                    continue
+                v = v * sub
+            if signed and pos % 2:
+                v = -v
+            acc = v if acc is None else acc + v
+        memo[left] = acc if acc else None
+        return memo[left]
+
+    return rest(labels)
+
+
+def rdet(rows):
+    """Row determinant sum_sigma sgn(sigma) a_{1,sigma(1)} ... a_{m,sigma(m)},
+    the signed row expansion over the column labels."""
     m = len(rows)
     if any(len(r) != m for r in rows):
         raise ValueError("rdet needs a square matrix")
     if m == 0:
         raise ValueError("rdet of an empty matrix")
-    memo = {}
-
-    def minor(cols):
-        # rdet of the last len(cols) rows on the columns cols; None if zero
-        if cols in memo:
-            return memo[cols]
-        i = m - len(cols)
-        acc = None
-        for pos, c in enumerate(cols):
-            v = rows[i][c]
-            if not v:
-                continue
-            if i < m - 1:
-                sub = minor(cols[:pos] + cols[pos + 1:])
-                if sub is None:
-                    continue
-                v = v * sub
-            term = -v if pos % 2 else v
-            acc = term if acc is None else acc + term
-        memo[cols] = acc if acc else None
-        return memo[cols]
-
-    acc = minor(tuple(range(m)))
+    acc = _row_expansion(rows, tuple(range(m)), True)
     if acc is None:
         z = rows[0][0]
         return z - z if not isinstance(z, int) else 0
     return acc
+
+
+def _hessenberg_det(m, sup, entry, n, N):
+    """rdet of the m x m lower-Hessenberg matrix with entry(i, j) for j <= i,
+    sup(i) times the unit at (i, i+1) and zeros above (1-based i, j)."""
+    one = unit_series(n, N)
+    zero = USeries.zero(N)
+    return rdet([[entry(i, j) if j <= i else one.scale(sup(i)) if j == i + 1 else zero
+                  for j in range(1, m + 1)] for i in range(1, m + 1)])
 
 
 def det_formulas(m, which, n, N):
@@ -470,48 +480,27 @@ def det_formulas(m, which, n, N):
     e_from_p -> e_m(u); h_from_p -> h_m(u); p_from_e -> p^-_m(u);
     p_from_h -> p^+_m(u).
     """
-    one = unit_series(n, N)
-    zero = USeries.zero(N)
+    def powers(sign):
+        return lambda i, j: power_p(i - j + 1, sign, n, N).shift(sign * (j - 1))
 
-    def scalar(q):
-        return one.scale(q)
+    def weighted(family, sign):
+        # the degree weight sits on the last row (the factor the Newton
+        # recursion attaches to the final part)
+        def entry(i, j):
+            s = family(i - j + 1, n, N).shift(sign * (j - 1))
+            return s.scale(i - j + 1) if i == m else s
+        return entry
 
-    rows = []
-    for i in range(1, m + 1):
-        row = []
-        for j in range(1, m + 1):
-            if j > i + 1:
-                row.append(zero)
-            elif j == i + 1:
-                if which == "e_from_p":
-                    row.append(scalar(i))
-                elif which == "h_from_p":
-                    row.append(scalar(-i))
-                else:
-                    row.append(one)
-            else:
-                d = i - j + 1
-                if which == "e_from_p":
-                    row.append(power_p(d, -1, n, N).shift(-(j - 1)))
-                elif which == "h_from_p":
-                    row.append(power_p(d, +1, n, N).shift(j - 1))
-                elif which == "p_from_e":
-                    # the degree weight sits on the last row (the factor the
-                    # Newton recursion attaches to the final part)
-                    s = elem_e(d, n, N).shift(-(j - 1))
-                    row.append(s.scale(d) if i == m else s)
-                elif which == "p_from_h":
-                    s = homog_h(d, n, N).shift(j - 1)
-                    row.append(s.scale(d) if i == m else s)
-                else:
-                    raise ValueError(f"unknown determinant formula {which!r}")
-        rows.append(row)
-    d = rdet(rows)
-    if which in ("e_from_p", "h_from_p"):
-        return d.scale(Q(1, factorial(m)))
-    if which == "p_from_h":
-        return d.scale(Q((-1) ** (m - 1)))
-    return d
+    formulas = {  # which: (superdiagonal, entry, final scalar)
+        "e_from_p": (lambda i: i, powers(-1), Q(1, factorial(m))),
+        "h_from_p": (lambda i: -i, powers(+1), Q(1, factorial(m))),
+        "p_from_e": (lambda i: 1, weighted(elem_e, -1), 1),
+        "p_from_h": (lambda i: 1, weighted(homog_h, +1), (-1) ** (m - 1)),
+    }
+    if which not in formulas:
+        raise ValueError(f"unknown determinant formula {which!r}")
+    sup, entry, scalar = formulas[which]
+    return _hessenberg_det(m, sup, entry, n, N).scale(scalar)
 
 
 # ---------------------------------------------------------------------------
@@ -527,20 +516,9 @@ def h_minus(m, n, N):
         return unit_series(n, N)
 
     def build():
-        one = unit_series(n, N)
-        zero = USeries.zero(N)
-        rows = []
-        for i in range(1, m + 1):
-            row = []
-            for j in range(1, m + 1):
-                if j > i + 1:
-                    row.append(zero)
-                elif j == i + 1:
-                    row.append(one.scale(-i))
-                else:
-                    row.append(power_p(i - j + 1, -1, n, N).shift(i - 1))
-            rows.append(row)
-        return rdet(rows).scale(Q(1, factorial(m)))
+        return _hessenberg_det(m, lambda i: -i,
+                               lambda i, j: power_p(i - j + 1, -1, n, N).shift(i - 1),
+                               n, N).scale(Q(1, factorial(m)))
 
     return _cached(("h_minus", n, m, N), build)
 
@@ -548,6 +526,8 @@ def h_minus(m, n, N):
 def h_minus_from_inverse(m, n, N):
     """h^-_m(u) as the unique solution of the inverse identity; independent
     cross-check of the determinant layout."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     hs = [unit_series(n, N)]
     for t in range(1, m + 1):
         acc = None
@@ -576,61 +556,29 @@ def gen_Hminus(L, n, N):
     return acc
 
 
-def e_from_h_minus(k, n, N):
-    """e_k(u) as the Jacobi-Trudi style rdet in h^- with sliding arguments."""
-    one = unit_series(n, N)
-    zero = USeries.zero(N)
-    rows = []
-    for i in range(1, k + 1):
-        row = []
-        for j in range(1, k + 1):
-            d = j - i + 1
-            if d < 0:
-                row.append(zero)
-            elif d == 0:
-                row.append(one)
-            else:
-                row.append(h_minus(d, n, N).shift(-(j - 1)))
-        rows.append(row)
-    return rdet(rows)
-
-
 # ---------------------------------------------------------------------------
 # Schur series
 
 def schur_s(lam, via, n, N):
-    """Schur series for a partition, via the h^- route or the e route."""
+    """Schur series for a partition by Jacobi-Trudi: det[h^-_{lam_i-i+j}(u-j+1)]
+    via "h", or det[e_{lam'_i-i+j}(u+j-1)] over the conjugate partition via
+    "e" (0-based i, j; the unit on d = 0 and zeros below)."""
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if len(lam) == 0:
         raise ValueError("partition must be non-empty")
+    if via == "h":
+        parts, family, sign = lam.parts, h_minus, -1
+    elif via == "e":
+        parts, family, sign = lam.conjugate().parts, elem_e, 1
+    else:
+        raise ValueError("via must be 'h' or 'e'")
     one = unit_series(n, N)
     zero = USeries.zero(N)
 
-    def entry_h(i, j):
-        d = lam.parts[i - 1] - i + j
-        if d < 0:
-            return zero
-        if d == 0:
-            return one
-        return h_minus(d, n, N).shift(-(j - 1))
+    def entry(i, j):
+        d = parts[i] - i + j
+        return family(d, n, N).shift(sign * j) if d > 0 else one if d == 0 else zero
 
-    def entry_e(i, j, conj):
-        # arguments climb by column, mirroring the h^- route
-        d = conj.parts[i - 1] - i + j
-        if d < 0:
-            return zero
-        if d == 0:
-            return one
-        return elem_e(d, n, N).shift(j - 1)
-
-    if via == "h":
-        k = len(lam)
-        rows = [[entry_h(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    elif via == "e":
-        conj = lam.conjugate()
-        kp = len(conj)
-        rows = [[entry_e(i, j, conj) for j in range(1, kp + 1)] for i in range(1, kp + 1)]
-    else:
-        raise ValueError("via must be 'h' or 'e'")
-    return rdet(rows)
+    k = len(parts)
+    return rdet([[entry(i, j) for j in range(k)] for i in range(k)])

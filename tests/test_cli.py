@@ -315,6 +315,8 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
      "weakly decreasing"),
     (["compute", "schur", "--lambda", "1,x", "--n", "2", "--order", "2"],
      "comma-separated integer list"),
+    (["compute", "schur", "--lambda", "2,,1", "--n", "2", "--order", "2"],
+     "comma-separated integer list"),
 ])
 def test_library_value_errors_are_usage_errors(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -29,7 +29,6 @@ from yangsym.symfun import (
     composition_sum,
     compositions,
     det_formulas,
-    e_from_h_minus,
     e_tau,
     e_tau_direct,
     elem_e,
@@ -157,6 +156,14 @@ def test_b_rejects_out_of_range():
         bethe_b(3, BetheTwist.identity(2), 2, 2)
 
 
+@pytest.mark.parametrize("size,n", [(3, 2), (2, 3)])
+def test_b_rejects_twist_of_the_wrong_size(size, n):
+    with pytest.raises(ValueError, match=f"twist must be {n} x {n}"):
+        bethe_b(1, BetheTwist.identity(size), n, 2)
+    with pytest.raises(ValueError, match=f"twist must be {n} x {n}"):
+        bethe_b(1, [[1] * size] * size, n, 2)
+
+
 # -- the trace definitions as oracles for the minor construction -----------------
 
 def e_by_trace(k, n, N):
@@ -282,6 +289,12 @@ def test_newton_m1_is_trivial():
     assert ok and lhs == p_tau(1, -1, 2, N2) == rhs
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_newton_rejects_degree_below_one(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        newton_check(m, "e", 2, N2)
+
+
 def test_newton_m2():
     assert newton_check(2, "e", 2, N2)[0]
     assert newton_check(2, "h", 2, N2)[0]
@@ -341,6 +354,24 @@ def test_rdet_matches_permutation_sum(rows):
     assert rdet(rows) == _rdet_by_definition(rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(free_matrices(), st.data())
+def test_row_expansion_with_repeated_labels_is_the_permanent_sum(rows, data):
+    # the quantum-permanent path: labels with repeats, each distinct
+    # rearrangement once, factors in order
+    m = len(rows)
+    labels = tuple(sorted(data.draw(st.lists(st.integers(0, m - 1),
+                                             min_size=m, max_size=m))))
+    expected = None
+    for b in set(permutations(labels)):
+        prod = rows[0][b[0]]
+        for p in range(1, m):
+            prod = prod * rows[p][b[p]]
+        expected = prod if expected is None else expected + prod
+    got = symfun._row_expansion(rows, labels, False)
+    assert (got if got is not None else 0) == expected
+
+
 def test_rdet_matches_permutation_sum_on_hessenberg_series(ctx2):
     # the lower-Hessenberg layout of det_formulas and h_minus, with
     # generating-matrix entries t_ab(u+i), which do not commute
@@ -359,6 +390,11 @@ def test_rdet_row_order_for_noncommuting_entries():
     a, b, c, d = (fc.gen(i) for i in range(4))
     assert rdet([[a, b], [c, d]]) == a * d - b * c
     assert rdet([[a, b], [c, d]]) != d * a - b * c
+
+
+def test_det_formulas_rejects_an_unknown_formula():
+    with pytest.raises(ValueError, match="unknown determinant formula"):
+        det_formulas(2, "e_from_q", 2, N2)
 
 
 def test_det_formulas_m1():
@@ -417,8 +453,15 @@ def test_inverse_identity_low_tau_degrees():
 
 
 def test_e_from_h_minus():
-    assert e_from_h_minus(1, 2, N2) == elem_e(1, 2, N2)
-    assert e_from_h_minus(2, 2, N2) == elem_e(2, 2, N2)
+    # e_k is the Jacobi-Trudi determinant in h^- of the column (1^k)
+    assert schur_s((1,), "h", 2, N2) == elem_e(1, 2, N2)
+    assert schur_s((1, 1), "h", 2, N2) == elem_e(2, 2, N2)
+    assert not hasattr(symfun, "e_from_h_minus")
+
+
+def test_h_minus_from_inverse_rejects_negative_m():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        h_minus_from_inverse(-1, 2, N2)
 
 
 # -- Schur series ------------------------------------------------------------------
