@@ -5,6 +5,7 @@ Yangian of gl_n, with evaluation to U(gl_n) and shifted symmetric functions.
 from .rationals import Q, binomial
 from .series import (
     DegenerateSeriesError,
+    ShiftedPolynomial,
     UPolynomial,
     USeries,
     falling_factorial,
@@ -60,7 +61,6 @@ from .symfun import (
 )
 from .capelli import (
     HighestWeight,
-    ShiftedPolynomial,
     capelli_p,
     defining_rep_value,
     ev_hom,

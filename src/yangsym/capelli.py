@@ -7,12 +7,17 @@ elements are probed two independent ways: by reading the highest-weight
 eigenvalue off the Cartan-only monomials (the PBW order puts raising
 generators rightmost precisely to enable this) and by the defining
 representation e_ij -> E_ij.
+
+The shifted e*_k and h*_k are `series.ShiftedPolynomial` values and p*_k
+at a weight is a `UPolynomial`; like every carrier they take u -> u+a by
+`shift(a)` and compare with a bare scalar as that scalar times the unit.
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 
-from .rationals import Q, QONE, QZERO, as_rational, binomial
-from .series import USeries, UPolynomial, falling_factorial, rising_factorial
+from .rationals import Q, QONE, QZERO, as_rational
+from .series import (ShiftedPolynomial, UPolynomial, USeries, falling_factorial,
+                     rising_factorial)
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
 from .symfun import (
     compositions,
@@ -69,165 +74,34 @@ class HighestWeight:
 
 def default_weight_grid(n, count=8):
     """A deterministic grid of weakly decreasing integer weights."""
-    out = []
-    for tup in combinations_with_replacement(range(4, -4, -1), n):
-        out.append(HighestWeight(tup))
-        if len(out) >= count:
-            break
-    return out
+    grid = combinations_with_replacement(range(4, -4, -1), n)
+    return [HighestWeight(tup) for tup in islice(grid, count)]
 
 
-# ---------------------------------------------------------------------------
-# exact polynomials in mu_1..mu_n and u
-
-class ShiftedPolynomial:
-    """Polynomial in the commuting variables mu_1..mu_n and u over Q.
-
-    Exponent keys are (a_1, ..., a_n, b) with b the power of u.
-    """
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n, coeffs=None):
-        self.n = n
-        cc = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                c = as_rational(c)
-                if c:
-                    cc[tuple(e)] = c
-        self.coeffs = cc
-
-    @classmethod
-    def const(cls, n, q):
-        e = (0,) * (n + 1)
-        return cls(n, {e: q})
-
-    @classmethod
-    def linear(cls, n, mu_index, const=0):
-        """mu_{mu_index} + u + const."""
-        mu = [0] * (n + 1)
-        mu[mu_index - 1] = 1
-        u = [0] * n + [1]
-        return cls(n, {tuple(mu): 1, tuple(u): 1, (0,) * (n + 1): const})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __add__(self, other):
-        if not isinstance(other, ShiftedPolynomial):
-            other = ShiftedPolynomial.const(self.n, other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, QZERO) + c
-        return ShiftedPolynomial(self.n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ShiftedPolynomial(self.n, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, ShiftedPolynomial):
-            other = ShiftedPolynomial.const(self.n, other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, ShiftedPolynomial):
-            q = as_rational(other)
-            if not q:
-                return ShiftedPolynomial(self.n)
-            return ShiftedPolynomial(self.n, {e: c * q for e, c in self.coeffs.items()})
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, QZERO) + c1 * c2
-        return ShiftedPolynomial(self.n, out)
-
-    __rmul__ = __mul__
-
-    def shift_u(self, a):
-        """Substitute u -> u + a."""
-        a = as_rational(a)
-        if not a:
-            return self
-        n = self.n
-        out = {}
-        for e, c in self.coeffs.items():
-            b = e[n]
-            p = QONE
-            for j in range(b, -1, -1):
-                e2 = e[:n] + (j,)
-                out[e2] = out.get(e2, QZERO) + binomial(b, j) * p * c
-                p = p * a
-        return ShiftedPolynomial(n, out)
-
-    def eval_mu(self, mu):
-        """Substitute an integer weight for mu, leaving a polynomial in u."""
-        vals = [as_rational(x) for x in mu]
-        if len(vals) != self.n:
-            raise ValueError("weight length mismatch")
-        out = {}
-        for e, c in self.coeffs.items():
-            q = c
-            for i, a in enumerate(e[:self.n]):
-                for _ in range(a):
-                    q = q * vals[i]
-            out[e[self.n]] = out.get(e[self.n], QZERO) + q
-        return UPolynomial(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, ShiftedPolynomial):
-            if other == 0:
-                return not self.coeffs
-            other = ShiftedPolynomial.const(self.n, other)
-        return self.n == other.n and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "ShiftedPolynomial(0)"
-        names = [f"mu{i+1}" for i in range(self.n)] + ["u"]
-        parts = []
-        for e in sorted(self.coeffs):
-            mono = "*".join(f"{names[i]}^{a}" for i, a in enumerate(e) if a) or "1"
-            parts.append(f"({self.coeffs[e]})*{mono}")
-        return " + ".join(parts)
+def _star_sum(subsets, k, n, offset):
+    """Sum over subsets(1..n, k) of the products over t = 1..k of
+    (mu_{i_t} + u + offset(t)); the empty product (k = 0) is 1."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    acc = ShiftedPolynomial(n)
+    for subset in subsets(range(1, n + 1), k):
+        prod = ShiftedPolynomial.const(n, 1)
+        for t, idx in enumerate(subset, start=1):
+            prod = prod * ShiftedPolynomial.linear(n, idx, offset(t))
+        acc = acc + prod
+    return acc
 
 
 def shifted_e_star(k, n):
     """Sum over strict k-subsets i_1<...<i_k of
     (mu_{i_1}+u+k-1)(mu_{i_2}+u+k-2)...(mu_{i_k}+u)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return ShiftedPolynomial.const(n, QONE)
-    acc = ShiftedPolynomial(n)
-    for subset in combinations(range(1, n + 1), k):
-        prod = ShiftedPolynomial.const(n, QONE)
-        for t, idx in enumerate(subset, start=1):
-            prod = prod * ShiftedPolynomial.linear(n, idx, k - t)
-        acc = acc + prod
-    return acc
+    return _star_sum(combinations, k, n, lambda t: k - t)
 
 
 def shifted_h_star(k, n):
     """Sum over weakly increasing i_1<=...<=i_k of
     (mu_{i_1}+u-k+1)(mu_{i_2}+u-k+2)...(mu_{i_k}+u)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return ShiftedPolynomial.const(n, QONE)
-    acc = ShiftedPolynomial(n)
-    for subset in combinations_with_replacement(range(1, n + 1), k):
-        prod = ShiftedPolynomial.const(n, QONE)
-        for t, idx in enumerate(subset, start=1):
-            prod = prod * ShiftedPolynomial.linear(n, idx, t - k)
-        acc = acc + prod
-    return acc
+    return _star_sum(combinations_with_replacement, k, n, lambda t: t - k)
 
 
 def shifted_p_star(k, mu):
@@ -317,6 +191,8 @@ def _mat_mul(A, B):
 
 def tr_E_power(k, n):
     """The Gelfand invariant tr E^k as an element of U(gl_n)."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     gl = gl_context(n)
     if k == 0:
         return gl.scalar(n)
@@ -433,14 +309,16 @@ def is_scalar_matrix(M):
 
 def check_eh_star(m, n):
     """sum_k (-1)^k e*_k(u-k+1) h*_{m-k}(u-k) == delta_{m,0}, fully symbolic."""
+    if m < 0:
+        raise ValueError("m must be >= 0")
     acc = ShiftedPolynomial(n)
     for k in range(m + 1):
-        term = shifted_e_star(k, n).shift_u(-k + 1) * \
-            shifted_h_star(m - k, n).shift_u(-k)
+        term = shifted_e_star(k, n).shift(-k + 1) * \
+            shifted_h_star(m - k, n).shift(-k)
         if k % 2:
             term = -term
         acc = acc + term
-    target = ShiftedPolynomial.const(n, QONE) if m == 0 else ShiftedPolynomial(n)
+    target = 1 if m == 0 else 0
     return acc == target, acc - target
 
 
@@ -450,7 +328,7 @@ def check_e_star_composition(k, mu):
     if not isinstance(mu, HighestWeight):
         mu = HighestWeight(mu)
     n = mu.n
-    lhs = shifted_e_star(k, n).shift_u(-k).eval_mu(mu.mu)
+    lhs = shifted_e_star(k, n).shift(-k).eval_mu(mu.mu)
     rhs = UPolynomial()
     for lam in compositions(k):
         m = len(lam)
@@ -458,7 +336,7 @@ def check_e_star_composition(k, mu):
         prod = None
         for part, a in zip(lam, lam.prefix_sums):
             denom *= a
-            f = shifted_p_star(part, mu).shift_arg(-a)
+            f = shifted_p_star(part, mu).shift(-a)
             prod = f if prod is None else prod * f
         rhs = rhs + prod * Q((-1) ** (k - m), denom)
     return lhs == rhs, (lhs, rhs)
@@ -470,7 +348,7 @@ def check_h_star_composition(k, mu):
     if not isinstance(mu, HighestWeight):
         mu = HighestWeight(mu)
     n = mu.n
-    lhs = shifted_h_star(k, n).shift_u(k - 1).eval_mu(mu.mu)
+    lhs = shifted_h_star(k, n).shift(k - 1).eval_mu(mu.mu)
     rhs = UPolynomial()
     for lam in compositions(k):
         denom = 1
@@ -478,7 +356,7 @@ def check_h_star_composition(k, mu):
         prev_a = 0
         for part, a in zip(lam, lam.prefix_sums):
             denom *= a
-            f = shifted_p_star(part, mu).shift_arg(prev_a)
+            f = shifted_p_star(part, mu).shift(prev_a)
             prod = f if prod is None else prod * f
             prev_a = a
         rhs = rhs + prod * Q(1, denom)
@@ -494,7 +372,7 @@ def ev_e_bridge(k, n, N, mu):
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
     ff = falling_factorial(UPolynomial.variable(), k).to_series(k, N)
     lhs = hw_series * ff
-    rhs = shifted_e_star(k, n).shift_u(1 - k).eval_mu(mu.mu).to_series(k, N)
+    rhs = shifted_e_star(k, n).shift(1 - k).eval_mu(mu.mu).to_series(k, N)
     return lhs == rhs, (lhs, rhs)
 
 
@@ -506,7 +384,7 @@ def ev_h_bridge(k, n, N, mu):
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
     rf = rising_factorial(UPolynomial.variable(), k).to_series(k, N)
     lhs = hw_series * rf
-    rhs = shifted_h_star(k, n).shift_u(k - 1).eval_mu(mu.mu).to_series(k, N)
+    rhs = shifted_h_star(k, n).shift(k - 1).eval_mu(mu.mu).to_series(k, N)
     return lhs == rhs, (lhs, rhs)
 
 

@@ -4,12 +4,13 @@ Every coefficient in this package is an arbitrary-precision rational;
 nothing is ever rounded.  The scalar type Q is the standard library's
 fractions.Fraction; plain ints are accepted wherever a rational is.
 
-Coefficients stored inside algebra elements follow one rule (see
-`demote`): a plain int when the value is integral, a Fraction with
-denominator above 1 otherwise, and never a float.  Integer arithmetic is
-several times faster than Fraction arithmetic, and int and Fraction agree
-on equality, hashing and `str`, so the rule is invisible in results.
-Public accessors that return a single scalar still return a Fraction.
+Coefficients stored inside algebra elements, series, polynomials and
+shift operators follow one rule (see `demote`): a plain int when the value
+is integral, a Fraction with denominator above 1 otherwise, and never a
+float.  Integer arithmetic is several times faster than Fraction
+arithmetic, and int and Fraction agree on equality, hashing and `str`, so
+the rule is invisible in results.  The accessors of an algebra element that
+return a single scalar (`coeff`, `as_scalar`) still return a Fraction.
 """
 
 from fractions import Fraction as Q

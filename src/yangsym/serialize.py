@@ -15,9 +15,8 @@ import json
 
 from .rationals import RATIONAL_TYPES, rational_str
 from .pbw import AlgebraElement, decode_e, decode_t
-from .series import USeries, UPolynomial
+from .series import ShiftedPolynomial, UPolynomial, USeries
 from .tau import TauOperator
-from .capelli import ShiftedPolynomial
 
 
 def ring_value_jsonable(v):
@@ -46,30 +45,19 @@ def algebra_element_jsonable(x):
     return {"algebra": kind, "n": n, "monomials": monos}
 
 
+def _series_term(s, tau, order):
+    return {"tau": tau, "coeffs": [{"m": m, "value": ring_value_jsonable(s.coeffs[m])}
+                                   for m in sorted(s.coeffs) if m <= order]}
+
+
 def series_jsonable(s, tau=0):
-    return {
-        "order": s.order,
-        "terms": [{
-            "tau": tau,
-            "coeffs": [{"m": m, "value": ring_value_jsonable(s.coeffs[m])}
-                       for m in sorted(s.coeffs)],
-        }],
-    }
+    return {"order": s.order, "terms": [_series_term(s, tau, s.order)]}
 
 
 def tau_operator_jsonable(op):
-    if not op.terms:
-        return {"order": 0, "terms": []}
-    order = min(s.order for s in op.terms.values())
-    terms = []
-    for d in sorted(op.terms):
-        s = op.terms[d]
-        terms.append({
-            "tau": d,
-            "coeffs": [{"m": m, "value": ring_value_jsonable(s.coeffs[m])}
-                       for m in sorted(s.coeffs) if m <= order],
-        })
-    return {"order": order, "terms": terms}
+    order = min((s.order for s in op.coeffs.values()), default=0)
+    return {"order": order,
+            "terms": [_series_term(op.coeffs[d], d, order) for d in sorted(op.coeffs)]}
 
 
 def upolynomial_jsonable(p):

@@ -194,8 +194,8 @@ def check_series(lhs, rhs):
 
 
 def check_tau(lhs, rhs):
-    for d in sorted(set(lhs.terms) | set(rhs.terms)):
-        a, b = lhs.terms.get(d), rhs.terms.get(d)
+    for d in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
+        a, b = lhs.coeffs.get(d), rhs.coeffs.get(d)
         # an absent degree is zero up to the other side's order
         a = a if a is not None else USeries.zero(b.order)
         b = b if b is not None else USeries.zero(a.order)
@@ -407,7 +407,7 @@ def suite_inverse_op(cfg):
     required_depth = 4
     E = gen_E(n, N)
     H = gen_Hminus(L, n, N)
-    prod = E * H.shift_arg(1)
+    prod = E * H.shift(1)
     rep.run("unit_term", "inverse_identity_unit", {"n": n, "order": N, "tau_order": L},
             lambda: check_series(prod.coeff(0), unit_series(n, N)),
             determined_order=N)
@@ -854,7 +854,7 @@ def _check_truncation_instrumentation(n, N):
                      h_minus(k, n, N)]
     _, lhs, rhs = newton_check(2, "e", n, N)
     for op in (lhs, rhs):
-        families += op.terms.values()
+        families += op.coeffs.values()
     excess = [lv for s in families for lv in levels(s)]
     return (not excess,
             {"_detail": True, "drop_count": len(excess),

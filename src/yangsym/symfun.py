@@ -188,7 +188,13 @@ def cached_projector(kind, k, n):
     return _cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
 
 
+def _check_n(n):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+
+
 def unit_series(n, N):
+    _check_n(n)
     return USeries.const(yangian_context(n).one(), N)
 
 
@@ -211,6 +217,7 @@ def elem_e(k, n, N):
 
     Built as the sum of the quantum minors on rows = columns a_1 < ... < a_k.
     """
+    _check_n(n)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -231,6 +238,7 @@ def homog_h(k, n, N):
     Built as the sum of the quantum permanents on a_1 <= ... <= a_k, one
     term per distinct rearrangement of the rows (no 1/k!).
     """
+    _check_n(n)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -246,6 +254,7 @@ def homog_h(k, n, N):
 
 def power_p(k, sign, n, N):
     """Trace of the plain matrix product T(u) T(u+sign) ... T(u+sign*(k-1))."""
+    _check_n(n)
     if k < 1:
         raise ValueError("k must be >= 1")
     if sign not in (1, -1):
@@ -480,6 +489,8 @@ def det_formulas(m, which, n, N):
     e_from_p -> e_m(u); h_from_p -> h_m(u); p_from_e -> p^-_m(u);
     p_from_h -> p^+_m(u).
     """
+    if m < 1:
+        raise ValueError("m must be >= 1")
     def powers(sign):
         return lambda i, j: power_p(i - j + 1, sign, n, N).shift(sign * (j - 1))
 
@@ -510,6 +521,7 @@ def h_minus(m, n, N):
     """h^-_m(u) from its determinant in downward power sums at climbing
     arguments: entry (i,j) is p^-_{i-j+1}(u+i-1) for j <= i, the superdiagonal
     entry of row i is -i, zeros above."""
+    _check_n(n)
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
@@ -540,6 +552,7 @@ def h_minus_from_inverse(m, n, N):
 
 def gen_E(n, N):
     """The alternating generating operator sum_k (-1)^k e_k(u) tau^{-k}."""
+    _check_n(n)
     acc = TauOperator.zero()
     for k in range(n + 1):
         acc = acc + e_tau(k, n, N).scale(Q((-1) ** k))
@@ -563,6 +576,7 @@ def schur_s(lam, via, n, N):
     """Schur series for a partition by Jacobi-Trudi: det[h^-_{lam_i-i+j}(u-j+1)]
     via "h", or det[e_{lam'_i-i+j}(u+j-1)] over the conjugate partition via
     "e" (0-based i, j; the unit on d = 0 and zeros below)."""
+    _check_n(n)
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if len(lam) == 0:

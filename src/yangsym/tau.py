@@ -1,26 +1,28 @@
 """Shift-operator calculus.
 
 A TauOperator is a finite Laurent polynomial in the shift symbol tau with
-USeries coefficients written to the left: sum_d f_d(u) tau^d.  Products
-follow tau^c f(u) = f(u+c) tau^c, so
+USeries coefficients written to the left: sum_d f_d(u) tau^d, stored as
+`coeffs` = {d: f_d}.  Sums, scaling, equality and `shift` (u -> u+a in
+every coefficient) come from `series.SparseCoeffs`.  Products follow
+tau^c f(u) = f(u+c) tau^c, so
 
     (f(u) tau^c) (g(u) tau^d) = f(u) g(u+c) tau^{c+d}.
 """
 
-from .rationals import RATIONAL_TYPES, as_rational
-from .series import USeries
+from .rationals import RATIONAL_TYPES
+from .series import SparseCoeffs, USeries
 
 
-class TauOperator:
-    __slots__ = ("terms",)
+class TauOperator(SparseCoeffs):
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        tt = {}
-        if terms:
-            for d, s in terms.items():
-                if s:
-                    tt[d] = s
-        self.terms = tt
+    def __init__(self, coeffs=None):
+        if coeffs and not all(isinstance(s, USeries) for s in coeffs.values()):
+            raise TypeError("tau-operator coefficients must be USeries")
+        super().__init__(coeffs)
+
+    def _build(self, coeffs, other=None):
+        return TauOperator(coeffs)
 
     @classmethod
     def from_series(cls, s, d=0):
@@ -37,78 +39,26 @@ class TauOperator:
 
     def coeff(self, d):
         """Series attached to tau^d (a zero series of order 0 if absent)."""
-        s = self.terms.get(d)
-        return s if s is not None else USeries.zero(0)
+        return self.coeffs.get(d) or USeries.zero(0)
 
     def tau_degrees(self):
-        return sorted(self.terms)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for d, s in other.terms.items():
-            if d in out:
-                t = out[d] + s
-                if t:
-                    out[d] = t
-                else:
-                    del out[d]
-            else:
-                out[d] = s
-        return TauOperator(out)
-
-    def __neg__(self):
-        return TauOperator({d: -s for d, s in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, q):
-        q = as_rational(q)
-        if not q:
-            return TauOperator()
-        return TauOperator({d: s.scale(q) for d, s in self.terms.items()})
+        return sorted(self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
             return self.scale(other)
-        out = {}
-        for c, f in self.terms.items():
-            for d, g in other.terms.items():
-                prod = f * g.shift(c)
-                if prod:
-                    e = c + d
-                    if e in out:
-                        t = out[e] + prod
-                        if t:
-                            out[e] = t
-                        else:
-                            del out[e]
-                    else:
-                        out[e] = prod
-        return TauOperator(out)
-
-    def __rmul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        return NotImplemented
-
-    def shift_arg(self, a):
-        """Substitute u -> u+a throughout (commutes with the tau grading)."""
-        return TauOperator({d: s.shift(a) for d, s in self.terms.items()})
-
-    def __eq__(self, other):
         if not isinstance(other, TauOperator):
             return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
+        out = {}
+        for c, f in self.coeffs.items():
+            for d, g in other.coeffs.items():
+                prod = f * g.shift(c)
+                e = c + d
+                out[e] = out[e] + prod if e in out else prod
+        return TauOperator(out)
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "TauOperator(0)"
-        parts = [f"[{self.terms[d]!r}] tau^{d}" for d in sorted(self.terms)]
+        parts = [f"[{self.coeffs[d]!r}] tau^{d}" for d in sorted(self.coeffs)]
         return f"TauOperator({' + '.join(parts)})"

@@ -3,12 +3,11 @@ import random
 import pytest
 
 from yangsym.rationals import Q
-from yangsym.series import USeries, UPolynomial, rising_factorial
+from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, rising_factorial
 from yangsym.pbw import gl_context, yangian_context
 from yangsym.symfun import elem_e, homog_h, power_p, h_minus
 from yangsym.capelli import (
     HighestWeight,
-    ShiftedPolynomial,
     capelli_p,
     check_e_star_composition,
     check_eh_star,
@@ -127,7 +126,7 @@ def test_star_zero_degree():
 
 def test_shifted_polynomial_shift_and_eval():
     p = shifted_e_star(2, 2)
-    q = p.shift_u(-1).shift_u(1)
+    q = p.shift(-1).shift(1)
     assert q == p
     poly = p.eval_mu((3, 1))
     # (mu1+u+1)(mu2+u) at mu=(3,1): (u+4)(u+1)
@@ -187,6 +186,17 @@ def test_one_gl_context_per_n(y2):
     assert tr_E_power(1, 2).ctx is gl_context(2)
 
 
+def test_tr_E_power_refuses_negative_k():
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        tr_E_power(-1, 2)
+
+
+def test_default_weight_grid_has_exactly_count_weights():
+    assert default_weight_grid(2, 0) == []
+    assert len(default_weight_grid(2, 5)) == 5
+    assert len(default_weight_grid(1, 8)) == 8
+
+
 def test_highest_weight_validation():
     with pytest.raises(ValueError):
         HighestWeight((0, 1))
@@ -202,6 +212,11 @@ def test_eh_star_delta(gl2):
     for m in (1, 2, 3):
         assert check_eh_star(m, 2)[0]
         assert check_eh_star(m, 3)[0]
+
+
+def test_eh_star_refuses_negative_m():
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        check_eh_star(-1, 2)
 
 
 def test_e_star_equals_h_star_at_degree_one():

@@ -1,16 +1,24 @@
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q
 from yangsym.series import (
     DegenerateSeriesError,
+    ShiftedPolynomial,
+    SparseCoeffs,
     UPolynomial,
     USeries,
     falling_factorial,
     rising_factorial,
 )
 from yangsym.tau import TauOperator
-from yangsym.pbw import yangian_context
+from yangsym.pbw import AlgebraElement, gl_context, yangian_context
+from yangsym.cli import _compute_value, build_parser
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def series(order, *pairs):
@@ -54,7 +62,7 @@ def test_shift_by_zero_is_identity():
     assert s.shift(0) == s
 
 
-def test_shift_u_minus2_binomial_oracle():
+def test_shift_of_u_minus2_binomial_oracle():
     # oracle: u^{-2} shifted by -1 is (1 - u^{-1})^{-2} * u^{-2}
     base = series(4, (0, 1), (1, -1))
     expansion = base.invert() * base.invert()
@@ -181,7 +189,7 @@ def test_falling_factorial_examples():
 def test_polynomial_shift_and_eval():
     u = UPolynomial.variable()
     p = u * u - u  # (u down 2)
-    assert p.shift_arg(1) == u * u + u
+    assert p.shift(1) == u * u + u
     assert p.eval_at(5) == 20
     assert falling_factorial(u, 3).eval_at(5) == 60
 
@@ -193,3 +201,73 @@ def test_polynomial_to_series():
     assert s == series(4, (0, 1), (1, 1))
     with pytest.raises(ValueError):
         p.to_series(1, 4)
+
+
+# -- the shared sparse-coefficient core --------------------------------------
+
+def _rationals(keys):
+    return st.dictionaries(keys, small_rationals, max_size=4)
+
+
+_CARRIERS = {
+    "series": _rationals(st.integers(0, 4)).map(lambda c: USeries(4, c)),
+    "upoly": _rationals(st.integers(0, 3)).map(UPolynomial),
+    "shifted": _rationals(st.tuples(*[st.integers(0, 2)] * 3)).map(
+        lambda c: ShiftedPolynomial(2, c)),
+    "tau": st.dictionaries(st.integers(-2, 2), rational_series(4), max_size=3).map(TauOperator),
+}
+
+
+def _stored_scalars(x):
+    """Every scalar stored inside a carrier or algebra element, at any depth."""
+    if isinstance(x, (SparseCoeffs, AlgebraElement)):
+        for c in (x.coeffs if isinstance(x, SparseCoeffs) else x.terms).values():
+            yield from _stored_scalars(c)
+    else:
+        yield x
+
+
+def _assert_stored_form(*values):
+    for x in values:
+        for c in _stored_scalars(x):
+            assert type(c) is int or (type(c) is Q and c.denominator > 1), repr(c)
+
+
+@pytest.mark.parametrize("kind", sorted(_CARRIERS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_shared_core_laws(kind, data):
+    x, y, z = (data.draw(_CARRIERS[kind]) for _ in range(3))
+    q, a, b = (data.draw(small_rationals) for _ in range(3))
+    assert x + y == y + x
+    assert (x + y) + z == x + (y + z)
+    assert (x - x).is_zero() and not (x - x) and x - x == 0
+    assert (x + y).scale(q) == x.scale(q) + y.scale(q)
+    assert x.shift(a).shift(b) == x.shift(a + b)
+    _assert_stored_form(x, y, x + y, x - y, -x, x.scale(q), x.shift(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rationals, small_rationals)
+def test_equality_with_a_bare_scalar_agrees_across_carriers(q, r):
+    values = [USeries.const(q, 3), UPolynomial.const(q), ShiftedPolynomial.const(2, q),
+              TauOperator.from_series(USeries.const(q, 3)), gl_context(2).scalar(q)]
+    for x in values:
+        assert (x == r) == (q == r), x
+        assert x == q
+    assert USeries.one(3) == 1 and UPolynomial.const(2) == 2
+    assert not ShiftedPolynomial.const(2, 3) == 2
+    assert not USeries(3, {0: q, 1: 1}) == q
+    assert not TauOperator.from_series(USeries.one(3), 1) == 1
+
+
+def test_catalog_values_store_int_or_proper_fraction():
+    sys.path.insert(0, str(BENCH))
+    try:
+        from inputs import COMPUTE_CATALOG
+    finally:
+        sys.path.remove(str(BENCH))
+    parser = build_parser()
+    for entry in COMPUTE_CATALOG:
+        value, _ = _compute_value(parser.parse_args(["compute", *entry.split()]), parser)
+        _assert_stored_form(value)

@@ -151,6 +151,19 @@ def test_b1_identity_twist_ratios():
         assert b1.scale(n) == elem_e(1, n, 3)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_family_builders_refuse_n_below_one(n):
+    keys = set(symfun._CACHE)
+    builders = [lambda: power_p(1, 1, n, 3), lambda: homog_h(1, n, 3),
+                lambda: h_minus(1, n, 3), lambda: elem_e(1, n, 3),
+                lambda: schur_s((1,), "h", n, 3), lambda: e_tau(0, n, 3),
+                lambda: gen_E(n, 3), lambda: h_minus_from_inverse(0, n, 3)]
+    for build in builders:
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build()
+    assert set(symfun._CACHE) == keys
+
+
 def test_b_rejects_out_of_range():
     with pytest.raises(ValueError):
         bethe_b(3, BetheTwist.identity(2), 2, 2)
@@ -392,6 +405,12 @@ def test_rdet_row_order_for_noncommuting_entries():
     assert rdet([[a, b], [c, d]]) != d * a - b * c
 
 
+@pytest.mark.parametrize("m", [0, -1])
+def test_det_formulas_rejects_degree_below_one(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        det_formulas(m, "e_from_p", 2, N2)
+
+
 def test_det_formulas_rejects_an_unknown_formula():
     with pytest.raises(ValueError, match="unknown determinant formula"):
         det_formulas(2, "e_from_q", 2, N2)
@@ -446,7 +465,7 @@ def test_h_minus_det_matches_recursion(m):
 def test_inverse_identity_low_tau_degrees():
     E = gen_E(2, N2)
     H = gen_Hminus(4, 2, N2)
-    prod = E * H.shift_arg(1)
+    prod = E * H.shift(1)
     assert prod.coeff(0) == unit_series(2, N2)
     for d in (1, 2, 3, 4):
         assert prod.coeff(-d).is_zero()
