@@ -4,7 +4,6 @@ Yangian of gl_n, with evaluation to U(gl_n) and shifted symmetric functions.
 
 from .rationals import Q, binomial
 from .series import (
-    DegenerateSeriesError,
     ShiftedPolynomial,
     UPolynomial,
     USeries,
@@ -34,8 +33,8 @@ from .tensor import (
     t_leg,
     tm_mul,
     trace_full,
+    trace_of_product,
     trace_partial,
-    z_leg,
 )
 from .symfun import (
     BetheTwist,

@@ -15,10 +15,11 @@ at a weight is a `UPolynomial`; like every carrier they take u -> u+a by
 
 from itertools import combinations, combinations_with_replacement, islice
 
-from .rationals import Q, QONE, QZERO, as_rational
+from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
 from .series import (ShiftedPolynomial, UPolynomial, USeries, falling_factorial,
                      rising_factorial)
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
+from .tensor import trace_of_product
 from .symfun import (
     compositions,
     elem_e,
@@ -29,12 +30,15 @@ from .symfun import (
 
 
 class HighestWeight:
-    """Weakly decreasing integer weight of length n."""
+    """Weakly decreasing integer weight of length n >= 1."""
 
     __slots__ = ("mu",)
 
     def __init__(self, mu):
-        mu = tuple(int(x) for x in mu)
+        given = tuple(mu)
+        mu = tuple(demote(x) if isinstance(x, RATIONAL_TYPES) else x for x in given)
+        if not mu or any(type(x) is not int for x in mu):
+            raise ValueError(f"weight needs n >= 1 integer entries, got {given!r}")
         if any(mu[i] < mu[i + 1] for i in range(len(mu) - 1)):
             raise ValueError("weight must be weakly decreasing")
         self.mu = mu
@@ -173,22 +177,6 @@ def gl_matrix(n):
     return [[gl.e(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _mat_mul(A, B):
-    """Product of matrices given as lists of rows; each entry product keeps
-    the A factor on the left, so entries need not commute."""
-    out = []
-    for row in A:
-        out_row = []
-        for j in range(len(B[0])):
-            acc = None
-            for a, b_row in zip(row, B):
-                p = a * b_row[j]
-                acc = p if acc is None else acc + p
-            out_row.append(acc)
-        out.append(out_row)
-    return out
-
-
 def tr_E_power(k, n):
     """The Gelfand invariant tr E^k as an element of U(gl_n)."""
     if k < 0:
@@ -196,42 +184,22 @@ def tr_E_power(k, n):
     gl = gl_context(n)
     if k == 0:
         return gl.scalar(n)
-    E = gl_matrix(n)
-    M = E
-    for _ in range(k - 1):
-        M = _mat_mul(M, E)
-    acc = gl.zero()
-    for i in range(n):
-        acc = acc + M[i][i]
-    return acc
+    return trace_of_product([gl_matrix(n)] * k)
 
 
 def capelli_p(m, n):
     """tr((E+u)(E+u+1)...(E+u+m-1)) as a polynomial in u over U(gl_n)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    gl = gl_context(n)
-    one = gl.one()
+    E = gl_matrix(n)
+    one = gl_context(n).one()
 
     def shifted_E(c):
-        rows = []
-        for i in range(1, n + 1):
-            row = []
-            for j in range(1, n + 1):
-                coeffs = {0: gl.e(i, j) + (one.scale(c) if i == j else gl.zero())}
-                if i == j:
-                    coeffs[1] = one
-                row.append(UPolynomial(coeffs))
-            rows.append(row)
-        return rows
+        """E + u + c with entries linear in u."""
+        return [[UPolynomial({0: e + c, 1: one} if i == j else {0: e})
+                 for j, e in enumerate(row)] for i, row in enumerate(E)]
 
-    M = shifted_E(0)
-    for c in range(1, m):
-        M = _mat_mul(M, shifted_E(c))
-    acc = UPolynomial()
-    for i in range(n):
-        acc = acc + M[i][i]
-    return acc
+    return trace_of_product([shifted_E(c) for c in range(m)])
 
 
 def hw_eigenvalue(z, mu):
@@ -273,20 +241,19 @@ def defining_rep_value(z):
     n = z.ctx.n
     out = [[QZERO] * n for _ in range(n)]
     for word, c in z.terms.items():
-        M = None
-        for gid in word:
-            i, j = decode_e(n, gid)
-            unit = [[QONE if (a == i - 1 and b == j - 1) else QZERO
-                     for b in range(n)] for a in range(n)]
-            M = unit if M is None else _mat_mul(M, unit)
-        if M is None:
+        if not word:
             for a in range(n):
                 out[a][a] = out[a][a] + c
+            continue
+        # E_{i1 j1} ... E_{ik jk} is E_{i1 jk} if each j_t = i_{t+1}, else 0
+        i, j = decode_e(n, word[0])
+        for gid in word[1:]:
+            i_next, j_next = decode_e(n, gid)
+            if i_next != j:
+                break
+            j = j_next
         else:
-            for a in range(n):
-                for b in range(n):
-                    if M[a][b]:
-                        out[a][b] = out[a][b] + c * M[a][b]
+            out[i - 1][j - 1] = out[i - 1][j - 1] + c
     return out
 
 

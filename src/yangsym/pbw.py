@@ -475,6 +475,8 @@ _CONTEXTS = {}
 
 
 def _interned_context(kind, n):
+    if n < 1:
+        raise ValueError("need n >= 1")
     ctx = _CONTEXTS.get((kind, n))
     if ctx is None:
         ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
@@ -504,10 +506,7 @@ class AlgebraElement:
         self.ctx = ctx
         self.terms = terms
 
-    # -- ring protocol used by USeries --------------------------------------
-
-    def ring_one(self):
-        return self.ctx.one()
+    # -- scalar part ---------------------------------------------------------
 
     def as_scalar(self):
         """The rational q if self == q * 1, else None."""

@@ -18,11 +18,7 @@ minimum of the two orders, so every stored coefficient of a result is fully
 determined.
 """
 
-from .rationals import Q, RATIONAL_TYPES, binomial, demote
-
-
-class DegenerateSeriesError(ValueError):
-    """Raised when inverting a series whose constant term is not invertible."""
+from .rationals import RATIONAL_TYPES, binomial, demote
 
 
 class SparseCoeffs:
@@ -166,11 +162,6 @@ class USeries(SparseCoeffs):
     def zero(cls, order):
         return cls(order, {})
 
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return USeries(order, self.coeffs)
-
     def map_coeffs(self, fn):
         """Apply fn to every stored coefficient (used e.g. for ring homomorphisms)."""
         return USeries(self.order, {m: fn(c) for m, c in self.coeffs.items()})
@@ -222,33 +213,6 @@ class USeries(SparseCoeffs):
                     out[m + j] = out[m + j] + v if m + j in out else v
                 p = p * (-a)
         return USeries(N, out)
-
-    def invert(self):
-        """Multiplicative inverse up to the truncation order.
-
-        The constant term must be a nonzero rational multiple of the ring unit.
-        """
-        c0 = self.coeffs.get(0, 0)
-        scalar = isinstance(c0, RATIONAL_TYPES)
-        q0 = c0 if scalar else c0.as_scalar()
-        if not q0:
-            raise DegenerateSeriesError("series has no invertible constant term")
-        inv0 = demote(Q(1, q0))
-        N = self.order
-        g = {0: inv0 if scalar else c0.ring_one().scale(inv0)}
-        for m in range(1, N + 1):
-            acc = 0
-            for i in range(1, m + 1):
-                fi = self.coeffs.get(i)
-                if fi is None:
-                    continue
-                gm = g.get(m - i)
-                if gm is None:
-                    continue
-                acc = acc + fi * gm
-            if acc:
-                g[m] = acc * -inv0
-        return USeries(N, g)
 
     def first_difference(self, other):
         """(m, lhs, rhs) for the first differing coefficient, or None."""

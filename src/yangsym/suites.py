@@ -41,6 +41,7 @@ from .tensor import (
     t_product,
     tm_mul,
     trace_full,
+    trace_of_product,
     trace_partial,
 )
 from .symfun import (
@@ -64,7 +65,6 @@ from .symfun import (
 )
 from .capelli import (
     HighestWeight,
-    _mat_mul,
     capelli_p,
     check_e_star_composition,
     check_eh_star,
@@ -809,12 +809,8 @@ def _check_trace_lemma(n):
     for k in range(2, 5):
         fc = free_context(k * n * n)
         ring = algebra_ring(fc)
-        mats = []
-        g = 0
-        for _ in range(k):
-            M = [[fc.gen(g + i * n + j) for j in range(n)] for i in range(n)]
-            g += n * n
-            mats.append(M)
+        mats = [[[fc.gen((t * n + i) * n + j) for j in range(n)] for i in range(n)]
+                for t in range(k)]
         left = None
         for p in range(k - 1, 0, -1):
             P = perm_op(p, p + 1, k, n)
@@ -822,14 +818,7 @@ def _check_trace_lemma(n):
         acc = left
         for s, M in enumerate(mats, start=1):
             acc = tm_mul(acc, matrix_on_leg(M, s, k, ring))
-        lhs = trace_full(acc)
-        prod = mats[0]
-        for M in mats[1:]:
-            prod = _mat_mul(prod, M)
-        rhs = fc.zero()
-        for i in range(n):
-            rhs = rhs + prod[i][i]
-        if lhs != rhs:
+        if trace_full(acc) != trace_of_product(mats):
             return False
     return True
 

@@ -40,8 +40,10 @@ from .tensor import (
     t_leg,
     t_product,
     t_series,
+    t_table,
     tm_mul,
     trace_full,
+    trace_of_product,
 )
 
 
@@ -122,9 +124,6 @@ class Partition:
         cols = self.parts[0]
         return Partition(tuple(sum(1 for p in self.parts if p >= c)
                                for c in range(1, cols + 1)))
-
-    def size(self):
-        return sum(self.parts)
 
     def __len__(self):
         return len(self.parts)
@@ -262,11 +261,7 @@ def power_p(k, sign, n, N):
 
     def build():
         ctx = yangian_context(n)
-        acc = None
-        for s in range(k):
-            leg = t_leg(1, sign * s, 1, N, ctx)
-            acc = leg if acc is None else tm_mul(acc, leg)
-        return trace_full(acc)
+        return trace_of_product([t_table(ctx, sign * s, N) for s in range(k)])
 
     return _cached(("p", n, k, sign, N), build)
 

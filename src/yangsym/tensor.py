@@ -7,7 +7,9 @@ R-matrices and (anti)symmetrizers; series over an algebra for products of
 generating-matrix legs; shift operators for the tau calculus.
 
 Entry products never reorder factors, so matrices with noncommutative
-entries multiply correctly.
+entries multiply correctly.  `trace_of_product` is the same for plain n x n
+matrices given as lists of rows (power sums, Gelfand invariants, Capelli
+polynomials).
 
 The trace oracles multiply legs by the integral k!*A_k, k!*S_k
 (`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
@@ -33,11 +35,6 @@ class RingSpec:
 
 
 Q_RING = RingSpec(QZERO, rational=True)
-
-
-def series_ring(order):
-    """Ring of USeries at a fixed order."""
-    return RingSpec(USeries.zero(order))
 
 
 def algebra_ring(ctx):
@@ -297,7 +294,7 @@ def fusion_step(proj, direction):
 
 
 # ---------------------------------------------------------------------------
-# generating-matrix legs and scalar-twist legs
+# generating-matrix legs
 
 def t_series(ctx, i, j, a, N):
     """The series entry t_ij(u+a) at order N over a yangian context."""
@@ -310,6 +307,12 @@ def t_series(ctx, i, j, a, N):
     return s.shift(a) if a else s
 
 
+def t_table(ctx, a, N):
+    """The generating matrix T(u+a) at order N as a list of rows of series."""
+    idx = range(1, ctx.n + 1)
+    return [[t_series(ctx, i, j, a, N) for j in idx] for i in idx]
+
+
 def t_leg(s, a, k, N, ctx):
     """T_s(u+a) on k legs over the (C^n)^{tensor k} of the yangian context
     ctx: leg s carries the generating matrix entries."""
@@ -317,10 +320,7 @@ def t_leg(s, a, k, N, ctx):
         raise ValueError("leg index out of range")
     if ctx.kind != "yangian":
         raise ValueError("t_leg needs a yangian context")
-    n = ctx.n
-    table = [[t_series(ctx, i, j, a, N) for j in range(1, n + 1)]
-             for i in range(1, n + 1)]
-    return matrix_on_leg(table, s, k, series_ring(N))
+    return matrix_on_leg(t_table(ctx, a, N), s, k, RingSpec(USeries.zero(N)))
 
 
 def matrix_on_leg(M, s, k, ring):
@@ -338,12 +338,6 @@ def matrix_on_leg(M, s, k, ring):
             if v:
                 rows.setdefault(base + i_s * pow_s, {})[col] = v
     return TensorMatrix(n, k, rows, ring)
-
-
-def z_leg(Z, s, k, ring):
-    """A scalar n x n matrix Z acting on leg s (identity elsewhere)."""
-    Zq = [[as_rational(v) for v in row] for row in Z]
-    return matrix_on_leg(Zq, s, k, ring)
 
 
 def t_product(shifts, N, ctx, left=None, legs=None, right=None):
@@ -390,6 +384,31 @@ def tm_mul(a, b):
         if acc:
             rows_out[r] = acc
     return TensorMatrix(a.n, a.k, rows_out, ring)
+
+
+def trace_of_product(mats):
+    """tr(M_1 M_2 ... M_k) for k >= 1 square matrices given as lists of rows.
+
+    Every entry product keeps the left factor on the left, so entries need
+    not commute; of the last product only the diagonal is formed.
+    """
+    prod = mats[0]
+    for M in mats[1:-1]:
+        prod = [[_dot(row, M, j) for j in range(len(M))] for row in prod]
+    if len(mats) == 1:
+        diag = [row[i] for i, row in enumerate(prod)]
+    else:
+        diag = [_dot(row, mats[-1], i) for i, row in enumerate(prod)]
+    return sum(diag[1:], diag[0])
+
+
+def _dot(row, M, j):
+    """Entry j of the row vector `row` times M."""
+    acc = None
+    for a, m_row in zip(row, M):
+        p = a * m_row[j]
+        acc = p if acc is None else acc + p
+    return acc
 
 
 def trace_full(a):

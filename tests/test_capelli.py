@@ -4,6 +4,7 @@ import pytest
 
 from yangsym.rationals import Q
 from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, rising_factorial
+from yangsym import pbw
 from yangsym.pbw import gl_context, yangian_context
 from yangsym.symfun import elem_e, homog_h, power_p, h_minus
 from yangsym.capelli import (
@@ -204,6 +205,32 @@ def test_highest_weight_validation():
     assert hw.m_values() == [Q(3), Q(0)]
 
 
+def test_highest_weight_refuses_non_integral_and_empty_weights(gl2):
+    # integral rationals are accepted and stored as ints
+    assert HighestWeight((Q(2), 0)).mu == (2, 0)
+    assert all(type(x) is int for x in HighestWeight((Q(2), Q(0))).mu)
+    for mu in [(1.7, 0), (2.0, 0), (Q(3, 2), 0), ()]:
+        with pytest.raises(ValueError, match="integer entries"):
+            HighestWeight(mu)
+    with pytest.raises(ValueError, match="integer entries"):
+        pp_eigen_trEk(2, (2.9, 0))
+    with pytest.raises(ValueError, match="integer entries"):
+        hw_eigenvalue(gl2.e(1, 1), (Q(3, 2), 0))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("build", [gl_context, yangian_context, gl_matrix,
+                                   lambda n: tr_E_power(2, n),
+                                   lambda n: capelli_p(2, n)],
+                         ids=["gl_context", "yangian_context", "gl_matrix",
+                              "tr_E_power", "capelli_p"])
+def test_contexts_and_gl_builders_refuse_n_below_one(build, n):
+    contexts = set(pbw._CONTEXTS)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        build(n)
+    assert set(pbw._CONTEXTS) == contexts
+
+
 # -- shifted identities ---------------------------------------------------------------
 
 def test_eh_star_delta(gl2):
@@ -258,3 +285,33 @@ def test_ev_bridge_k1_explicit():
     ok, (lhs, rhs) = ev_e_bridge(1, 2, 4, mu)
     assert ok
     assert lhs.coeff(0) == 2 and lhs.coeff(1) == 5
+
+
+# -- the defining representation ---------------------------------------------------------
+
+def _random_gl_element(gl, n, rng):
+    """A sum of 1 to 3 words of length 0 to 4 with rational coefficients."""
+    x = gl.zero()
+    for _ in range(rng.randint(1, 3)):
+        term = gl.one().scale(Q(rng.randint(-5, 5), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 4)):
+            term = term * gl.e(rng.randint(1, n), rng.randint(1, n))
+        x = x + term
+    return x
+
+
+def _rational_matmul(A, B):
+    return [[sum((a * b_row[j] for a, b_row in zip(row, B)), Q(0)) for j in range(len(B))]
+            for row in A]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [2, 3])
+def test_defining_rep_value_is_multiplicative(n, seed):
+    # x * y is normal-ordered before it is represented, so this checks the
+    # word-by-word closed form and the U(gl_n) normal ordering together
+    rng = random.Random(seed)
+    gl = gl_context(n)
+    x, y = _random_gl_element(gl, n, rng), _random_gl_element(gl, n, rng)
+    assert defining_rep_value(x * y) == _rational_matmul(defining_rep_value(x),
+                                                         defining_rep_value(y))

@@ -12,13 +12,13 @@ from yangsym.pbw import free_context, yangian_context
 from yangsym import symfun, tensor
 from yangsym.tensor import (
     antisymmetrizer,
+    matrix_on_leg,
     perm_op,
     symmetrizer,
     t_leg,
     t_product,
     tm_mul,
     trace_full,
-    z_leg,
 )
 from yangsym.symfun import (
     BetheTwist,
@@ -118,6 +118,17 @@ def test_p2_via_cyclic_trace(ctx2):
     assert trace_full(acc) == power_p(2, -1, 2, N2)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("k,n", [(k, n) for k in (1, 2, 3) for n in (1, 2, 3)])
+def test_p_matches_the_one_leg_chain(k, n, sign):
+    # oracle: the trace of T(u) T(u+sign) ... as a product of one-leg matrices
+    ctx = yangian_context(n)
+    acc = t_leg(1, 0, 1, N2, ctx)
+    for s in range(1, k):
+        acc = tm_mul(acc, t_leg(1, sign * s, 1, N2, ctx))
+    assert power_p(k, sign, n, N2) == trace_full(acc)
+
+
 # -- shift-operator forms ------------------------------------------------------
 
 def test_tau_forms_match_direct_evaluation():
@@ -199,7 +210,7 @@ def b_by_trace(k, Z, n, N):
     for s in range(1, k + 1):
         acc = tm_mul(acc, t_leg(s, -(s - 1), n, N, yangian_context(n)))
     for s in range(k + 1, n + 1):
-        acc = tm_mul(acc, z_leg(Z.matrix, s, n, acc.ring))
+        acc = tm_mul(acc, matrix_on_leg(Z.matrix, s, n, acc.ring))
     return trace_full(acc).scale(Q(1, factorial(n)))
 
 
@@ -253,6 +264,7 @@ def test_family_builders_do_not_enter_the_tensor_layer(monkeypatch):
     assert elem_e(3, 3, N2).coeff(0) == 1
     assert homog_h(4, 2, N2).coeff(0) == 5
     assert bethe_b(2, BetheTwist.random(3, random.Random(11)), 3, N2)
+    assert power_p(3, -1, 2, N2).coeff(0) == 2
 
 
 # -- alternative trace presentations --------------------------------------------
