@@ -4,9 +4,11 @@ Entries are keyed by a hash of the canonical parameter JSON plus the value
 format version, so changing any parameter (or the format) yields a fresh
 key.  Corrupt entries are evicted and recomputed; each eviction is reported
 as one JSON line on stderr, {"cache": "evict", "key": "<12 hex>"}, in the
-form `compute` uses for hits and misses.  Each
-write goes to its own temporary file in the cache directory and is renamed
-into place, so processes writing the same key at once leave one whole entry.
+form `compute` uses for hits and misses.  Each write goes to its own
+temporary file in the cache directory, <key12>.<random hex>.tmp created
+exclusively, and is renamed into place, so processes writing the same key
+at once leave one whole entry.  `canonical_dumps` lives here, not in
+`serialize`, so that a cache hit loads no engine layer.
 """
 
 import hashlib
@@ -14,14 +16,18 @@ import json
 import os
 import sys
 
-from .serialize import canonical_dumps
-
 # Bump whenever a computed value or its encoding changes, so that entries
 # written by older code are not served; a test pins the bytes of one value
 # next to this number.
 FORMAT_VERSION = 1
 
 CACHE_ENV_VAR = "YANGSYM_CACHE_DIR"
+
+
+def canonical_dumps(obj):
+    """Deterministic JSON text (sorted keys, fixed separators), so two runs
+    of the same computation produce byte-identical output."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def cache_key(obj_name, params):
@@ -72,11 +78,8 @@ def cache_put(cache_dir, key, obj_name, params, value_jsonable):
         "version": FORMAT_VERSION,
         "value": value_jsonable,
     }
-    # imported here, since only a write needs it: tempfile pulls in shutil,
-    # which would lengthen the start-up of every process, cache hits included
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key[:12] + ".", suffix=".tmp")
+    tmp = os.path.join(cache_dir, f"{key[:12]}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(canonical_dumps(entry))

@@ -12,14 +12,9 @@ Subcommands:
 
 import argparse
 import json
-import random
 import sys
 
-from .symfun import BetheTwist, bethe_b, elem_e, h_minus, homog_h, power_p, schur_s
-from .capelli import capelli_p, shifted_e_star, shifted_h_star, shifted_p_star
-from .serialize import canonical_dumps, to_jsonable
-from .cache import cache_get, cache_key, cache_put, resolve_cache_dir
-from .suites import SUITES, SuiteConfig, run_suites
+from .cache import cache_get, cache_key, cache_put, canonical_dumps, resolve_cache_dir
 
 # Each object with the options without a default that it reads, all of
 # which it needs; giving another is a usage error, not an ignored value.
@@ -91,9 +86,9 @@ def build_parser():
     return parser
 
 
-def _request(args, parser):
-    """(params, build) of the requested object: the validated parameters,
-    which key the cache, and a function that computes the value."""
+def _params(args, parser):
+    """The validated parameters of the requested object: they key the cache
+    and are all that `_build` reads."""
     obj = args.object
     deg = args.k if args.k is not None else args.m
     n, N = args.n, args.order
@@ -110,82 +105,118 @@ def _request(args, parser):
         else:
             need(value is None, f"compute {obj} does not take {flag}")
 
-    if obj == "e":
-        return {"k": deg, "n": n, "order": N}, lambda: elem_e(deg, n, N)
-    if obj == "h":
-        return {"k": deg, "n": n, "order": N}, lambda: homog_h(deg, n, N)
+    params = {"n": n}
+    if deg is not None:
+        params["m" if obj in ("h_minus", "capelli_p") else "k"] = deg
+    if N is not None:
+        params["order"] = N
     if obj == "p":
-        sign = 1 if args.sign == "+" else -1
-        return ({"k": deg, "n": n, "order": N, "sign": args.sign},
-                lambda: power_p(deg, sign, n, N))
-    if obj == "b":
-        params = {"k": deg, "n": n, "order": N, "z": args.z}
+        params["sign"] = args.sign
+    elif obj == "b":
+        params["z"] = args.z
         if args.z == "random":
             params["seed"] = args.seed
+    elif obj == "schur":
+        params["lambda"] = _parse_int_list(args.lam, "--lambda", parser)
+        params["via"] = args.via
+    elif obj == "p_star":
+        params["mu"] = _parse_int_list(args.mu, "--mu", parser)
+        need(len(params["mu"]) == n, "--mu must have n entries")
+    return params
 
-        def build_b():
-            Z = (BetheTwist.identity(n) if args.z == "identity"
-                 else BetheTwist.random(n, random.Random(args.seed)))
-            return bethe_b(deg, Z, n, N)
 
-        return params, build_b
+def _build(obj, params):
+    """The value of the object; each object imports only the layer that
+    builds it, so a cache hit loads none."""
+    deg = params.get("k", params.get("m"))
+    n, N = params["n"], params.get("order")
+    if obj == "e":
+        from .symfun import elem_e
+        return elem_e(deg, n, N)
+    if obj == "h":
+        from .symfun import homog_h
+        return homog_h(deg, n, N)
+    if obj == "p":
+        from .symfun import power_p
+        return power_p(deg, 1 if params["sign"] == "+" else -1, n, N)
+    if obj == "b":
+        import random
+        from .symfun import BetheTwist, bethe_b
+        Z = (BetheTwist.identity(n) if params["z"] == "identity"
+             else BetheTwist.random(n, random.Random(params["seed"])))
+        return bethe_b(deg, Z, n, N)
     if obj == "h_minus":
-        return {"m": deg, "n": n, "order": N}, lambda: h_minus(deg, n, N)
+        from .symfun import h_minus
+        return h_minus(deg, n, N)
     if obj == "schur":
-        lam = _parse_int_list(args.lam, "--lambda", parser)
-        return ({"lambda": lam, "via": args.via, "n": n, "order": N},
-                lambda: schur_s(lam, args.via, n, N))
+        from .symfun import schur_s
+        return schur_s(params["lambda"], params["via"], n, N)
     if obj == "capelli_p":
-        return {"m": deg, "n": n}, lambda: capelli_p(deg, n)
+        from .capelli import capelli_p
+        return capelli_p(deg, n)
     if obj == "e_star":
-        return {"k": deg, "n": n}, lambda: shifted_e_star(deg, n)
+        from .capelli import shifted_e_star
+        return shifted_e_star(deg, n)
     if obj == "h_star":
-        return {"k": deg, "n": n}, lambda: shifted_h_star(deg, n)
-    if obj == "p_star":
-        mu = _parse_int_list(args.mu, "--mu", parser)
-        need(len(mu) == n, "--mu must have n entries")
-        return {"k": deg, "n": n, "mu": mu}, lambda: shifted_p_star(deg, mu)
-    parser.error(f"unknown object {obj}")
+        from .capelli import shifted_h_star
+        return shifted_h_star(deg, n)
+    from .capelli import shifted_p_star
+    return shifted_p_star(deg, params["mu"])
 
 
 def _compute_value(args, parser):
     """(value, params) of the requested object; library errors in the
     arguments are reported as usage errors."""
-    params, build = _request(args, parser)
+    params = _params(args, parser)
     try:
-        return build(), params
+        return _build(args.object, params), params
     except ValueError as exc:
         parser.error(str(exc))
 
 
+def _write_out(path, text, parser):
+    """Write text and a newline to path; failing to is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        parser.error(f"cannot write --out {path}: {exc.strerror}")
+
+
 def cmd_compute(args, parser):
     cache_dir = resolve_cache_dir(args.cache_dir)
+    key = out_bytes = None
     if cache_dir:
-        params, _ = _request(args, parser)
-        key = cache_key(args.object, params)
+        key = cache_key(args.object, _params(args, parser))
         out_bytes = cache_get(cache_dir, key)
-        if out_bytes is None:
-            value, _ = _compute_value(args, parser)
-            out_bytes = cache_put(cache_dir, key, args.object, params, to_jsonable(value))
-            outcome = "miss"
+        outcome = "miss" if out_bytes is None else "hit"
+    if out_bytes is None:
+        from .serialize import to_jsonable
+
+        value, params = _compute_value(args, parser)
+        if key is None:
+            out_bytes = canonical_dumps(to_jsonable(value)).encode("utf-8")
         else:
-            outcome = "hit"
+            try:
+                out_bytes = cache_put(cache_dir, key, args.object, params, to_jsonable(value))
+            except OSError as exc:
+                parser.error(f"cannot write to the cache directory {cache_dir}: "
+                             f"{exc.filename2 or exc.filename}: {exc.strerror}")
+    if key is not None:
         print(json.dumps({"cache": outcome, "key": key[:12]}), file=sys.stderr)
-    else:
-        value, _ = _compute_value(args, parser)
-        out_bytes = canonical_dumps(to_jsonable(value)).encode("utf-8")
     text = out_bytes.decode("utf-8")
     if args.format == "text":
         text = json.dumps(json.loads(text), indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(args.out, text, parser)
     else:
         print(text)
     return 0
 
 
 def cmd_verify(args, parser):
+    from .suites import SUITES, SuiteConfig, run_suites
+
     if args.suite != "all" and args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; see 'yangsym list-suites'")
     names = list(SUITES) if args.suite == "all" else [args.suite]
@@ -194,9 +225,6 @@ def cmd_verify(args, parser):
     records = run_suites(names, cfg)
     report = [r.jsonable() for r in records]
     failed = [r for r in records if r.status == "fail"]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(report) + "\n")
     if args.format == "json":
         print(canonical_dumps(report))
     else:
@@ -212,10 +240,14 @@ def cmd_verify(args, parser):
         n_pass = sum(1 for r in records if r.status == "pass")
         n_skip = sum(1 for r in records if r.status == "skipped")
         print(f"{n_pass} passed, {len(failed)} failed, {n_skip} skipped")
+    if args.out:  # after the report is printed, so a bad path loses no run
+        _write_out(args.out, canonical_dumps(report), parser)
     return 1 if failed else 0
 
 
 def cmd_list_suites(args, parser):
+    from .suites import SUITES
+
     for name, (_, desc) in SUITES.items():
         print(f"{name:20s} {desc}")
     return 0

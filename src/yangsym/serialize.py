@@ -7,12 +7,12 @@ with terms sorted by tau degree and coefficients by m.  Ring elements are
 strings "p/q" for rationals and {"algebra", "n", "monomials"} objects for
 algebra elements, with generators spelled ["t", r, i, j] or ["e", i, j].
 
-`canonical_dumps` is deterministic (sorted keys, fixed separators), so two
-runs of the same computation produce byte-identical output.
+`canonical_dumps` (defined in `cache`, which needs it without the engine
+layers) is deterministic (sorted keys, fixed separators), so two runs of the
+same computation produce byte-identical output.
 """
 
-import json
-
+from .cache import canonical_dumps  # noqa: F401  (part of this module's interface)
 from .rationals import RATIONAL_TYPES, rational_str
 from .pbw import AlgebraElement, decode_e, decode_t
 from .series import ShiftedPolynomial, UPolynomial, USeries
@@ -88,7 +88,3 @@ def to_jsonable(value):
     if isinstance(value, RATIONAL_TYPES):
         return rational_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def canonical_dumps(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -371,3 +371,40 @@ def test_missing_options_are_usage_errors(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["cache dir is a file", "entry is a directory"])
+def test_unwritable_cache_is_a_usage_error(tmp_path, capsys, blocked):
+    args = ["compute", "e", "--k", "1", "--n", "2", "--order", "2"]
+    if blocked == "cache dir is a file":
+        path = tmp_path / "file"
+        path.write_text("")
+        cache_dir = path
+    else:
+        cache_dir = tmp_path
+        path = tmp_path / (cache_key("e", {"k": 1, "n": 2, "order": 2}) + ".json")
+        path.mkdir()
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--cache-dir", str(cache_dir)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write to the cache directory {cache_dir}: {path}:" in captured.err
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left
+    if path.is_dir():
+        assert list(path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "e", "--k", "1", "--n", "2", "--order", "2"],
+    ["compute", "e", "--k", "1", "--n", "2", "--order", "2", "--format", "text"],
+    ["verify", "schur", "--n", "2", "--order", "3"],
+    ["verify", "schur", "--n", "2", "--order", "3", "--format", "json"],
+])
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert f"cannot write --out {out}: No such file or directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

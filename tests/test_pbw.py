@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -360,28 +356,17 @@ def test_proportionality_constant_is_a_fraction(data):
 
 # -- no global state: the interpreter's recursion limit is left alone ------------
 
-def _fresh_python(code):
-    """stdout of `code` in a fresh interpreter that imports this yangsym."""
-    import yangsym
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(yangsym.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
-
-
-def test_import_leaves_the_recursion_limit_alone():
-    before, after = _fresh_python(
+def test_import_leaves_the_recursion_limit_alone(fresh_python):
+    before, after = fresh_python(
         "import sys; before = sys.getrecursionlimit(); import yangsym.cli; "
         "print(before, sys.getrecursionlimit())")
     assert before == after
 
 
-def test_deep_word_straightens_under_the_default_limit():
+def test_deep_word_straightens_under_the_default_limit(fresh_python):
     # (e22)^500 (e11)^500 has 250k inversions of commuting generators, and
     # e12^12 e21^12 needs the corrections of every exchange
-    limit, commuting, mixed = _fresh_python(
+    limit, commuting, mixed = fresh_python(
         "import sys; from yangsym.pbw import encode_e, gl_context; "
         "e = lambda i, j, k: (encode_e(2, i, j),) * k; "
         "nf = lambda w: len(gl_context(2).normal_form([(1, w)]).terms); "
