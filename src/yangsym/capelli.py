@@ -11,6 +11,11 @@ representation e_ij -> E_ij.
 The shifted e*_k and h*_k are `series.ShiftedPolynomial` values and p*_k
 at a weight is a `UPolynomial`; like every carrier they take u -> u+a by
 `shift(a)` and compare with a bare scalar as that scalar times the unit.
+
+The checks stated for both e and h take the kind "e" or "h":
+`check_star_composition` reads the weights of `symfun.composition_weights`,
+and `ev_bridge` compares ev(e_k) or ev(h_k) with e*_k or h*_k.  A weight is
+a `HighestWeight` or anything its constructor accepts.
 """
 
 from itertools import combinations, combinations_with_replacement, islice
@@ -20,13 +25,7 @@ from .series import (ShiftedPolynomial, UPolynomial, USeries, falling_factorial,
                      rising_factorial)
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
 from .tensor import trace_of_product
-from .symfun import (
-    compositions,
-    elem_e,
-    homog_h,
-    power_p,
-    h_minus,
-)
+from .symfun import composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
 
 
 class HighestWeight:
@@ -76,6 +75,10 @@ class HighestWeight:
         return f"HighestWeight{self.mu}"
 
 
+def _weight(mu):
+    return mu if isinstance(mu, HighestWeight) else HighestWeight(mu)
+
+
 def default_weight_grid(n, count=8):
     """A deterministic grid of weakly decreasing integer weights."""
     grid = combinations_with_replacement(range(4, -4, -1), n)
@@ -116,8 +119,7 @@ def shifted_p_star(k, mu):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
+    mu = _weight(mu)
     u = UPolynomial.variable()
     acc = UPolynomial()
     for mi, gi in zip(mu.m_values(), mu.gammas()):
@@ -132,8 +134,7 @@ def pp_eigen_trEk(k, mu):
     """Closed-form eigenvalue sum_i gamma_i m_i^k of the k-th Gelfand invariant."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
+    mu = _weight(mu)
     acc = QZERO
     for mi, gi in zip(mu.m_values(), mu.gammas()):
         acc = acc + gi * mi ** k
@@ -212,8 +213,7 @@ def hw_eigenvalue(z, mu):
     if not isinstance(z, AlgebraElement) or z.ctx.kind != "gl":
         raise ValueError("hw_eigenvalue expects a U(gl_n) element")
     n = z.ctx.n
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
+    mu = _weight(mu)
     if mu.n != n:
         raise ValueError("weight length mismatch")
     vals = [as_rational(x) for x in mu.mu]
@@ -289,69 +289,42 @@ def check_eh_star(m, n):
     return acc == target, acc - target
 
 
-def check_e_star_composition(k, mu):
-    """e*_k(u-k) == sum over compositions of
-    (-1)^{k-m}/(a_1...a_m) p*_{l_1}(u-a_1)...p*_{l_m}(u-a_m), at a weight."""
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
-    n = mu.n
-    lhs = shifted_e_star(k, n).shift(-k).eval_mu(mu.mu)
+def check_star_composition(kind, k, mu):
+    """The shifted function of the kind against its power-sum expansion at a
+    weight, over the compositions (l_1, ..., l_m) of k with prefix sums
+    a_1 < ... < a_m and the weights of `composition_weights`:
+    e*_k(u-k) == sum (-1)^{k-m}/(a_1...a_m) p*_{l_1}(u-a_1)...p*_{l_m}(u-a_m),
+    h*_k(u+k-1) == sum 1/(a_1...a_m) p*_{l_1}(u) p*_{l_2}(u+a_1)...p*_{l_m}(u+a_{m-1})."""
+    step = kind_step(kind)
+    mu = _weight(mu)
+    star = shifted_e_star if step < 0 else shifted_h_star
+    lhs = star(k, mu.n).shift(-k if step < 0 else k - 1).eval_mu(mu.mu)
     rhs = UPolynomial()
-    for lam in compositions(k):
-        m = len(lam)
-        denom = 1
-        prod = None
-        for part, a in zip(lam, lam.prefix_sums):
-            denom *= a
-            f = shifted_p_star(part, mu).shift(-a)
-            prod = f if prod is None else prod * f
-        rhs = rhs + prod * Q((-1) ** (k - m), denom)
-    return lhs == rhs, (lhs, rhs)
-
-
-def check_h_star_composition(k, mu):
-    """h*_k(u+k-1) == sum over compositions of
-    1/(a_1...a_m) p*_{l_1}(u) p*_{l_2}(u+a_1)...p*_{l_m}(u+a_{m-1})."""
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
-    n = mu.n
-    lhs = shifted_h_star(k, n).shift(k - 1).eval_mu(mu.mu)
-    rhs = UPolynomial()
-    for lam in compositions(k):
-        denom = 1
+    for lam, weight in composition_weights(k, kind):
         prod = None
         prev_a = 0
         for part, a in zip(lam, lam.prefix_sums):
-            denom *= a
-            f = shifted_p_star(part, mu).shift(prev_a)
+            f = shifted_p_star(part, mu).shift(-a if step < 0 else prev_a)
             prod = f if prod is None else prod * f
             prev_a = a
-        rhs = rhs + prod * Q(1, denom)
+        rhs = rhs + prod * weight
     return lhs == rhs, (lhs, rhs)
 
 
-def ev_e_bridge(k, n, N, mu):
-    """ev(e_k(u)) * (u falling k) == e*_k(u-k+1), compared as rational series
-    after taking highest-weight values at the given weight."""
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
-    img = ev_hom(elem_e(k, n, N))
+def ev_bridge(kind, k, n, N, mu):
+    """ev(e_k(u)) * (u falling k) == e*_k(u-k+1), or ev(h_k(u)) * (u rising k)
+    == h*_k(u+k-1), compared as rational series after taking highest-weight
+    values at the given weight."""
+    step = kind_step(kind)
+    mu = _weight(mu)
+    if step < 0:
+        family, star, factorial_k = elem_e, shifted_e_star, falling_factorial
+    else:
+        family, star, factorial_k = homog_h, shifted_h_star, rising_factorial
+    img = ev_hom(family(k, n, N))
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
-    ff = falling_factorial(UPolynomial.variable(), k).to_series(k, N)
-    lhs = hw_series * ff
-    rhs = shifted_e_star(k, n).shift(1 - k).eval_mu(mu.mu).to_series(k, N)
-    return lhs == rhs, (lhs, rhs)
-
-
-def ev_h_bridge(k, n, N, mu):
-    """ev(h_k(u)) * (u rising k) == h*_k(u+k-1), as rational series at a weight."""
-    if not isinstance(mu, HighestWeight):
-        mu = HighestWeight(mu)
-    img = ev_hom(homog_h(k, n, N))
-    hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
-    rf = rising_factorial(UPolynomial.variable(), k).to_series(k, N)
-    lhs = hw_series * rf
-    rhs = shifted_h_star(k, n).shift(k - 1).eval_mu(mu.mu).to_series(k, N)
+    lhs = hw_series * factorial_k(UPolynomial.variable(), k).to_series(k, N)
+    rhs = star(k, n).shift(step * (k - 1)).eval_mu(mu.mu).to_series(k, N)
     return lhs == rhs, (lhs, rhs)
 
 

@@ -150,11 +150,7 @@ def yangian_commutator_words(n, r, i, j, s, k, l):
     a, b = r, s
     while a >= 1:
         for w, c in _exchange_rhs(n, i, j, k, l, a - 1, b).items():
-            s2 = out.get(w, 0) + c
-            if s2:
-                out[w] = s2
-            elif w in out:
-                del out[w]
+            _acc(out, (c, w), 1)
         a, b = a - 1, b + 1
     return out
 
@@ -163,12 +159,10 @@ def gl_commutator_words(n, i, j, k, l):
     """[e[i,j], e[k,l]] = delta_jk e[i,l] - delta_li e[k,j]."""
     out = {}
     if j == k:
-        w = (encode_e(n, i, l),)
-        out[w] = out.get(w, 0) + 1
+        _acc(out, (1, (encode_e(n, i, l),)), 1)
     if l == i:
-        w = (encode_e(n, k, j),)
-        out[w] = out.get(w, 0) - 1
-    return {w: c for w, c in out.items() if c}
+        _acc(out, (1, (encode_e(n, k, j),)), -1)
+    return out
 
 
 # ---------------------------------------------------------------------------

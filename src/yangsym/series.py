@@ -155,10 +155,6 @@ class USeries(SparseCoeffs):
         return cls(order, {0: value})
 
     @classmethod
-    def one(cls, order):
-        return cls(order, {0: 1})
-
-    @classmethod
     def zero(cls, order):
         return cls(order, {})
 
@@ -273,17 +269,6 @@ class UPolynomial(SparseCoeffs):
                 v = a * b
                 out[i + j] = out[i + j] + v if i + j in out else v
         return UPolynomial(out)
-
-    def eval_at(self, x):
-        """Value at a rational point x (Horner)."""
-        x = demote(x)
-        acc = 0
-        for e in range(self.degree(), -1, -1):
-            acc = acc * x if acc else acc
-            c = self.coeffs.get(e)
-            if c is not None:
-                acc = acc + c
-        return acc
 
     def to_series(self, k, order):
         """The series p(u) * u^{-k}, requiring deg(p) <= k."""

@@ -66,13 +66,11 @@ from .symfun import (
 from .capelli import (
     HighestWeight,
     capelli_p,
-    check_e_star_composition,
     check_eh_star,
-    check_h_star_composition,
+    check_star_composition,
     default_weight_grid,
     defining_rep_value,
-    ev_e_bridge,
-    ev_h_bridge,
+    ev_bridge,
     ev_hminus_bridge,
     ev_hom,
     ev_p_bridge,
@@ -299,22 +297,15 @@ def suite_intertwining(cfg):
     for n in _ns(cfg):
         ctx = yangian_context(n)
         for k in range(1, kmax + 1):
-            A = cached_projector("A", k, n)
-            S = cached_projector("S", k, n)
-            dec = [-s for s in range(k)]
-            inc = list(range(k))
-            rep.run("antisym_intertwine", "projector_intertwining",
-                    {"n": n, "k": k, "order": N},
-                    lambda A=A, dec=dec, k=k, ctx=ctx:
-                    t_product(dec, N, ctx, left=A).equal(
-                        t_product(dec[::-1], N, ctx, legs=range(k, 0, -1), right=A)),
-                    determined_order=N)
-            rep.run("sym_intertwine", "projector_intertwining",
-                    {"n": n, "k": k, "order": N},
-                    lambda S=S, inc=inc, k=k, ctx=ctx:
-                    t_product(inc, N, ctx, left=S).equal(
-                        t_product(inc[::-1], N, ctx, legs=range(k, 0, -1), right=S)),
-                    determined_order=N)
+            for name, proj, step in (("antisym", "A", -1), ("sym", "S", 1)):
+                P = cached_projector(proj, k, n)
+                shifts = [step * s for s in range(k)]
+                rep.run(f"{name}_intertwine", "projector_intertwining",
+                        {"n": n, "k": k, "order": N},
+                        lambda P=P, shifts=shifts, k=k, ctx=ctx:
+                        t_product(shifts, N, ctx, left=P).equal(
+                            t_product(shifts[::-1], N, ctx, legs=range(k, 0, -1), right=P)),
+                        determined_order=N)
     return rep.records
 
 
@@ -365,16 +356,12 @@ def suite_composition(cfg):
     N = cfg.order or 5
     kmax = cfg.max_k or 4
     for k in range(1, kmax + 1):
-        rep.run(f"composition_e_k{k}", "power_sum_composition_e",
-                {"n": n, "order": N, "k": k},
-                lambda k=k: check_tau(composition_sum(k, "e", n, N),
-                                      e_tau(k, n, N)),
-                determined_order=N)
-        rep.run(f"composition_h_k{k}", "power_sum_composition_h",
-                {"n": n, "order": N, "k": k},
-                lambda k=k: check_tau(composition_sum(k, "h", n, N),
-                                      h_tau(k, n, N)),
-                determined_order=N)
+        for kind, tau_form in (("e", e_tau), ("h", h_tau)):
+            rep.run(f"composition_{kind}_k{k}", f"power_sum_composition_{kind}",
+                    {"n": n, "order": N, "k": k},
+                    lambda k=k, kind=kind, tau_form=tau_form:
+                    check_tau(composition_sum(k, kind, n, N), tau_form(k, n, N)),
+                    determined_order=N)
     return rep.records
 
 
@@ -573,16 +560,12 @@ def suite_capelli_bridge(cfg):
     for n in _ns(cfg):
         weights = default_weight_grid(n, 8)
         for k in range(1, kmax + 1):
-            rep.run(f"ev_e_bridge_k{k}", "evaluation_e_bridge",
-                    {"n": n, "order": N, "k": k, "weights": len(weights)},
-                    lambda k=k, n=n, weights=weights:
-                    all(ev_e_bridge(k, n, N, mu)[0] for mu in weights),
-                    determined_order=N)
-            rep.run(f"ev_h_bridge_k{k}", "evaluation_h_bridge",
-                    {"n": n, "order": N, "k": k, "weights": len(weights)},
-                    lambda k=k, n=n, weights=weights:
-                    all(ev_h_bridge(k, n, N, mu)[0] for mu in weights),
-                    determined_order=N)
+            for kind in ("e", "h"):
+                rep.run(f"ev_{kind}_bridge_k{k}", f"evaluation_{kind}_bridge",
+                        {"n": n, "order": N, "k": k, "weights": len(weights)},
+                        lambda k=k, n=n, kind=kind, weights=weights:
+                        all(ev_bridge(kind, k, n, N, mu)[0] for mu in weights),
+                        determined_order=N)
         for m in (1, 2):
             rep.run(f"ev_hminus_bridge_m{m}", "evaluation_inverse_family",
                     {"n": n, "order": N, "m": m},
@@ -681,14 +664,11 @@ def suite_shifted_identities(cfg):
                     {"n": n, "m": m},
                     lambda m=m, n=n: check_eh_star(m, n)[0])
         for k in range(1, m_max + 1):
-            rep.run(f"e_star_composition_k{k}", "shifted_composition_e",
-                    {"n": n, "k": k, "weights": len(weights)},
-                    lambda k=k, weights=weights:
-                    all(check_e_star_composition(k, mu)[0] for mu in weights))
-            rep.run(f"h_star_composition_k{k}", "shifted_composition_h",
-                    {"n": n, "k": k, "weights": len(weights)},
-                    lambda k=k, weights=weights:
-                    all(check_h_star_composition(k, mu)[0] for mu in weights))
+            for kind in ("e", "h"):
+                rep.run(f"{kind}_star_composition_k{k}", f"shifted_composition_{kind}",
+                        {"n": n, "k": k, "weights": len(weights)},
+                        lambda k=k, kind=kind, weights=weights:
+                        all(check_star_composition(kind, k, mu)[0] for mu in weights))
     return rep.records
 
 

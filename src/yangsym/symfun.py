@@ -5,6 +5,11 @@ Bethe-subalgebra generators with a scalar twist; composition sums; Newton
 identities; determinant formulas; the inverse of the alternating generating
 operator; and Jacobi-Trudi style Schur series.
 
+Each e/h pair is one body that takes the kind "e" or "h" and reads the
+differences as data from `kind_step`: the u-shift step (-1 or +1), strict or
+weak index sets, and signed minors or permanents.  `composition_weights`
+gives the power-sum weights of both kinds.
+
 Everything is computed in the exact engine: series coefficients are
 AlgebraElements of the Yangian (one context per n, see `pbw`), and
 identities are checked coefficient-by-coefficient.  Family values are cached
@@ -26,7 +31,7 @@ Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 """
 
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .rationals import Q, QONE, as_rational
 from .series import USeries
@@ -211,44 +216,49 @@ def _quantum_minor(rows, cols, step, signed, n, N):
     return _row_expansion(table, tuple(rows), signed) or USeries.zero(N)
 
 
+def kind_step(kind):
+    """The u-shift step of a family kind: -1 for the elementary "e" (strict
+    index sets, signed quantum minors, falling arguments), +1 for the
+    homogeneous "h" (weak index sets, quantum permanents, rising arguments).
+    Each e/h identity is one statement read at either step."""
+    if kind not in ("e", "h"):
+        raise ValueError("kind must be 'e' or 'h'")
+    return -1 if kind == "e" else 1
+
+
+def _minor_sum(kind, k, n, N):
+    """The sum over the index sets a of quantum minors (kind "e") or quantum
+    permanents (kind "h") on rows = columns a, with factors at u, u+step, ...;
+    one term per distinct rearrangement of the rows, no 1/k!."""
+    _check_n(n)
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return unit_series(n, N)
+    step = kind_step(kind)
+    index_sets = combinations if step < 0 else combinations_with_replacement
+
+    def build():
+        return sum((_quantum_minor(a, a, step, step < 0, n, N)
+                    for a in index_sets(range(1, n + 1), k)), USeries.zero(N))
+
+    return _cached((kind, n, k, N), build)
+
+
 def elem_e(k, n, N):
     """e_k(u) = tr(A_k T_1(u) T_2(u-1) ... T_k(u-k+1)); zero for k > n.
 
     Built as the sum of the quantum minors on rows = columns a_1 < ... < a_k.
     """
-    _check_n(n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return unit_series(n, N)
-    if k > n:
-        return USeries.zero(N)
-
-    def build():
-        return sum((_quantum_minor(a, a, -1, True, n, N)
-                    for a in combinations(range(1, n + 1), k)), USeries.zero(N))
-
-    return _cached(("e", n, k, N), build)
+    return _minor_sum("e", k, n, N)
 
 
 def homog_h(k, n, N):
     """h_k(u) = tr(S_k T_1(u) T_2(u+1) ... T_k(u+k-1)).
 
-    Built as the sum of the quantum permanents on a_1 <= ... <= a_k, one
-    term per distinct rearrangement of the rows (no 1/k!).
+    Built as the sum of the quantum permanents on a_1 <= ... <= a_k.
     """
-    _check_n(n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    if k == 0:
-        return unit_series(n, N)
-
-    def build():
-        return sum((_quantum_minor(a, a, 1, False, n, N)
-                    for a in combinations_with_replacement(range(1, n + 1), k)),
-                   USeries.zero(N))
-
-    return _cached(("h", n, k, N), build)
+    return _minor_sum("h", k, n, N)
 
 
 def power_p(k, sign, n, N):
@@ -271,15 +281,11 @@ def power_p(k, sign, n, N):
 
 def e_tau(k, n, N):
     """e_k(u) attached to tau^{-k}."""
-    if k == 0:
-        return TauOperator.from_series(unit_series(n, N), 0)
     return TauOperator.from_series(elem_e(k, n, N), -k)
 
 
 def h_tau(k, n, N):
     """h_k(u) attached to tau^{+k}."""
-    if k == 0:
-        return TauOperator.from_series(unit_series(n, N), 0)
     return TauOperator.from_series(homog_h(k, n, N), k)
 
 
@@ -373,42 +379,45 @@ def prop_eB_traces(k, variant, n, N):
 # ---------------------------------------------------------------------------
 # composition sums and Newton identities
 
+def composition_weights(k, kind):
+    """Each composition lam = (l_1, ..., l_m) of k with its weight in the
+    power-sum expansion of e_k (kind "e") or h_k (kind "h"):
+    (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m), a_1 < ... < a_m = k the prefix
+    sums of lam.  At p_i = 1 the weights sum to e_k = delta_{k,1} and h_k = 1."""
+    step = kind_step(kind)
+    return ((lam, Q(step ** (k - len(lam)), prod(lam.prefix_sums)))
+            for lam in compositions(k))
+
+
 def composition_sum(k, kind, n, N):
-    """Sum over compositions of k of scaled products of power sums (tau form)."""
-    if kind not in ("e", "h"):
-        raise ValueError("kind must be 'e' or 'h'")
-    sign = -1 if kind == "e" else +1
+    """Sum over compositions of k of weighted products of power sums (tau form)."""
+    step = kind_step(kind)
     total = None
-    for lam in compositions(k):
-        m = len(lam)
-        denom = 1
-        for a in lam.prefix_sums:
-            denom *= a
-        coeff = Q((-1) ** (k - m), denom) if kind == "e" else Q(1, denom)
-        prod = None
+    for lam, weight in composition_weights(k, kind):
+        term = None
         for part in lam:
-            f = p_tau(part, sign, n, N)
-            prod = f if prod is None else prod * f
-        prod = prod.scale(coeff)
-        total = prod if total is None else total + prod
+            f = p_tau(part, step, n, N)
+            term = f if term is None else term * f
+        term = term.scale(weight)
+        total = term if total is None else total + term
     return total
 
 
 def newton_check(m, kind, n, N):
-    """Both sides of the Newton identity at degree m; returns (ok, lhs, rhs)."""
+    """Both sides of the Newton identity at degree m in the tau forms,
+    m e_m = sum_k (-1)^{m-k-1} e_k p^-_{m-k} or m h_m = sum_k h_k p^+_{m-k}
+    (k < m); returns (ok, lhs, rhs)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if kind not in ("e", "h"):
-        raise ValueError("kind must be 'e' or 'h'")
+    step = kind_step(kind)
+    family = e_tau if step < 0 else h_tau
     lhs = None
     for k in range(m):
-        if kind == "e":
-            term = (e_tau(k, n, N) * p_tau(m - k, -1, n, N)) \
-                .scale(Q((-1) ** (m - k - 1)))
-        else:
-            term = h_tau(k, n, N) * p_tau(m - k, +1, n, N)
+        term = family(k, n, N) * p_tau(m - k, step, n, N)
+        if step ** (m - k - 1) < 0:
+            term = -term
         lhs = term if lhs is None else lhs + term
-    rhs = (e_tau(m, n, N) if kind == "e" else h_tau(m, n, N)).scale(m)
+    rhs = family(m, n, N).scale(m)
     return (lhs == rhs, lhs, rhs)
 
 

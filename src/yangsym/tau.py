@@ -30,19 +30,12 @@ class TauOperator(SparseCoeffs):
         return cls({d: s})
 
     @classmethod
-    def one(cls, order):
-        return cls({0: USeries.one(order)})
-
-    @classmethod
     def zero(cls):
         return cls()
 
     def coeff(self, d):
         """Series attached to tau^d (a zero series of order 0 if absent)."""
         return self.coeffs.get(d) or USeries.zero(0)
-
-    def tau_degrees(self):
-        return sorted(self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, RATIONAL_TYPES):

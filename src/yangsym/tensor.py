@@ -82,16 +82,6 @@ class TensorMatrix:
             return self.ring.zero
         return row.get(c, self.ring.zero)
 
-    def set_entry(self, r, c, v):
-        if v:
-            self.rows.setdefault(r, {})[c] = v
-        else:
-            row = self.rows.get(r)
-            if row and c in row:
-                del row[c]
-                if not row:
-                    del self.rows[r]
-
     def scale(self, q):
         q = as_rational(q)
         if not q:

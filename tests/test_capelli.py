@@ -6,17 +6,16 @@ from yangsym.rationals import Q
 from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, rising_factorial
 from yangsym import pbw
 from yangsym.pbw import gl_context, yangian_context
-from yangsym.symfun import elem_e, homog_h, power_p, h_minus
+from yangsym.symfun import (composition_sum, composition_weights, elem_e, h_minus,
+                            homog_h, newton_check, power_p)
 from yangsym.capelli import (
     HighestWeight,
     capelli_p,
-    check_e_star_composition,
     check_eh_star,
-    check_h_star_composition,
+    check_star_composition,
     default_weight_grid,
     defining_rep_value,
-    ev_e_bridge,
-    ev_h_bridge,
+    ev_bridge,
     ev_hminus_bridge,
     ev_hom,
     ev_p_bridge,
@@ -251,10 +250,24 @@ def test_e_star_equals_h_star_at_degree_one():
 
 
 def test_star_compositions_at_sample_weight():
-    assert check_e_star_composition(1, (1, 0))[0]
-    assert check_e_star_composition(2, (2, 1))[0]
-    assert check_h_star_composition(2, (2, 1))[0]
-    assert check_e_star_composition(3, (3, 1, 0))[0]
+    assert check_star_composition("e", 1, (1, 0))[0]
+    assert check_star_composition("e", 2, (2, 1))[0]
+    assert check_star_composition("h", 2, (2, 1))[0]
+    assert check_star_composition("e", 3, (3, 1, 0))[0]
+
+
+@pytest.mark.parametrize("kind", ["x", "E", None])
+@pytest.mark.parametrize("call", [
+    lambda kind: composition_weights(2, kind),
+    lambda kind: composition_sum(2, kind, 2, 3),
+    lambda kind: newton_check(2, kind, 2, 3),
+    lambda kind: check_star_composition(kind, 2, (1, 0)),
+    lambda kind: ev_bridge(kind, 1, 2, 3, (1, 0)),
+], ids=["composition_weights", "composition_sum", "newton_check",
+        "check_star_composition", "ev_bridge"])
+def test_unknown_kind_is_a_value_error(call, kind):
+    with pytest.raises(ValueError, match="kind must be 'e' or 'h'"):
+        call(kind)
 
 
 def test_p_star_k1_matches_first_casimir():
@@ -270,19 +283,19 @@ def test_p_star_k1_matches_first_casimir():
 @pytest.mark.parametrize("k", [1, 2])
 def test_ev_bridges_n2(k):
     for mu in default_weight_grid(2, 6):
-        assert ev_e_bridge(k, 2, 4, mu)[0]
-        assert ev_h_bridge(k, 2, 4, mu)[0]
+        assert ev_bridge("e", k, 2, 4, mu)[0]
+        assert ev_bridge("h", k, 2, 4, mu)[0]
 
 
 def test_ev_bridge_beyond_top_degree():
     # e_3 = 0 at n=2 and e*_3 has no index choices: both sides vanish
-    ok, (lhs, rhs) = ev_e_bridge(3, 2, 4, HighestWeight((2, 0)))
+    ok, (lhs, rhs) = ev_bridge("e", 3, 2, 4, HighestWeight((2, 0)))
     assert ok and lhs.is_zero() and rhs.is_zero()
 
 
 def test_ev_bridge_k1_explicit():
     mu = HighestWeight((4, 1))
-    ok, (lhs, rhs) = ev_e_bridge(1, 2, 4, mu)
+    ok, (lhs, rhs) = ev_bridge("e", 1, 2, 4, mu)
     assert ok
     assert lhs.coeff(0) == 2 and lhs.coeff(1) == 5
 

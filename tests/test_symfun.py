@@ -27,6 +27,7 @@ from yangsym.symfun import (
     bethe_b,
     cached_projector,
     composition_sum,
+    composition_weights,
     compositions,
     det_formulas,
     e_tau,
@@ -73,8 +74,11 @@ def test_e_constant_term(n, k):
 
 
 def test_e_above_top_degree_is_zero():
-    assert elem_e(3, 2, N2).is_zero()
-    assert elem_e(4, 2, N2).is_zero()
+    # no strict k-subset of 1..n exists; the zero keeps the order asked for
+    for n, k in [(1, 2), (2, 3), (2, 4), (3, 4)]:
+        for N in (2, N2):
+            e = elem_e(k, n, N)
+            assert e.is_zero() and e.order == N
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -141,9 +145,9 @@ def test_tau_forms_match_direct_evaluation():
 
 
 def test_tau_degrees():
-    assert e_tau(2, 2, N2).tau_degrees() == [-2]
-    assert h_tau(3, 2, N2).tau_degrees() == [3]
-    assert p_tau(2, -1, 2, N2).tau_degrees() == [-2]
+    assert sorted(e_tau(2, 2, N2).coeffs) == [-2]
+    assert sorted(h_tau(3, 2, N2).coeffs) == [3]
+    assert sorted(p_tau(2, -1, 2, N2).coeffs) == [-2]
 
 
 # -- Bethe generators ----------------------------------------------------------
@@ -294,6 +298,17 @@ def test_composition_count_and_prefix_sums():
     assert {c.parts for c in compositions(3)} == {(3,), (2, 1), (1, 2), (1, 1, 1)}
     assert Composition((2, 1, 3)).prefix_sums == [2, 3, 6]
     assert len(compositions(5)) == 16
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_composition_weights_are_e_and_h_at_unit_power_sums(k):
+    # at p_i = 1: sum h_k t^k = exp(sum t^i/i) = 1/(1-t), and
+    # sum e_k t^k = exp(sum (-1)^{i-1} t^i/i) = 1+t
+    h = list(composition_weights(k, "h"))
+    e = list(composition_weights(k, "e"))
+    assert [lam for lam, _ in h] == [lam for lam, _ in e] == compositions(k)
+    assert sum(w for _, w in h) == 1
+    assert sum(w for _, w in e) == (1 if k == 1 else 0)
 
 
 def test_composition_sum_k1():

@@ -226,19 +226,23 @@ def test_intertwining_small():
     assert lhs.equal(rhs)
 
 
+def _from_entries(n, k, entry):
+    """The matrix with entry(r, c) at (r, c), drawn row by row; zeros are not stored."""
+    rows = {}
+    for r in range(n ** k):
+        for c in range(n ** k):
+            v = entry(r, c)
+            if v:
+                rows.setdefault(r, {})[c] = v
+    return TensorMatrix(n, k, rows)
+
+
 def test_trace_is_cyclic_for_commuting_entries():
     import random
     rng = random.Random(5)
     n, k = 2, 2
     for _ in range(5):
-        a = TensorMatrix(n, k)
-        b = TensorMatrix(n, k)
-        for m in (a, b):
-            for r in range(n ** k):
-                for c in range(n ** k):
-                    v = rng.randint(-3, 3)
-                    if v:
-                        m.set_entry(r, c, Q(v))
+        a, b = (_from_entries(n, k, lambda r, c: Q(rng.randint(-3, 3))) for _ in range(2))
         assert trace_full(tm_mul(a, b)) == trace_full(tm_mul(b, a))
 
 
@@ -266,14 +270,7 @@ def _matrix_pairs(draw):
     n = draw(st.integers(1, 3))
     k = draw(st.integers(1, 2 if n == 3 else 3))
 
-    def matrix():
-        m = TensorMatrix(n, k)
-        for r in range(n ** k):
-            for c in range(n ** k):
-                m.set_entry(r, c, draw(_ENTRIES))
-        return m
-
-    return matrix(), matrix()
+    return tuple(_from_entries(n, k, lambda r, c: draw(_ENTRIES)) for _ in range(2))
 
 
 def _assert_pruned(m):
