@@ -22,10 +22,18 @@ whose exchange entry is the bare swap it slides with no further work, and
 at any other letter x it applies x g -> g x + corrections and continues
 into the prefix before x in a loop, so the Python stack does not grow with
 the length of a word or its number of inversions, only when a correction
-term itself needs straightening.  There is one memo, `nf_memo`, keyed by
-plain words: it holds each non-trivial insertion under the word w + (g,)
-and each whole word that `normal_word` was asked for, and maps a word to
-its normal form either way.  Normal words and slides are not memoized.
+term itself needs straightening.  Straightening has one memo, `nf_memo`,
+keyed by plain words: it holds each non-trivial insertion under the word
+w + (g,) and each whole word that `normal_word` was asked for, and maps a
+word to its normal form either way.  Normal words and slides are not
+memoized.
+
+Commutators have a second memo, `comm_memo`, shared per (kind, n) like
+`nf_memo`: it maps an ordered pair (wa, wb) of normal words, wa < wb, to
+the normal form of wa*wb - wb*wa as a tuple of (word, int) terms, `()` if
+they commute, and the reversed pair reads the same entry with sign -1.
+Entries are filled by insertion; they read whole-word `nf_memo` entries
+but add none.
 
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
@@ -41,12 +49,14 @@ generating matrix has total level at most m, so a series of order N never
 needs a generator above level N and no product drops a monomial;
 `yangian_context(n)` and `gl_context(n)` return one context per n.
 
-Coefficients in element terms, in the exchange table and in the
-normal-form memo are plain ints when integral and Fractions (denominator
-above 1) otherwise, never floats; `rationals.demote` puts a value into that
-form.  The exchange table and the memo are integral, so straightening runs
-on machine-sized ints.  `coeff` and `as_scalar` return Fractions.
+Coefficients in element terms, in the exchange table and in the two memos
+are plain ints when integral and Fractions (denominator above 1) otherwise,
+never floats; `rationals.demote` puts a value into that form.  The exchange
+table and both memos are integral, so straightening and commutators run on
+machine-sized ints.  `coeff` and `as_scalar` return Fractions.
 """
+
+from math import lcm
 
 from .rationals import Q, RATIONAL_TYPES, demote
 
@@ -172,8 +182,8 @@ class RewriteSystem:
     """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b.
 
     Entries are derived on demand and cached; `prefill` materialises a
-    level-bounded block eagerly.  The table and the normal-form memo are
-    shared between all contexts over the same algebra.
+    level-bounded block eagerly.  The table and both memos are shared
+    between all contexts over the same algebra.
     """
 
     def __init__(self, kind, n):
@@ -183,6 +193,7 @@ class RewriteSystem:
         self.n = n
         self.table = {}
         self.nf_memo = {}
+        self.comm_memo = {}
 
     def level(self, gid):
         if self.kind == "yangian":
@@ -256,6 +267,23 @@ class RewriteSystem:
         if p >= end:
             return {word: 1}
         res = memo[word] = self._extend({word[:p]: 1}, word[p:], {})
+        return res
+
+    def word_commutator(self, wa, wb):
+        """Normal form of wa*wb - wb*wa for two normal words, as a tuple of
+        (word, int) terms; see `comm_memo` in the module docstring."""
+        if wb < wa:
+            return tuple((w, -c) for w, c in self.word_commutator(wb, wa))
+        res = self.comm_memo.get((wa, wb))
+        if res is None:
+            out = {}
+            for x, y, c in ((wa, wb, 1), (wb, wa, -1)):
+                nf = {x + y: 1} if self.kind == "free" else self.nf_memo.get(x + y)
+                if nf is None:
+                    self._extend({x: c}, y, out)
+                else:
+                    self._extend({v: c * q for v, q in nf.items()}, (), out)
+            res = self.comm_memo[wa, wb] = tuple(out.items())
         return res
 
     def _extend(self, terms, letters, out):
@@ -464,6 +492,40 @@ class AlgebraContext:
                         del out[w]
         return self._apply_cap(out)
 
+    def commutator_terms(self, A, B):
+        """Terms of AB - BA from the word commutators.  An operand with a
+        Fraction coefficient is multiplied by the lcm of its denominators,
+        so the loop runs on ints and the output is divided once."""
+        (A, da), (B, db) = _cleared(A), _cleared(B)
+        memo, wc = self.rs.comm_memo, self.rs.word_commutator
+        out = {}
+        for wa, ca in A.items():
+            for wb, cb in B.items():
+                fwd = wa < wb
+                key = (wa, wb) if fwd else (wb, wa)
+                terms = memo.get(key)
+                if terms is None:
+                    terms = wc(*key)
+                if not terms:
+                    continue
+                c = ca * cb if fwd else -ca * cb
+                for w, q in terms:
+                    s = out.get(w, 0) + c * q
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
+        d = da * db
+        return out if d == 1 else {w: demote(Q(c, d)) for w, c in out.items()}
+
+
+def _cleared(terms):
+    """(d * terms, d) for the lcm d of the denominators of the coefficients."""
+    if all(type(c) is int for c in terms.values()):
+        return terms, 1
+    d = lcm(*(c.denominator for c in terms.values()))
+    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
+
 
 _CONTEXTS = {}
 
@@ -591,7 +653,11 @@ class AlgebraElement:
                      frozenset(self.terms.items())))
 
     def commutator(self, other):
-        return self * other - other * self
+        if isinstance(other, RATIONAL_TYPES):
+            return self.ctx.zero()
+        if not self._compatible(other):
+            raise ValueError("algebra instance mismatch")
+        return AlgebraElement(self.ctx, self.ctx.commutator_terms(self.terms, other.terms))
 
     def gen_name(self, gid):
         rs = self.ctx.rs

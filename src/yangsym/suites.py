@@ -474,7 +474,7 @@ def _check_top_e_central(n, N):
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
                     g = ctx.t(r, i, j)
-                    if c * g - g * c:
+                    if c.commutator(g):
                         return False
     return True
 
@@ -503,11 +503,10 @@ def _series_coeffs_commute(sa, sb):
                 continue
             if not isinstance(cb, AlgebraElement) or cb.as_scalar() is not None:
                 continue
-            comm = ca * cb - cb * ca
+            comm = ca.commutator(cb)
             if comm:
-                mono = next(iter(comm.terms))
-                return (False, {"u_power_lhs": ma, "u_power_rhs": mb,
-                                "monomial": "*".join(comm.gen_name(g) for g in mono)})
+                mono, _, _ = _coeff_diff(comm, comm.ctx.zero())
+                return (False, {"u_power_lhs": ma, "u_power_rhs": mb, "monomial": mono})
     return (True, None)
 
 

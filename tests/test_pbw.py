@@ -1,8 +1,13 @@
+import random
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from yangsym import pbw
 from yangsym.rationals import Q
 from yangsym.pbw import (
+    AlgebraContext,
     RewriteSystem,
     free_context,
     gl_context,
@@ -15,6 +20,7 @@ from yangsym.pbw import (
 )
 from yangsym.series import USeries
 from yangsym.suites import _one_step_results, _proportionality
+from yangsym.symfun import BetheTwist, bethe_b
 
 
 # -- independent oracle: the defining exchange relation, expanded in a free
@@ -352,6 +358,78 @@ def test_proportionality_constant_is_a_fraction(data):
     ratio, ok = _proportionality(base.scale(q), base)
     assert ok
     assert type(ratio) is Q and ratio == q
+
+
+# -- commutators: the memoized word-pair kernel against the product difference
+
+_COMMUTATOR_ALGEBRAS = {
+    "y2": ("yangian", 2, _FORMAT_CONTEXTS["y2"][1]),
+    "y3": ("yangian", 3, [encode_t(3, r, i, j) for r in (1, 2)
+                          for i in (1, 2, 3) for j in (1, 2, 3)]),
+    "gl3": ("gl", 3, _GL3_GENS),
+}
+
+
+def _assert_commutator_oracle(ctx, x, y):
+    """[x, y] == xy - yx and [y, x] == -[x, y]; the word commutators are
+    integral, and the whole words wa+wb are not stored in `nf_memo` (the
+    entry of a one-letter insertion is its whole word, so wb has two or more
+    letters)."""
+    memo = ctx.rs.nf_memo
+    before = set(memo)
+    comm = x.commutator(y)
+    whole = {wa + wb for wa in x.terms for wb in y.terms if len(wb) > 1} \
+        | {wb + wa for wa in x.terms for wb in y.terms if len(wa) > 1}
+    assert not whole & (memo.keys() - before)
+    assert comm == x * y - y * x
+    assert y.commutator(x) == -comm
+    for terms in ctx.rs.comm_memo.values():
+        assert all(type(c) is int for _, c in terms)
+    return comm
+
+
+@pytest.mark.parametrize("name", sorted(_COMMUTATOR_ALGEBRAS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_commutator_matches_the_product_difference(name, data):
+    kind, n, gens = _COMMUTATOR_ALGEBRAS[name]
+    # a fresh rewrite system, so that every example fills its own entries
+    with patch.dict(pbw._SHARED, clear=True):
+        ctx = AlgebraContext(kind, n)
+        x, y = (data.draw(_elements(ctx, gens)) for _ in range(2))
+        _assert_commutator_oracle(ctx, x * y, y)
+        _assert_commutator_oracle(ctx, x, x + y)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), ks=st.sampled_from([(1, 2), (1, 3), (2, 3)]),
+       powers=st.tuples(st.integers(1, 3), st.integers(1, 3)), data=st.data())
+def test_commutator_of_twisted_bethe_coefficients(seed, ks, powers, data):
+    # Fraction coefficients: C(3,k)^{-1} and a random twist
+    Z = BetheTwist.random(3, random.Random(seed))
+    x, y = (bethe_b(k, Z, 3, 3).coeffs[m] for k, m in zip(ks, powers))
+    ctx = yangian_context(3)
+    assert not _assert_commutator_oracle(ctx, x, y)
+    z = data.draw(_elements(ctx, _COMMUTATOR_ALGEBRAS["y3"][2]))
+    _assert_commutator_oracle(ctx, x, z)
+
+
+def test_word_commutator_reads_one_entry_for_both_orders():
+    rs = RewriteSystem("gl", 2)
+    e12, e21 = encode_e(2, 1, 2), encode_e(2, 2, 1)
+    comm = rs.word_commutator((e12,), (e21,))
+    assert dict(comm) == {(encode_e(2, 1, 1),): 1, (encode_e(2, 2, 2),): -1}
+    assert rs.word_commutator((e21,), (e12,)) == tuple((w, -c) for w, c in comm)
+    assert rs.word_commutator((e12,), (e12, e12)) == ()
+    assert list(rs.comm_memo) == [((e21,), (e12,)), ((e12,), (e12, e12))]
+
+
+def test_free_and_scalar_commutators():
+    fc = free_context(3)
+    a, b = fc.gen(0), fc.gen(2)
+    assert a.commutator(b) == a * b - b * a
+    assert a.commutator(a) == fc.zero()
+    assert a.commutator(3) == fc.zero() == a.commutator(Q(1, 2))
 
 
 # -- no global state: the interpreter's recursion limit is left alone ------------
