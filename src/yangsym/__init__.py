@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 # Each module and the public names it provides at the package level.
 _EXPORTS = {
     "rationals": ("Q", "binomial"),
-    "series": ("ShiftedPolynomial", "UPolynomial", "USeries", "falling_factorial",
-               "rising_factorial"),
+    "series": ("ShiftedPolynomial", "UPolynomial", "USeries", "factorial_power"),
     "tau": ("TauOperator",),
     "pbw": ("AlgebraContext", "AlgebraElement", "RewriteSystem", "free_context",
             "gl_context", "ugl_relations", "yangian_context", "yangian_relations"),

@@ -21,8 +21,7 @@ a `HighestWeight` or anything its constructor accepts.
 from itertools import combinations, combinations_with_replacement, islice
 
 from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
-from .series import (ShiftedPolynomial, UPolynomial, USeries, falling_factorial,
-                     rising_factorial)
+from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
 from .tensor import trace_of_product
 from .symfun import composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
@@ -299,12 +298,16 @@ def check_star_composition(kind, k, mu):
     mu = _weight(mu)
     star = shifted_e_star if step < 0 else shifted_h_star
     lhs = star(k, mu.n).shift(-k if step < 0 else k - 1).eval_mu(mu.mu)
+    shifted = {}  # (part, shift) -> p*_part(u + shift), built once per check
     rhs = UPolynomial()
     for lam, weight in composition_weights(k, kind):
         prod = None
         prev_a = 0
         for part, a in zip(lam, lam.prefix_sums):
-            f = shifted_p_star(part, mu).shift(-a if step < 0 else prev_a)
+            key = (part, -a if step < 0 else prev_a)
+            f = shifted.get(key)
+            if f is None:
+                f = shifted[key] = shifted_p_star(part, mu).shift(key[1])
             prod = f if prod is None else prod * f
             prev_a = a
         rhs = rhs + prod * weight
@@ -317,13 +320,10 @@ def ev_bridge(kind, k, n, N, mu):
     values at the given weight."""
     step = kind_step(kind)
     mu = _weight(mu)
-    if step < 0:
-        family, star, factorial_k = elem_e, shifted_e_star, falling_factorial
-    else:
-        family, star, factorial_k = homog_h, shifted_h_star, rising_factorial
+    family, star = (elem_e, shifted_e_star) if step < 0 else (homog_h, shifted_h_star)
     img = ev_hom(family(k, n, N))
     hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
-    lhs = hw_series * factorial_k(UPolynomial.variable(), k).to_series(k, N)
+    lhs = hw_series * factorial_power(UPolynomial.variable(), k, step).to_series(k, N)
     rhs = star(k, n).shift(step * (k - 1)).eval_mu(mu.mu).to_series(k, N)
     return lhs == rhs, (lhs, rhs)
 
@@ -333,7 +333,7 @@ def ev_p_bridge(m, n, N):
     and ev(p^-_m(u+m-1)) == ev(p^+_m(u))."""
     plus = ev_hom(power_p(m, +1, n, N))
     minus = ev_hom(power_p(m, -1, n, N).shift(m - 1))
-    rf = rising_factorial(UPolynomial.variable(), m).to_series(m, N)
+    rf = factorial_power(UPolynomial.variable(), m, 1).to_series(m, N)
     lhs = plus * rf
     rhs = capelli_p(m, n).to_series(m, N)
     return (lhs == rhs) and (plus == minus), (lhs, rhs, plus, minus)

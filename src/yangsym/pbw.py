@@ -468,8 +468,11 @@ class AlgebraContext:
                 terms[w] = demote(c)
         return terms
 
-    def mul_terms(self, A, B):
-        out = {}
+    def mul_terms(self, A, B, out=None):
+        """Terms of A*B in stored form.  Given a term dict `out`, adds A*B into
+        it instead and returns it; whoever finishes that sum applies
+        `_apply_cap` once."""
+        acc = {} if out is None else out
         nw = self.rs.normal_word
         for wa, ca in A.items():
             for wb, cb in B.items():
@@ -478,19 +481,19 @@ class AlgebraContext:
                     # the concatenation of two normal words needs
                     # straightening only across the seam
                     for w, q in nw(wa + wb).items():
-                        s = out.get(w, 0) + c * q
+                        s = acc.get(w, 0) + c * q
                         if s:
-                            out[w] = s
-                        elif w in out:
-                            del out[w]
+                            acc[w] = s
+                        elif w in acc:
+                            del acc[w]
                 else:
                     w = wa + wb
-                    s = out.get(w, 0) + c
+                    s = acc.get(w, 0) + c
                     if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
-        return self._apply_cap(out)
+                        acc[w] = s
+                    elif w in acc:
+                        del acc[w]
+        return self._apply_cap(acc) if out is None else acc
 
     def commutator_terms(self, A, B):
         """Terms of AB - BA from the word commutators.  An operand with a
@@ -591,8 +594,10 @@ class AlgebraElement:
     def _compatible(self, other):
         return self.ctx.rs is other.ctx.rs
 
+    # operators test for an element first: isinstance(element, Fraction) is an ABC check
+
     def __add__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
+        if type(other) is not AlgebraElement and isinstance(other, RATIONAL_TYPES):
             other = self.ctx.scalar(other)
         if not self._compatible(other):
             raise ValueError("algebra instance mismatch")
@@ -611,7 +616,7 @@ class AlgebraElement:
         return AlgebraElement(self.ctx, {w: -c for w, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
+        if type(other) is not AlgebraElement and isinstance(other, RATIONAL_TYPES):
             other = self.ctx.scalar(other)
         return self + (-other)
 
@@ -625,10 +630,11 @@ class AlgebraElement:
         return AlgebraElement(self.ctx, {w: demote(q * c) for w, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
+        if type(other) is not AlgebraElement:
+            if isinstance(other, RATIONAL_TYPES):
+                return self.scale(other)
+            if not isinstance(other, AlgebraElement):
+                return NotImplemented
         if not self._compatible(other):
             raise ValueError("algebra instance mismatch")
         return AlgebraElement(self.ctx, self.ctx.mul_terms(self.terms, other.terms))
@@ -639,7 +645,7 @@ class AlgebraElement:
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
+        if type(other) is not AlgebraElement and isinstance(other, RATIONAL_TYPES):
             q = demote(other)
             if not q:
                 return not self.terms
@@ -653,7 +659,7 @@ class AlgebraElement:
                      frozenset(self.terms.items())))
 
     def commutator(self, other):
-        if isinstance(other, RATIONAL_TYPES):
+        if type(other) is not AlgebraElement and isinstance(other, RATIONAL_TYPES):
             return self.ctx.zero()
         if not self._compatible(other):
             raise ValueError("algebra instance mismatch")

@@ -16,8 +16,15 @@ equality and multiplication by rational scalars; in practice they are
 rationals or AlgebraElements.  Arithmetic on two series reconciles to the
 minimum of the two orders, so every stored coefficient of a result is fully
 determined.
+
+One kernel, `sum_of_products(pairs)`, forms every product of series:
+`USeries.__mul__` is one pair, and the entries of `tensor.tm_mul`, the
+traces of `tensor.trace_of_product`, the degrees of `TauOperator.__mul__`
+and the row expansions of `symfun` are many.  It multiplies element
+coefficients straight into one term dict per power of u^{-1}.
 """
 
+from .pbw import AlgebraElement
 from .rationals import RATIONAL_TYPES, binomial, demote
 
 
@@ -31,8 +38,9 @@ class SparseCoeffs:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        self.coeffs = {k: demote(c) if isinstance(c, RATIONAL_TYPES) else c
-                       for k, c in coeffs.items() if c} if coeffs else {}
+        # exact types first: isinstance(element, Fraction) is an ABC check
+        self.coeffs = {k: c if type(c) in _KEPT else demote(c) if isinstance(c, RATIONAL_TYPES)
+                       else c for k, c in coeffs.items() if c} if coeffs else {}
 
     def _build(self, coeffs, other=None):
         """A value of this carrier with the given coefficients; `other` is the
@@ -72,12 +80,12 @@ class SparseCoeffs:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        if type(other) is type(self):
+            return self._shape() == other._shape() and self.coeffs == other.coeffs
         if isinstance(other, RATIONAL_TYPES):
             unit = self._unit_key()
             return all(k == unit for k in self.coeffs) and self.coeff(unit) == other
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._shape() == other._shape() and self.coeffs == other.coeffs
+        return NotImplemented
 
     def __add__(self, other):
         other = self._operand(other)
@@ -163,22 +171,12 @@ class USeries(SparseCoeffs):
         return USeries(self.order, {m: fn(c) for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
+        if type(other) is USeries:
+            return sum_of_products(((self, other),))
         if isinstance(other, RATIONAL_TYPES):
             return self.scale(other)
-        if not isinstance(other, USeries):
-            # ring-element scalar (e.g. an AlgebraElement): multiply on the right
-            return USeries(self.order, {m: c * other for m, c in self.coeffs.items()})
-        order = min(self.order, other.order)
-        out = {}
-        for i, a in self.coeffs.items():
-            if i > order:
-                continue
-            for j, b in other.coeffs.items():
-                m = i + j
-                if m <= order:
-                    v = a * b
-                    out[m] = out[m] + v if m in out else v
-        return USeries(order, out)
+        # ring-element scalar (e.g. an AlgebraElement): multiply on the right
+        return USeries(self.order, {m: c * other for m, c in self.coeffs.items()})
 
     def __rmul__(self, other):
         if isinstance(other, RATIONAL_TYPES):
@@ -228,6 +226,83 @@ class USeries(SparseCoeffs):
         return f"USeries({' + '.join(parts)}; order={self.order})"
 
 
+def sum_of_products(pairs):
+    """Sum of a*b over the (a, b) pairs, factor order kept; None for no pairs.
+
+    Two element coefficients of a pair of series go into the term dict of
+    their power by `mul_terms(..., out)`, put in stored form once at the end;
+    any other coefficients or pair add a*b.  A power that meets an element
+    is an element.  The order is the least among the nonzero series products,
+    or among all if every one is zero; coefficient rings are domains, so a
+    product is zero exactly when no two coefficients meet within its order.
+    """
+    ctx = rs = rest = order = least = None
+    terms, other = {}, {}  # power -> element term dict / any other coefficient
+
+    def put(m, v):
+        nonlocal ctx, rs
+        if type(v) is not AlgebraElement:
+            s = other.get(m)
+            other[m] = v if s is None else s + v
+            return
+        if rs is None:
+            ctx, rs = v.ctx, v.ctx.rs
+        elif v.ctx.rs is not rs:
+            raise ValueError("algebra instance mismatch")
+        t = terms.setdefault(m, {})
+        for w, c in v.terms.items():
+            s = t.get(w, 0) + c
+            if s:
+                t[w] = s
+            elif w in t:
+                del t[w]
+
+    for a, b in pairs:
+        if type(a) is USeries and type(b) is USeries:
+            top = min(a.order, b.order)
+            hit = False
+            for i, x in a.coeffs.items():
+                if i > top:
+                    continue
+                for j, y in b.coeffs.items():
+                    m = i + j
+                    if m > top:
+                        continue
+                    hit = True
+                    if type(x) is AlgebraElement is type(y):
+                        if rs is None:
+                            ctx, rs = x.ctx, x.ctx.rs
+                        if x.ctx.rs is not rs or y.ctx.rs is not rs:
+                            raise ValueError("algebra instance mismatch")
+                        t = terms.get(m)
+                        if t is None:
+                            t = terms[m] = {}
+                        ctx.mul_terms(x.terms, y.terms, t)
+                    else:
+                        put(m, x * y)
+        else:
+            p = a * b
+            if type(p) is not USeries:
+                rest = p if rest is None else rest + p
+                continue
+            top, hit = p.order, bool(p.coeffs)
+            for m, v in p.coeffs.items():
+                put(m, v)
+        least = top if least is None else min(least, top)
+        if hit:
+            order = top if order is None else min(order, top)
+    if least is None:
+        return rest
+    for m, t in terms.items():
+        v, s = AlgebraElement(ctx, ctx._apply_cap(t)), other.get(m)
+        other[m] = v if s is None else v + s
+    out = USeries(least if order is None else order, other)
+    return out if rest is None else rest + out
+
+
+_KEPT = frozenset((int, AlgebraElement, USeries))
+
+
 class UPolynomial(SparseCoeffs):
     """Polynomial in u with coefficients in a ring; finitely many terms."""
 
@@ -259,10 +334,8 @@ class UPolynomial(SparseCoeffs):
         return max(self.coeffs) if self.coeffs else -1
 
     def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        if not isinstance(other, UPolynomial):
-            return NotImplemented
+        if type(other) is not UPolynomial:
+            return self.scale(other) if isinstance(other, RATIONAL_TYPES) else NotImplemented
         out = {}
         for i, a in self.coeffs.items():
             for j, b in other.coeffs.items():
@@ -325,10 +398,8 @@ class ShiftedPolynomial(SparseCoeffs):
         return cls(n, {tuple(mu): 1, tuple(u): 1, (0,) * (n + 1): const})
 
     def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        if not isinstance(other, ShiftedPolynomial):
-            return NotImplemented
+        if type(other) is not ShiftedPolynomial:
+            return self.scale(other) if isinstance(other, RATIONAL_TYPES) else NotImplemented
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
@@ -361,21 +432,13 @@ class ShiftedPolynomial(SparseCoeffs):
         return " + ".join(parts)
 
 
-def falling_factorial(p, k):
-    """p(p-1)...(p-k+1) for a polynomial p; the empty product (k=0) is 1."""
+def factorial_power(p, k, step):
+    """p(p+step)(p+2 step)...(p+(k-1) step) for a polynomial p: the falling
+    factorial at step -1, the rising one at +1 (`symfun.kind_step` of "e" and
+    "h"); the empty product (k=0) is 1."""
     if k < 0:
         raise ValueError("k must be non-negative")
     out = UPolynomial.const(1)
     for i in range(k):
-        out = out * (p - i)
-    return out
-
-
-def rising_factorial(p, k):
-    """p(p+1)...(p+k-1); the empty product (k=0) is 1."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    out = UPolynomial.const(1)
-    for i in range(k):
-        out = out * (p + i)
+        out = out * (p + step * i)
     return out

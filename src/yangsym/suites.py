@@ -15,7 +15,6 @@ candidate closed form, and passes on internal consistency of the ratio.
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -81,46 +80,37 @@ from .capelli import (
 )
 
 
-@dataclass
-class SuiteConfig:
-    n: int = None
-    order: int = None
-    max_m: int = None
-    max_k: int = None
-    tau_order: int = None
-    seed: int = 20240811
+# plain classes: `dataclasses` imports inspect, ast and tokenize (about 10 ms)
 
-    def __post_init__(self):
+class SuiteConfig:
+    """Suite sizes; None means each suite's default."""
+
+    __slots__ = ("n", "order", "max_m", "max_k", "tau_order", "seed")
+
+    def __init__(self, n=None, order=None, max_m=None, max_k=None, tau_order=None,
+                 seed=20240811):
+        self.n, self.order, self.max_m, self.max_k = n, order, max_m, max_k
+        self.tau_order, self.seed = tau_order, seed
         for name in ("n", "order", "max_m", "max_k", "tau_order"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"SuiteConfig.{name} must be a positive integer, got {value}")
 
 
-@dataclass
 class CheckRecord:
-    suite: str
-    name: str
-    anchor: str
-    params: dict
-    status: str
-    determined_order: int = None
-    wall_time: float = 0.0
-    failure: dict = None
-    detail: dict = None
+    __slots__ = ("suite", "name", "anchor", "params", "status", "determined_order",
+                 "wall_time", "failure", "detail")
+
+    def __init__(self, suite, name, anchor, params, status, determined_order=None,
+                 wall_time=0.0, failure=None, detail=None):
+        self.suite, self.name, self.anchor, self.params = suite, name, anchor, params
+        self.status, self.determined_order, self.wall_time = status, determined_order, wall_time
+        self.failure, self.detail = failure, detail
 
     def jsonable(self):
-        return {
-            "suite": self.suite,
-            "name": self.name,
-            "anchor": self.anchor,
-            "params": self.params,
-            "status": self.status,
-            "determined_order": self.determined_order,
-            "wall_time": round(self.wall_time, 6),
-            "failure": self.failure,
-            "detail": self.detail,
-        }
+        out = {name: getattr(self, name) for name in self.__slots__}
+        out["wall_time"] = round(self.wall_time, 6)
+        return out
 
 
 class Reporter:

@@ -34,7 +34,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
 from .rationals import Q, QONE, as_rational
-from .series import USeries
+from .series import USeries, sum_of_products
 from .tau import TauOperator
 from .pbw import yangian_context
 from .tensor import (
@@ -442,21 +442,18 @@ def _row_expansion(table, labels, signed):
         if left in memo:
             return memo[left]
         p = m - len(left)
-        acc = None
-        for pos, b in enumerate(left):
-            if pos and left[pos - 1] == b:
-                continue
-            v = table[p][b]
-            if not v:
-                continue
-            if p < m - 1:
-                sub = rest(left[:pos] + left[pos + 1:])
-                if sub is None:
+        if p == m - 1:
+            acc = table[p][left[0]]
+        else:
+            pairs = []
+            for pos, b in enumerate(left):
+                if pos and left[pos - 1] == b:
                     continue
-                v = v * sub
-            if signed and pos % 2:
-                v = -v
-            acc = v if acc is None else acc + v
+                v = table[p][b]
+                sub = rest(left[:pos] + left[pos + 1:]) if v else None
+                if sub is not None:
+                    pairs.append((-v if signed and pos % 2 else v, sub))
+            acc = sum_of_products(pairs)
         memo[left] = acc if acc else None
         return memo[left]
 
@@ -546,11 +543,8 @@ def h_minus_from_inverse(m, n, N):
         raise ValueError("m must be >= 0")
     hs = [unit_series(n, N)]
     for t in range(1, m + 1):
-        acc = None
-        for k in range(1, min(n, t) + 1):
-            term = (elem_e(k, n, N).shift(t - 1) * hs[t - k]).scale(Q((-1) ** k))
-            acc = term if acc is None else acc + term
-        hs.append(acc.scale(-1))
+        hs.append(sum_of_products((elem_e(k, n, N).shift(t - 1).scale((-1) ** (k + 1)),
+                                   hs[t - k]) for k in range(1, min(n, t) + 1)))
     return hs[m]
 
 

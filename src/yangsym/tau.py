@@ -10,7 +10,7 @@ tau^c f(u) = f(u+c) tau^c, so
 """
 
 from .rationals import RATIONAL_TYPES
-from .series import SparseCoeffs, USeries
+from .series import SparseCoeffs, USeries, sum_of_products
 
 
 class TauOperator(SparseCoeffs):
@@ -38,17 +38,13 @@ class TauOperator(SparseCoeffs):
         return self.coeffs.get(d) or USeries.zero(0)
 
     def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        if not isinstance(other, TauOperator):
-            return NotImplemented
-        out = {}
+        if type(other) is not TauOperator:
+            return self.scale(other) if isinstance(other, RATIONAL_TYPES) else NotImplemented
+        pairs = {}
         for c, f in self.coeffs.items():
             for d, g in other.coeffs.items():
-                prod = f * g.shift(c)
-                e = c + d
-                out[e] = out[e] + prod if e in out else prod
-        return TauOperator(out)
+                pairs.setdefault(c + d, []).append((f, g.shift(c)))
+        return TauOperator({e: sum_of_products(p) for e, p in pairs.items()})
 
     def __repr__(self):
         if not self.coeffs:

@@ -9,7 +9,9 @@ generating-matrix legs; shift operators for the tau calculus.
 Entry products never reorder factors, so matrices with noncommutative
 entries multiply correctly.  `trace_of_product` is the same for plain n x n
 matrices given as lists of rows (power sums, Gelfand invariants, Capelli
-polynomials).
+polynomials).  Each entry of a product is one `series.sum_of_products` over
+its pairs of entries, so series entries accumulate their coefficients in
+place instead of building a series per pair.
 
 The trace oracles multiply legs by the integral k!*A_k, k!*S_k
 (`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
@@ -21,7 +23,7 @@ from itertools import permutations
 from math import factorial
 
 from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational
-from .series import USeries
+from .series import USeries, sum_of_products
 
 
 class RingSpec:
@@ -350,27 +352,22 @@ def t_product(shifts, N, ctx, left=None, legs=None, right=None):
 # products and traces
 
 def tm_mul(a, b):
-    """Matrix product; entry order is preserved (left entry first)."""
+    """Matrix product; entry order is preserved (left entry first).  Each
+    output entry is one `sum_of_products` over its pairs of entries."""
     _check_shape(a, b)
     ring = b.ring if a.ring.rational else a.ring
     rows_out = {}
     brows = b.rows
     for r, row_a in a.rows.items():
-        acc = {}
+        pairs = {}
         for mid, va in row_a.items():
-            row_b = brows.get(mid)
-            if not row_b:
-                continue
-            for c, vb in row_b.items():
-                p = va * vb
-                if not p:
-                    continue
-                s = acc.get(c)
-                s = p if s is None else s + p
-                if s:
-                    acc[c] = s
-                elif c in acc:
-                    del acc[c]
+            for c, vb in brows.get(mid, {}).items():
+                pairs.setdefault(c, []).append((va, vb))
+        acc = {}
+        for c, entry_pairs in pairs.items():
+            s = sum_of_products(entry_pairs)
+            if s:
+                acc[c] = s
         if acc:
             rows_out[r] = acc
     return TensorMatrix(a.n, a.k, rows_out, ring)
@@ -394,11 +391,7 @@ def trace_of_product(mats):
 
 def _dot(row, M, j):
     """Entry j of the row vector `row` times M."""
-    acc = None
-    for a, m_row in zip(row, M):
-        p = a * m_row[j]
-        acc = p if acc is None else acc + p
-    return acc
+    return sum_of_products((a, m_row[j]) for a, m_row in zip(row, M))
 
 
 def trace_full(a):

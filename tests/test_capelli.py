@@ -3,7 +3,7 @@ import random
 import pytest
 
 from yangsym.rationals import Q
-from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, rising_factorial
+from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, factorial_power
 from yangsym import pbw
 from yangsym.pbw import gl_context, yangian_context
 from yangsym.symfun import (composition_sum, composition_weights, elem_e, h_minus,
@@ -86,7 +86,7 @@ def test_ev_p_bridge_explicit():
     # ev(p^+_2(u)) * (u rising 2) reproduces tr((E+u)(E+u+1)) term by term
     N = 4
     plus = ev_hom(power_p(2, +1, 2, N))
-    lhs = plus * rising_factorial(UPolynomial.variable(), 2).to_series(2, N)
+    lhs = plus * factorial_power(UPolynomial.variable(), 2, 1).to_series(2, N)
     rhs = capelli_p(2, 2).to_series(2, N)
     assert lhs == rhs
 

@@ -53,3 +53,8 @@ def test_commands_load_only_the_layers_they_use(fresh_python, tmp_path):
     cold_e = _loaded(fresh_python, compute("e", "e.json"))
     assert "yangsym.symfun" in cold_e
     assert not {"yangsym.suites", "yangsym.capelli"} & cold_e
+
+
+def test_suites_import_loads_no_dataclasses(fresh_python):
+    # `dataclasses` brings inspect, ast and tokenize into every verify process
+    assert not _loaded(fresh_python, "import yangsym.suites") & {"dataclasses", "inspect"}

@@ -10,8 +10,7 @@ from yangsym.series import (
     SparseCoeffs,
     UPolynomial,
     USeries,
-    falling_factorial,
-    rising_factorial,
+    factorial_power,
 )
 from yangsym.tau import TauOperator
 from yangsym.pbw import AlgebraElement, gl_context, yangian_context
@@ -150,9 +149,12 @@ def test_tau_associative_and_inverse():
 
 def test_falling_factorial_examples():
     u = UPolynomial.variable()
-    assert falling_factorial(u, 2) == UPolynomial({2: 1, 1: -1})
-    assert falling_factorial(u, 0) == UPolynomial({0: 1})
-    assert rising_factorial(u, 3) == UPolynomial({3: 1, 2: 3, 1: 2})
+    assert factorial_power(u, 2, -1) == UPolynomial({2: 1, 1: -1})
+    assert factorial_power(u, 0, -1) == UPolynomial({0: 1})
+    assert factorial_power(u, 3, 1) == UPolynomial({3: 1, 2: 3, 1: 2})
+    assert factorial_power(u, 0, 1) == UPolynomial({0: 1})
+    with pytest.raises(ValueError):
+        factorial_power(u, -1, 1)
 
 
 def test_polynomial_shift_and_eval():
@@ -164,12 +166,12 @@ def test_polynomial_shift_and_eval():
         return sum(c * x ** e for e, c in q.coeffs.items())
 
     assert value_at(p, 5) == 20
-    assert value_at(falling_factorial(u, 3), 5) == 60
+    assert value_at(factorial_power(u, 3, -1), 5) == 60
 
 
 def test_polynomial_to_series():
     u = UPolynomial.variable()
-    p = rising_factorial(u, 2)  # u^2 + u
+    p = factorial_power(u, 2, 1)  # u^2 + u
     s = p.to_series(2, 4)
     assert s == series(4, (0, 1), (1, 1))
     with pytest.raises(ValueError):
