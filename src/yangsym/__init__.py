@@ -17,7 +17,7 @@ _EXPORTS = {
             "gl_context", "ugl_relations", "yangian_context", "yangian_relations"),
     "tensor": ("TensorMatrix", "antisymmetrizer", "b_factor", "fusion_step",
                "matrix_on_leg", "perm_op", "r_matrix", "symmetrizer", "t_leg", "tm_mul",
-               "trace_full", "trace_of_product", "trace_partial"),
+               "trace_full", "trace_of_product", "trace_partial", "trace_tm_mul"),
     "symfun": ("BetheTwist", "Composition", "Partition", "bethe_b", "composition_sum",
                "composition_weights", "compositions", "det_formulas", "e_tau", "elem_e",
                "gen_E", "gen_Hminus", "h_minus", "h_tau", "homog_h", "newton_check", "p_tau",

@@ -16,6 +16,9 @@ The checks stated for both e and h take the kind "e" or "h":
 `check_star_composition` reads the weights of `symfun.composition_weights`,
 and `ev_bridge` compares ev(e_k) or ev(h_k) with e*_k or h*_k.  A weight is
 a `HighestWeight` or anything its constructor accepts.
+
+e*_k, h*_k, p*_k at a weight and the images ev(e_k), ev(h_k) are built once
+per run, as entries of the family cache of `symfun`.
 """
 
 from itertools import combinations, combinations_with_replacement, islice
@@ -24,7 +27,7 @@ from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
 from .tensor import trace_of_product
-from .symfun import composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
+from .symfun import cached, composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
 
 
 class HighestWeight:
@@ -101,13 +104,14 @@ def _star_sum(subsets, k, n, offset):
 def shifted_e_star(k, n):
     """Sum over strict k-subsets i_1<...<i_k of
     (mu_{i_1}+u+k-1)(mu_{i_2}+u+k-2)...(mu_{i_k}+u)."""
-    return _star_sum(combinations, k, n, lambda t: k - t)
+    return cached(("e*", k, n), lambda: _star_sum(combinations, k, n, lambda t: k - t))
 
 
 def shifted_h_star(k, n):
     """Sum over weakly increasing i_1<=...<=i_k of
     (mu_{i_1}+u-k+1)(mu_{i_2}+u-k+2)...(mu_{i_k}+u)."""
-    return _star_sum(combinations_with_replacement, k, n, lambda t: t - k)
+    return cached(("h*", k, n),
+                  lambda: _star_sum(combinations_with_replacement, k, n, lambda t: t - k))
 
 
 def shifted_p_star(k, mu):
@@ -119,6 +123,10 @@ def shifted_p_star(k, mu):
     if k < 1:
         raise ValueError("k must be >= 1")
     mu = _weight(mu)
+    return cached(("p*", k, mu.mu), lambda: _p_star(k, mu))
+
+
+def _p_star(k, mu):
     u = UPolynomial.variable()
     acc = UPolynomial()
     for mi, gi in zip(mu.m_values(), mu.gammas()):
@@ -320,12 +328,17 @@ def ev_bridge(kind, k, n, N, mu):
     values at the given weight."""
     step = kind_step(kind)
     mu = _weight(mu)
-    family, star = (elem_e, shifted_e_star) if step < 0 else (homog_h, shifted_h_star)
-    img = ev_hom(family(k, n, N))
-    hw_series = img.map_coeffs(lambda c: hw_eigenvalue(c, mu))
+    star = shifted_e_star if step < 0 else shifted_h_star
+    hw_series = _ev_family(kind, k, n, N).map_coeffs(lambda c: hw_eigenvalue(c, mu))
     lhs = hw_series * factorial_power(UPolynomial.variable(), k, step).to_series(k, N)
     rhs = star(k, n).shift(step * (k - 1)).eval_mu(mu.mu).to_series(k, N)
     return lhs == rhs, (lhs, rhs)
+
+
+def _ev_family(kind, k, n, N):
+    """ev(e_k(u)) or ev(h_k(u)), built once per run in the family cache."""
+    family = elem_e if kind_step(kind) < 0 else homog_h
+    return cached(("ev", kind, k, n, N), lambda: ev_hom(family(k, n, N)))
 
 
 def ev_p_bridge(m, n, N):
@@ -342,5 +355,5 @@ def ev_p_bridge(m, n, N):
 def ev_hminus_bridge(m, n, N):
     """ev(h^-_m(u)) == ev(h_m(u)), exactly in U(gl_n)."""
     lhs = ev_hom(h_minus(m, n, N))
-    rhs = ev_hom(homog_h(m, n, N))
+    rhs = _ev_family("h", m, n, N)
     return lhs == rhs, (lhs, rhs)

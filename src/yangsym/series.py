@@ -193,20 +193,20 @@ class USeries(SparseCoeffs):
         a = demote(a)
         if not a:
             return self
-        N = self.order
-        out = {}
+        terms, out = {}, {}  # (power, context) -> element terms / power -> other
         for m, c in self.coeffs.items():
-            if m == 0:
-                out[0] = c
-                continue
-            p = 1
-            for j in range(0, N - m + 1):
-                q = binomial(m + j - 1, j) * p
-                if q:
-                    v = q * c
-                    out[m + j] = out[m + j] + v if m + j in out else v
-                p = p * (-a)
-        return USeries(N, out)
+            for j in range(self.order - m + 1 if m else 1):
+                q = binomial(m + j - 1, j) * (-a) ** j if m else 1
+                if type(c) is not AlgebraElement:
+                    out[m + j] = out[m + j] + q * c if m + j in out else q * c
+                    continue
+                t = terms.setdefault((m + j, c.ctx), {})
+                for w, x in c.terms.items():
+                    t[w] = t.get(w, 0) + q * x
+        for (m, ctx), t in terms.items():
+            v = AlgebraElement(ctx, ctx._apply_cap({w: x for w, x in t.items() if x}))
+            out[m] = out[m] + v if m in out else v
+        return USeries(self.order, out)
 
     def first_difference(self, other):
         """(m, lhs, rhs) for the first differing coefficient, or None."""

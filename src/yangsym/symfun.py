@@ -30,6 +30,7 @@ determinants from one builder (`_hessenberg_det`), and `schur_s` fills one
 Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 """
 
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
@@ -43,12 +44,11 @@ from .tensor import (
     permutation_sum,
     r_chain,
     t_leg,
-    t_product,
     t_series,
     t_table,
     tm_mul,
-    trace_full,
     trace_of_product,
+    trace_tm_mul,
 )
 
 
@@ -180,16 +180,25 @@ class BetheTwist:
 _CACHE = {}
 
 
-def _cached(key, builder):
+def cached(key, builder):
+    """The value of `key` in the family cache, built by `builder()` on a miss.
+    A builder that raises stores nothing.  Values are shared between callers
+    and never modified in place."""
     val = _CACHE.get(key)
     if val is None:
         val = _CACHE[key] = builder()
     return val
 
 
+# bench/tracer.py wraps the family cache by this name (and rebinds every
+# module attribute bound to the same function), so the name stays until the
+# benchmark changes.
+_cached = cached
+
+
 def cached_projector(kind, k, n):
     """k!*A_k (kind "A") or k!*S_k (kind "S") on (C^n)^{tensor k}, int entries."""
-    return _cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
+    return cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
 
 
 def _check_n(n):
@@ -242,7 +251,7 @@ def _minor_sum(kind, k, n, N):
         return sum((_quantum_minor(a, a, step, step < 0, n, N)
                     for a in index_sets(range(1, n + 1), k)), USeries.zero(N))
 
-    return _cached((kind, n, k, N), build)
+    return cached((kind, n, k, N), build)
 
 
 def elem_e(k, n, N):
@@ -273,7 +282,7 @@ def power_p(k, sign, n, N):
         ctx = yangian_context(n)
         return trace_of_product([t_table(ctx, sign * s, N) for s in range(k)])
 
-    return _cached(("p", n, k, sign, N), build)
+    return cached(("p", n, k, sign, N), build)
 
 
 # ---------------------------------------------------------------------------
@@ -296,33 +305,29 @@ def p_tau(k, sign, n, N):
 
 def _tau_trace(left, d, legs, k, n, N):
     """(1/k!) tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k
-    legs, left k! times a projector (None on one leg), in the shift-operator
-    calculus, not the closed forms; an oracle for e_tau, h_tau and p_tau."""
+    legs, left k! times a projector (the identity on one leg), in the
+    shift-operator calculus, not the closed forms; an oracle for e_tau, h_tau
+    and p_tau.  Of the product with the last leg only the diagonal is formed."""
     ctx = yangian_context(n)
     ring = RingSpec(TauOperator.zero())
-    acc = left
-    for s in legs:
-        leg = t_leg(s, 0, k, N, ctx)
-        tau_leg = TensorMatrix(n, k, {
-            r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
-            for r, row in leg.rows.items()}, ring)
-        acc = tau_leg if acc is None else tm_mul(acc, tau_leg)
-    return trace_full(acc).scale(Q(1, factorial(k)))
+    tau_legs = [TensorMatrix(n, k, {
+        r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
+        for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, ring) for s in legs]
+    tr = trace_tm_mul(reduce(tm_mul, tau_legs[:-1], left), tau_legs[-1])
+    return tr.scale(Q(1, factorial(k)))
 
 
-def e_tau_direct(k, n, N):
-    """tr(A_k ((T(u) tau^{-1})_1 ... (T(u) tau^{-1})_k))."""
-    return _tau_trace(cached_projector("A", k, n), -1, range(1, k + 1), k, n, N)
-
-
-def h_tau_direct(k, n, N):
-    """tr(S_k ((T(u) tau^{+1})_1 ... (T(u) tau^{+1})_k))."""
-    return _tau_trace(cached_projector("S", k, n), 1, range(1, k + 1), k, n, N)
+def tau_direct(kind, k, n, N):
+    """tr(A_k (T(u) tau^{-1})_1 ... (T(u) tau^{-1})_k) for kind "e", or
+    tr(S_k (T(u) tau^{+1})_1 ... (T(u) tau^{+1})_k) for kind "h"."""
+    step = kind_step(kind)
+    proj = cached_projector("A" if step < 0 else "S", k, n)
+    return _tau_trace(proj, step, range(1, k + 1), k, n, N)
 
 
 def p_tau_direct(k, sign, n, N):
     """tr((T(u) tau^{sign})^k) on a single leg."""
-    return _tau_trace(None, sign, [1] * k, 1, n, N)
+    return _tau_trace(TensorMatrix.identity(n, 1), sign, [1] * k, 1, n, N)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +366,9 @@ def prop_eB_traces(k, variant, n, N):
     3: tr(A_k  T_1(u)...T_k(u+k-1))    -> e_k(u+k-1)
     4: tr(S_k  T_1(u)...T_k(u-k+1))    -> h_k(u-k+1)
 
-    The legs are multiplied by the integral k! times B^-_k, B^+_k, A_k or
-    S_k, and the trace is divided by k! once.
+    The integral k! times B^-_k, B^+_k, A_k or S_k is multiplied by every
+    leg but the last, the trace is taken against the last leg (forming only
+    the diagonal of that product), and divided by k! once.
     """
     if variant in (1, 2):
         sign = -1 if variant == 1 else +1
@@ -372,7 +378,9 @@ def prop_eB_traces(k, variant, n, N):
     else:
         raise ValueError("variant must be 1..4")
     shifts = [-s if variant in (1, 4) else s for s in range(k)]
-    tr = trace_full(t_product(shifts, N, yangian_context(n), left=left))
+    ctx = yangian_context(n)
+    legs = [t_leg(s, a, k, N, ctx) for s, a in enumerate(shifts, start=1)]
+    tr = trace_tm_mul(reduce(tm_mul, legs[:-1], left), legs[-1])
     return tr.scale(Q(1, factorial(k)))
 
 
@@ -533,7 +541,7 @@ def h_minus(m, n, N):
                                lambda i, j: power_p(i - j + 1, -1, n, N).shift(i - 1),
                                n, N).scale(Q(1, factorial(m)))
 
-    return _cached(("h_minus", n, m, N), build)
+    return cached(("h_minus", n, m, N), build)
 
 
 def h_minus_from_inverse(m, n, N):

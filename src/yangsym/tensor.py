@@ -7,11 +7,13 @@ R-matrices and (anti)symmetrizers; series over an algebra for products of
 generating-matrix legs; shift operators for the tau calculus.
 
 Entry products never reorder factors, so matrices with noncommutative
-entries multiply correctly.  `trace_of_product` is the same for plain n x n
-matrices given as lists of rows (power sums, Gelfand invariants, Capelli
-polynomials).  Each entry of a product is one `series.sum_of_products` over
-its pairs of entries, so series entries accumulate their coefficients in
-place instead of building a series per pair.
+entries multiply correctly.  `trace_tm_mul` is tr(a b) formed from the
+diagonal pairs only, and `trace_of_product` does the same for the last
+product of plain n x n matrices given as lists of rows (power sums, Gelfand
+invariants, Capelli polynomials).  Each entry of a product is one
+`series.sum_of_products` over its pairs of entries, so series entries
+accumulate their coefficients in place instead of building a series per
+pair.
 
 The trace oracles multiply legs by the integral k!*A_k, k!*S_k
 (`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
@@ -371,6 +373,20 @@ def tm_mul(a, b):
         if acc:
             rows_out[r] = acc
     return TensorMatrix(a.n, a.k, rows_out, ring)
+
+
+def trace_tm_mul(a, b):
+    """tr(a b) without forming the product: one `sum_of_products` over the
+    pairs a[r][mid] * b[mid][r], left entry first; the ring's zero when no
+    pair meets."""
+    _check_shape(a, b)
+    brows = b.rows
+    tr = sum_of_products((va, vb) for r, row_a in a.rows.items()
+                         for mid, va in row_a.items()
+                         if (vb := brows.get(mid, {}).get(r)) is not None)
+    if tr is not None:
+        return tr
+    return (b.ring if a.ring.rational else a.ring).zero
 
 
 def trace_of_product(mats):

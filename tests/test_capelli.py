@@ -4,10 +4,11 @@ import pytest
 
 from yangsym.rationals import Q
 from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, factorial_power
-from yangsym import pbw
+from yangsym import capelli, pbw, symfun
 from yangsym.pbw import gl_context, yangian_context
+from yangsym.suites import SuiteConfig, run_suites
 from yangsym.symfun import (composition_sum, composition_weights, elem_e, h_minus,
-                            homog_h, newton_check, power_p)
+                            homog_h, newton_check, power_p, tau_direct)
 from yangsym.capelli import (
     HighestWeight,
     capelli_p,
@@ -263,8 +264,9 @@ def test_star_compositions_at_sample_weight():
     lambda kind: newton_check(2, kind, 2, 3),
     lambda kind: check_star_composition(kind, 2, (1, 0)),
     lambda kind: ev_bridge(kind, 1, 2, 3, (1, 0)),
+    lambda kind: tau_direct(kind, 1, 2, 3),
 ], ids=["composition_weights", "composition_sum", "newton_check",
-        "check_star_composition", "ev_bridge"])
+        "check_star_composition", "ev_bridge", "tau_direct"])
 def test_unknown_kind_is_a_value_error(call, kind):
     with pytest.raises(ValueError, match="kind must be 'e' or 'h'"):
         call(kind)
@@ -328,3 +330,82 @@ def test_defining_rep_value_is_multiplicative(n, seed):
     x, y = _random_gl_element(gl, n, rng), _random_gl_element(gl, n, rng)
     assert defining_rep_value(x * y) == _rational_matmul(defining_rep_value(x),
                                                          defining_rep_value(y))
+
+
+# -- the shifted functions and evaluation images are built once per run -----------
+
+_CACHED_SUITES = ["shifted-identities", "capelli-bridge"]
+
+
+def _records(cfg):
+    out = []
+    for r in run_suites(_CACHED_SUITES, cfg):
+        rec = r.jsonable()
+        del rec["wall_time"]
+        out.append(rec)
+    return out
+
+
+def test_cached_values_give_the_records_of_fresh_builds(monkeypatch):
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    cfg = SuiteConfig(n=2, order=4)
+    cold = _records(cfg)
+    warm = _records(cfg)
+    symfun._CACHE.clear()
+    cleared = _records(cfg)
+    assert cold == warm == cleared
+    assert all(rec["status"] == "pass" for rec in cold)
+
+
+def test_p_star_weights_share_one_cache_entry(monkeypatch):
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    values = [shifted_p_star(2, [2, 1]), shifted_p_star(2, HighestWeight((2, 1))),
+              shifted_p_star(2, (Q(2), 1))]
+    assert values[0] is values[1] is values[2]
+    assert list(symfun._CACHE) == [("p*", 2, (2, 1))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shifted_p_star(0, (2, 1)),
+    lambda: shifted_p_star(2, (1, 2)),
+    lambda: shifted_p_star(2, (Q(1, 2), 0)),
+    lambda: shifted_e_star(-1, 2),
+    lambda: shifted_h_star(-1, 2),
+], ids=["p_k0", "p_increasing", "p_nonintegral", "e_negative", "h_negative"])
+def test_bad_shifted_arguments_cache_nothing(call):
+    keys = set(symfun._CACHE)
+    with pytest.raises(ValueError):
+        call()
+    assert set(symfun._CACHE) == keys
+
+
+def test_one_run_builds_each_shifted_value_and_evaluation_image_once(monkeypatch):
+    """Build counts of the uncached builders in one shifted-identities plus
+    capelli-bridge run at n = 2: 32 distinct (k, weight) for p*, k = 0..4
+    for e* and h*, and ev(e_k), ev(h_k) for k <= 3."""
+    monkeypatch.setattr(symfun, "_CACHE", {})
+    star_sum, p_star, ev = capelli._star_sum, capelli._p_star, capelli.ev_hom
+    stars, p_builds, series_images = [], [], []
+
+    def counting_star_sum(subsets, *args):
+        stars.append(subsets)
+        return star_sum(subsets, *args)
+
+    def counting_p_star(*args):
+        p_builds.append(args)
+        return p_star(*args)
+
+    def counting_ev_hom(x):
+        if isinstance(x, USeries):
+            series_images.append(x)
+        return ev(x)
+
+    monkeypatch.setattr(capelli, "_star_sum", counting_star_sum)
+    monkeypatch.setattr(capelli, "_p_star", counting_p_star)
+    monkeypatch.setattr(capelli, "ev_hom", counting_ev_hom)
+    run_suites(_CACHED_SUITES, SuiteConfig(n=2, order=4))
+    assert len(p_builds) == 32
+    assert stars.count(capelli.combinations) == 5
+    assert stars.count(capelli.combinations_with_replacement) == 5
+    families = [f(k, 2, 4) for f in (elem_e, homog_h) for k in (1, 2, 3)]
+    assert sum(any(x is f for f in families) for x in series_images) == 6

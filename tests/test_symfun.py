@@ -19,6 +19,7 @@ from yangsym.tensor import (
     t_product,
     tm_mul,
     trace_full,
+    trace_tm_mul,
 )
 from yangsym.symfun import (
     BetheTwist,
@@ -31,14 +32,12 @@ from yangsym.symfun import (
     compositions,
     det_formulas,
     e_tau,
-    e_tau_direct,
     elem_e,
     gen_E,
     gen_Hminus,
     h_minus,
     h_minus_from_inverse,
     h_tau,
-    h_tau_direct,
     homog_h,
     newton_check,
     p_tau,
@@ -47,6 +46,7 @@ from yangsym.symfun import (
     prop_eB_traces,
     rdet,
     schur_s,
+    tau_direct,
     unit_series,
 )
 
@@ -136,10 +136,10 @@ def test_p_matches_the_one_leg_chain(k, n, sign):
 # -- shift-operator forms ------------------------------------------------------
 
 def test_tau_forms_match_direct_evaluation():
-    assert e_tau_direct(2, 2, N2) == e_tau(2, 2, N2)
-    assert h_tau_direct(2, 2, N2) == h_tau(2, 2, N2)
-    assert e_tau_direct(3, 2, N2) == e_tau(3, 2, N2)
-    assert h_tau_direct(3, 2, N2) == h_tau(3, 2, N2)
+    assert tau_direct("e", 2, 2, N2) == e_tau(2, 2, N2)
+    assert tau_direct("h", 2, 2, N2) == h_tau(2, 2, N2)
+    assert tau_direct("e", 3, 2, N2) == e_tau(3, 2, N2)
+    assert tau_direct("h", 3, 2, N2) == h_tau(3, 2, N2)
     assert p_tau_direct(2, -1, 2, N2) == p_tau(2, -1, 2, N2)
     assert p_tau_direct(2, +1, 2, N2) == p_tau(2, +1, 2, N2)
 
@@ -197,14 +197,14 @@ def test_b_rejects_twist_of_the_wrong_size(size, n):
 def e_by_trace(k, n, N):
     """tr(A_k T_1(u) T_2(u-1) ... T_k(u-k+1)) on (C^n)^{tensor k}."""
     A = cached_projector("A", k, n)
-    tr = trace_full(t_product([-s for s in range(k)], N, yangian_context(n), left=A))
+    tr = trace_tm_mul(A, t_product([-s for s in range(k)], N, yangian_context(n)))
     return tr.scale(Q(1, factorial(k)))
 
 
 def h_by_trace(k, n, N):
     """tr(S_k T_1(u) T_2(u+1) ... T_k(u+k-1)) on (C^n)^{tensor k}."""
     S = cached_projector("S", k, n)
-    tr = trace_full(t_product(list(range(k)), N, yangian_context(n), left=S))
+    tr = trace_tm_mul(S, t_product(list(range(k)), N, yangian_context(n)))
     return tr.scale(Q(1, factorial(k)))
 
 

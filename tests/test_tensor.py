@@ -1,12 +1,15 @@
+from functools import reduce
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangsym.rationals import Q, binomial
-from yangsym.series import USeries
+from yangsym.rationals import Q, QZERO, binomial
+from yangsym.series import USeries, sum_of_products
+from yangsym.tau import TauOperator
 from yangsym.pbw import free_context, yangian_context
 from yangsym.tensor import (
+    RingSpec,
     TensorMatrix,
     algebra_ring,
     antisymmetrizer,
@@ -21,6 +24,7 @@ from yangsym.tensor import (
     tm_mul,
     trace_full,
     trace_partial,
+    trace_tm_mul,
 )
 
 
@@ -298,3 +302,89 @@ def test_operations_keep_the_stored_form(pair, data):
         _assert_pruned(m)
     assert (a - a).is_zero() and (a - a).equal(TensorMatrix(n, k))
     assert a.equal(b) == _entrywise_equal(a, b) == (a - b).is_zero()
+
+
+# -- the trace of a product from its diagonal pairs -------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(pair=_matrix_pairs())
+def test_trace_tm_mul_of_rational_matrices(pair):
+    a, b = pair
+    assert trace_tm_mul(a, b) == trace_full(tm_mul(a, b))
+
+
+def _free_series_leg(fc, s, k, n, N):
+    """A leg on k legs whose entry (i, j) holds at each u^{-m}, m >= 1, a
+    generator of the free algebra fc of its own, so no two entries commute."""
+    first = (s - 1) * N * n * n
+    M = [[USeries(N, {m: fc.gen(first + (m - 1) * n * n + i * n + j) for m in range(1, N + 1)})
+          for j in range(n)] for i in range(n)]
+    return matrix_on_leg(M, s, k, RingSpec(USeries.zero(N)))
+
+
+def _swapped_trace(a, b):
+    """sum of b[mid][r] * a[r][mid]: the diagonal pairs with the factors swapped."""
+    return sum_of_products((b.entry(mid, r), va) for r, row in a.rows.items()
+                           for mid, va in row.items() if b.entry(mid, r))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_trace_tm_mul_keeps_the_factor_order_of_noncommuting_series(k):
+    n, N = 2, 2
+    fc = free_context(k * N * n * n)
+    legs = [_free_series_leg(fc, s, k, n, N) for s in range(1, k + 1)]
+    a = reduce(tm_mul, legs[:-1], antisymmetrizer(k, n))
+    tr = trace_tm_mul(a, legs[-1])
+    assert tr == trace_full(tm_mul(a, legs[-1]))
+    assert tr != _swapped_trace(a, legs[-1])  # the entries do not commute
+    # a rational factor on the right
+    S = symmetrizer(k, n)
+    assert trace_tm_mul(tm_mul(a, legs[-1]), S) == trace_full(tm_mul(tm_mul(a, legs[-1]), S))
+
+
+def test_trace_tm_mul_of_yangian_legs():
+    n, N, k = 2, 3, 2
+    ctx = yangian_context(n)
+    a = tm_mul(antisymmetrizer(k, n), t_leg(1, 0, k, N, ctx))
+    b = t_leg(2, -1, k, N, ctx)
+    tr = trace_tm_mul(a, b)
+    assert tr == trace_full(tm_mul(a, b)) == trace_full(t_product([0, -1], N, ctx,
+                                                                   left=antisymmetrizer(k, n)))
+
+
+def test_trace_tm_mul_of_shift_operators():
+    n, N, k = 2, 3, 2
+    ctx = yangian_context(n)
+    ring = RingSpec(TauOperator.zero())
+
+    def tau_leg(s, d):
+        return TensorMatrix(n, k, {
+            r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
+            for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, ring)
+
+    for d in (-1, 1):
+        a = tm_mul(antisymmetrizer(k, n), tau_leg(1, d))
+        tr = trace_tm_mul(a, tau_leg(2, d))
+        assert isinstance(tr, TauOperator) and tr
+        assert tr == trace_full(tm_mul(a, tau_leg(2, d)))
+
+
+@pytest.mark.parametrize("zero,one", [
+    (QZERO, 1),
+    (USeries.zero(3), USeries.const(1, 3)),
+    (TauOperator.zero(), TauOperator.from_series(USeries.const(1, 3), 1)),
+], ids=["rational", "series", "tau"])
+def test_trace_tm_mul_without_diagonal_pairs_is_the_ring_zero(zero, one):
+    ring = RingSpec(zero, rational=zero is QZERO)
+    empty = TensorMatrix(2, 2, ring=ring)
+    corner = TensorMatrix(2, 2, {0: {1: one}}, ring)  # a[0][1]; b has no row 1 back to 0
+    for a, b in ((empty, empty), (TensorMatrix.identity(2, 2), empty), (corner, corner)):
+        tr = trace_tm_mul(a, b)
+        assert type(tr) is type(zero) and tr == zero == trace_full(tm_mul(a, b))
+        if isinstance(zero, USeries):
+            assert tr.order == zero.order
+
+
+def test_trace_tm_mul_shape_mismatch():
+    with pytest.raises(ValueError):
+        trace_tm_mul(TensorMatrix.identity(2, 2), TensorMatrix.identity(2, 3))
