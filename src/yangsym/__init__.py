@@ -17,11 +17,11 @@ _EXPORTS = {
             "gl_context", "ugl_relations", "yangian_context", "yangian_relations"),
     "tensor": ("TensorMatrix", "antisymmetrizer", "b_factor", "fusion_step",
                "matrix_on_leg", "perm_op", "r_matrix", "symmetrizer", "t_leg", "tm_mul",
-               "trace_full", "trace_of_product", "trace_partial", "trace_tm_mul"),
+               "trace_full", "trace_of_product", "trace_partial"),
     "symfun": ("BetheTwist", "Composition", "Partition", "bethe_b", "composition_sum",
-               "composition_weights", "compositions", "det_formulas", "e_tau", "elem_e",
-               "gen_E", "gen_Hminus", "h_minus", "h_tau", "homog_h", "newton_check", "p_tau",
-               "power_p", "prop_eB_traces", "rdet", "schur_s"),
+               "composition_weights", "compositions", "det_formulas", "elem_e",
+               "gen_E", "gen_Hminus", "h_minus", "homog_h", "newton_check", "p_tau",
+               "power_p", "prop_eB_traces", "rdet", "schur_s", "tau_form"),
     "capelli": ("HighestWeight", "capelli_p", "defining_rep_value", "ev_hom",
                 "hw_eigenvalue", "pp_eigen_trEk", "shifted_e_star", "shifted_h_star",
                 "shifted_p_star", "tr_E_power"),

@@ -26,7 +26,7 @@ from itertools import combinations, combinations_with_replacement, islice
 from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
-from .tensor import trace_of_product
+from .tensor import matrix_on_leg, trace_of_product
 from .symfun import cached, composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
 
 
@@ -180,9 +180,10 @@ def ev_hom(x):
 
 
 def gl_matrix(n):
-    """The n x n matrix of generators as a list of rows of AlgebraElements."""
+    """The n x n matrix E of generators, a one-leg matrix over U(gl_n)."""
     gl = gl_context(n)
-    return [[gl.e(i, j) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    idx = range(1, n + 1)
+    return matrix_on_leg([[gl.e(i, j) for j in idx] for i in idx], 1, 1, gl.zero())
 
 
 def tr_E_power(k, n):
@@ -203,9 +204,10 @@ def capelli_p(m, n):
     one = gl_context(n).one()
 
     def shifted_E(c):
-        """E + u + c with entries linear in u."""
-        return [[UPolynomial({0: e + c, 1: one} if i == j else {0: e})
-                 for j, e in enumerate(row)] for i, row in enumerate(E)]
+        """E + u + c, a one-leg matrix with entries linear in u."""
+        return matrix_on_leg([[UPolynomial({0: E.entry(i, j) + c, 1: one} if i == j
+                                           else {0: E.entry(i, j)}) for j in range(n)]
+                              for i in range(n)], 1, 1, UPolynomial())
 
     return trace_of_product([shifted_E(c) for c in range(m)])
 

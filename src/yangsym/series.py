@@ -18,9 +18,10 @@ minimum of the two orders, so every stored coefficient of a result is fully
 determined.
 
 One kernel, `sum_of_products(pairs)`, forms every product of series:
-`USeries.__mul__` is one pair, and the entries of `tensor.tm_mul`, the
-traces of `tensor.trace_of_product`, the degrees of `TauOperator.__mul__`
-and the row expansions of `symfun` are many.  It multiplies element
+`USeries.__mul__` is one pair, and the entries of `tensor.tm_mul` (every
+matrix product, n x n ones included), the diagonal of the last product in
+`tensor.trace_of_product`, the degrees of `TauOperator.__mul__` and the row
+expansions of `symfun` are many.  It multiplies element
 coefficients straight into one term dict per power of u^{-1}.
 """
 

@@ -15,6 +15,7 @@ candidate closed form, and passes on internal consistency of the ratio.
 
 import random
 import time
+from functools import reduce
 from itertools import combinations_with_replacement
 from math import factorial
 
@@ -30,14 +31,13 @@ from .pbw import (
     encode_e,
 )
 from .tensor import (
-    algebra_ring,
     antisymmetrizer,
     symmetrizer,
     fusion_step,
     matrix_on_leg,
     perm_op,
     r_matrix,
-    t_product,
+    t_leg,
     tm_mul,
     trace_full,
     trace_of_product,
@@ -49,17 +49,16 @@ from .symfun import (
     cached_projector,
     composition_sum,
     det_formulas,
-    e_tau,
     elem_e,
     gen_E,
     gen_Hminus,
     h_minus,
     h_minus_from_inverse,
-    h_tau,
     homog_h,
     newton_check,
     power_p,
     schur_s,
+    tau_form,
     unit_series,
 )
 from .capelli import (
@@ -289,14 +288,18 @@ def suite_intertwining(cfg):
         for k in range(1, kmax + 1):
             for name, proj, step in (("antisym", "A", -1), ("sym", "S", 1)):
                 P = cached_projector(proj, k, n)
-                shifts = [step * s for s in range(k)]
                 rep.run(f"{name}_intertwine", "projector_intertwining",
                         {"n": n, "k": k, "order": N},
-                        lambda P=P, shifts=shifts, k=k, ctx=ctx:
-                        t_product(shifts, N, ctx, left=P).equal(
-                            t_product(shifts[::-1], N, ctx, legs=range(k, 0, -1), right=P)),
+                        lambda P=P, step=step, k=k, ctx=ctx:
+                        _intertwines(P, [t_leg(s, step * (s - 1), k, N, ctx)
+                                         for s in range(1, k + 1)]),
                         determined_order=N)
     return rep.records
+
+
+def _intertwines(P, legs):
+    """P T_1 ... T_k equals T_k ... T_1 P, as whole matrices."""
+    return reduce(tm_mul, [P, *legs]).equal(reduce(tm_mul, [*legs[::-1], P]))
 
 
 def suite_eb_traces(cfg):
@@ -346,11 +349,11 @@ def suite_composition(cfg):
     N = cfg.order or 5
     kmax = cfg.max_k or 4
     for k in range(1, kmax + 1):
-        for kind, tau_form in (("e", e_tau), ("h", h_tau)):
+        for kind in ("e", "h"):
             rep.run(f"composition_{kind}_k{k}", f"power_sum_composition_{kind}",
                     {"n": n, "order": N, "k": k},
-                    lambda k=k, kind=kind, tau_form=tau_form:
-                    check_tau(composition_sum(k, kind, n, N), tau_form(k, n, N)),
+                    lambda k=k, kind=kind:
+                    check_tau(composition_sum(k, kind, n, N), tau_form(kind, k, n, N)),
                     determined_order=N)
     return rep.records
 
@@ -777,7 +780,7 @@ def _check_trace_lemma(n):
     the plain product X1 X2...Xk, for generic noncommutative matrices, k <= 4."""
     for k in range(2, 5):
         fc = free_context(k * n * n)
-        ring = algebra_ring(fc)
+        zero = fc.zero()
         mats = [[[fc.gen((t * n + i) * n + j) for j in range(n)] for i in range(n)]
                 for t in range(k)]
         left = None
@@ -786,8 +789,8 @@ def _check_trace_lemma(n):
             left = P if left is None else tm_mul(left, P)
         acc = left
         for s, M in enumerate(mats, start=1):
-            acc = tm_mul(acc, matrix_on_leg(M, s, k, ring))
-        if trace_full(acc) != trace_of_product(mats):
+            acc = tm_mul(acc, matrix_on_leg(M, s, k, zero))
+        if trace_full(acc) != trace_of_product([matrix_on_leg(M, 1, 1, zero) for M in mats]):
             return False
     return True
 

@@ -8,7 +8,8 @@ operator; and Jacobi-Trudi style Schur series.
 Each e/h pair is one body that takes the kind "e" or "h" and reads the
 differences as data from `kind_step`: the u-shift step (-1 or +1), strict or
 weak index sets, and signed minors or permanents.  `composition_weights`
-gives the power-sum weights of both kinds.
+gives the power-sum weights of both kinds, and `tau_form` attaches e_k or
+h_k to its tau degree.
 
 Everything is computed in the exact engine: series coefficients are
 AlgebraElements of the Yangian (one context per n, see `pbw`), and
@@ -20,7 +21,9 @@ projector times ordered products of generating-matrix legs.  They are built
 from products of generating-matrix entries instead: e_k as a sum of quantum
 minors, h_k as a sum of quantum permanents, and b_k as quantum minors paired
 with the complementary minors of the twist.  The trace definitions stay as
-independent oracles (`prop_eB_traces`, the tau forms, the suites and tests).
+independent oracles (`prop_eB_traces`, `tau_direct`, the suites and tests).
+The power sums are traces of plain matrix products, built as
+`tensor.trace_of_product` of one-leg generating matrices.
 
 The determinant layer is one memoized row expansion (`_row_expansion`):
 `rdet` is its signed form over the columns of a matrix, and the quantum
@@ -30,7 +33,6 @@ determinants from one builder (`_hessenberg_det`), and `schur_s` fills one
 Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 """
 
-from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
@@ -38,18 +40,7 @@ from .rationals import Q, QONE, as_rational
 from .series import USeries, sum_of_products
 from .tau import TauOperator
 from .pbw import yangian_context
-from .tensor import (
-    TensorMatrix,
-    RingSpec,
-    permutation_sum,
-    r_chain,
-    t_leg,
-    t_series,
-    t_table,
-    tm_mul,
-    trace_of_product,
-    trace_tm_mul,
-)
+from .tensor import TensorMatrix, permutation_sum, r_chain, t_leg, t_series, trace_of_product
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +271,7 @@ def power_p(k, sign, n, N):
 
     def build():
         ctx = yangian_context(n)
-        return trace_of_product([t_table(ctx, sign * s, N) for s in range(k)])
+        return trace_of_product([t_leg(1, sign * s, 1, N, ctx) for s in range(k)])
 
     return cached(("p", n, k, sign, N), build)
 
@@ -288,14 +279,12 @@ def power_p(k, sign, n, N):
 # ---------------------------------------------------------------------------
 # shift-operator forms
 
-def e_tau(k, n, N):
-    """e_k(u) attached to tau^{-k}."""
-    return TauOperator.from_series(elem_e(k, n, N), -k)
-
-
-def h_tau(k, n, N):
-    """h_k(u) attached to tau^{+k}."""
-    return TauOperator.from_series(homog_h(k, n, N), k)
+def tau_form(kind, k, n, N):
+    """e_k(u) attached to tau^{-k} for kind "e", or h_k(u) attached to
+    tau^{+k} for kind "h"; `tau_direct` is its oracle."""
+    step = kind_step(kind)
+    family = elem_e if step < 0 else homog_h
+    return TauOperator.from_series(family(k, n, N), step * k)
 
 
 def p_tau(k, sign, n, N):
@@ -306,15 +295,13 @@ def p_tau(k, sign, n, N):
 def _tau_trace(left, d, legs, k, n, N):
     """(1/k!) tr(left (T(u) tau^d)_{legs[0]} ... (T(u) tau^d)_{legs[-1]}) on k
     legs, left k! times a projector (the identity on one leg), in the
-    shift-operator calculus, not the closed forms; an oracle for e_tau, h_tau
+    shift-operator calculus, not the closed forms; an oracle for `tau_form`
     and p_tau.  Of the product with the last leg only the diagonal is formed."""
     ctx = yangian_context(n)
-    ring = RingSpec(TauOperator.zero())
     tau_legs = [TensorMatrix(n, k, {
         r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
-        for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, ring) for s in legs]
-    tr = trace_tm_mul(reduce(tm_mul, tau_legs[:-1], left), tau_legs[-1])
-    return tr.scale(Q(1, factorial(k)))
+        for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, TauOperator.zero()) for s in legs]
+    return trace_of_product([left, *tau_legs]).scale(Q(1, factorial(k)))
 
 
 def tau_direct(kind, k, n, N):
@@ -380,8 +367,7 @@ def prop_eB_traces(k, variant, n, N):
     shifts = [-s if variant in (1, 4) else s for s in range(k)]
     ctx = yangian_context(n)
     legs = [t_leg(s, a, k, N, ctx) for s, a in enumerate(shifts, start=1)]
-    tr = trace_tm_mul(reduce(tm_mul, legs[:-1], left), legs[-1])
-    return tr.scale(Q(1, factorial(k)))
+    return trace_of_product([left, *legs]).scale(Q(1, factorial(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,14 +404,13 @@ def newton_check(m, kind, n, N):
     if m < 1:
         raise ValueError("m must be >= 1")
     step = kind_step(kind)
-    family = e_tau if step < 0 else h_tau
     lhs = None
     for k in range(m):
-        term = family(k, n, N) * p_tau(m - k, step, n, N)
+        term = tau_form(kind, k, n, N) * p_tau(m - k, step, n, N)
         if step ** (m - k - 1) < 0:
             term = -term
         lhs = term if lhs is None else lhs + term
-    rhs = family(m, n, N).scale(m)
+    rhs = tau_form(kind, m, n, N).scale(m)
     return (lhs == rhs, lhs, rhs)
 
 
@@ -561,7 +546,7 @@ def gen_E(n, N):
     _check_n(n)
     acc = TauOperator.zero()
     for k in range(n + 1):
-        acc = acc + e_tau(k, n, N).scale(Q((-1) ** k))
+        acc = acc + tau_form("e", k, n, N).scale(Q((-1) ** k))
     return acc
 
 

@@ -4,16 +4,20 @@ Square matrices on a tensor power, stored sparsely as dict-of-rows over
 multi-indices encoded in base n (leg 1 is the most significant digit).
 Entries live in any ring: rationals for permutation operators, rational
 R-matrices and (anti)symmetrizers; series over an algebra for products of
-generating-matrix legs; shift operators for the tau calculus.
+generating-matrix legs; shift operators for the tau calculus; algebra
+elements and polynomials in u over U(gl_n).  A matrix keeps the zero of its
+ring, and a product takes the zero of its non-rational factor.
 
-Entry products never reorder factors, so matrices with noncommutative
-entries multiply correctly.  `trace_tm_mul` is tr(a b) formed from the
-diagonal pairs only, and `trace_of_product` does the same for the last
-product of plain n x n matrices given as lists of rows (power sums, Gelfand
-invariants, Capelli polynomials).  Each entry of a product is one
-`series.sum_of_products` over its pairs of entries, so series entries
-accumulate their coefficients in place instead of building a series per
-pair.
+`TensorMatrix` is the one matrix type: an n x n matrix is a matrix on one
+leg (`matrix_on_leg(M, 1, 1, zero)`).  Entry products never reorder
+factors, so matrices with noncommutative entries multiply correctly.
+`trace_of_product` is the one trace of a product, of leg products and of
+n x n matrix products alike (power sums, Gelfand invariants, Capelli
+polynomials): it multiplies all but the last matrix with `tm_mul` and
+forms only the diagonal pairs of the last product.  Each entry of a product
+is one `series.sum_of_products` over its pairs of entries, so series
+entries accumulate their coefficients in place instead of building a
+series per pair.
 
 The trace oracles multiply legs by the integral k!*A_k, k!*S_k
 (`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
@@ -21,6 +25,7 @@ products, and divide each trace by k! once; `antisymmetrizer`, `symmetrizer`
 and `b_factor` are the normalized projectors.
 """
 
+from functools import reduce
 from itertools import permutations
 from math import factorial
 
@@ -28,33 +33,17 @@ from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational
 from .series import USeries, sum_of_products
 
 
-class RingSpec:
-    """Zero of the entry ring, plus a flag for rational entries."""
-
-    __slots__ = ("zero", "rational")
-
-    def __init__(self, zero, rational=False):
-        self.zero = zero
-        self.rational = rational
-
-
-Q_RING = RingSpec(QZERO, rational=True)
-
-
-def algebra_ring(ctx):
-    return RingSpec(ctx.zero())
-
-
 class TensorMatrix:
-    """Square matrix on (C^n)^{tensor k} with sparse rows."""
+    """Square matrix on (C^n)^{tensor k} with sparse rows and the zero of
+    its entry ring."""
 
-    __slots__ = ("n", "k", "rows", "ring")
+    __slots__ = ("n", "k", "rows", "zero")
 
-    def __init__(self, n, k, rows=None, ring=Q_RING):
+    def __init__(self, n, k, rows=None, zero=QZERO):
         self.n = n
         self.k = k
         self.rows = rows if rows is not None else {}
-        self.ring = ring
+        self.zero = zero
 
     # -- constructors ---------------------------------------------------------
 
@@ -83,17 +72,17 @@ class TensorMatrix:
     def entry(self, r, c):
         row = self.rows.get(r)
         if row is None:
-            return self.ring.zero
-        return row.get(c, self.ring.zero)
+            return self.zero
+        return row.get(c, self.zero)
 
     def scale(self, q):
         q = as_rational(q)
         if not q:
-            return TensorMatrix(self.n, self.k, {}, self.ring)
+            return TensorMatrix(self.n, self.k, {}, self.zero)
         rows = {}
         for r, row in self.rows.items():
             rows[r] = {c: q * v for c, v in row.items()}
-        return TensorMatrix(self.n, self.k, rows, self.ring)
+        return TensorMatrix(self.n, self.k, rows, self.zero)
 
     def __add__(self, other):
         _check_shape(self, other)
@@ -109,20 +98,10 @@ class TensorMatrix:
                     del dst[c]
             if not dst:
                 del rows[r]
-        return TensorMatrix(self.n, self.k, rows, self.ring)
+        return TensorMatrix(self.n, self.k, rows, self.zero)
 
     def __sub__(self, other):
         return self + other.scale(-1)
-
-    def __mul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        return tm_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        return NotImplemented
 
     def embed(self):
         """Tensor with the identity on one additional trailing leg."""
@@ -131,7 +110,7 @@ class TensorMatrix:
         for r, row in self.rows.items():
             for d in range(n):
                 rows[r * n + d] = {c * n + d: v for c, v in row.items()}
-        return TensorMatrix(n, self.k + 1, rows, self.ring)
+        return TensorMatrix(n, self.k + 1, rows, self.zero)
 
     def equal(self, other):
         # every constructor and operation prunes zero entries and empty rows
@@ -161,6 +140,11 @@ def _index(digits, n):
 def _check_shape(a, b):
     if a.n != b.n or a.k != b.k:
         raise ValueError(f"shape mismatch: ({a.n},{a.k}) vs ({b.n},{b.k})")
+
+
+def _product_zero(a, b):
+    """The zero of a product: that of its non-rational factor."""
+    return b.zero if isinstance(a.zero, RATIONAL_TYPES) else a.zero
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +285,6 @@ def t_series(ctx, i, j, a, N):
     return s.shift(a) if a else s
 
 
-def t_table(ctx, a, N):
-    """The generating matrix T(u+a) at order N as a list of rows of series."""
-    idx = range(1, ctx.n + 1)
-    return [[t_series(ctx, i, j, a, N) for j in idx] for i in idx]
-
-
 def t_leg(s, a, k, N, ctx):
     """T_s(u+a) on k legs over the (C^n)^{tensor k} of the yangian context
     ctx: leg s carries the generating matrix entries."""
@@ -314,14 +292,19 @@ def t_leg(s, a, k, N, ctx):
         raise ValueError("leg index out of range")
     if ctx.kind != "yangian":
         raise ValueError("t_leg needs a yangian context")
-    return matrix_on_leg(t_table(ctx, a, N), s, k, RingSpec(USeries.zero(N)))
+    idx = range(1, ctx.n + 1)
+    return matrix_on_leg([[t_series(ctx, i, j, a, N) for j in idx] for i in idx],
+                         s, k, USeries.zero(N))
 
 
-def matrix_on_leg(M, s, k, ring):
-    """An n x n matrix (n = len(M)) with arbitrary ring entries acting on leg s."""
+def matrix_on_leg(M, s, k, zero):
+    """A square n x n matrix M (n = len(M), a list of rows) with entries in
+    the ring of `zero` acting on leg s of k."""
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
     n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError(f"matrix must be square, got rows of lengths {[len(row) for row in M]}")
     pow_s = n ** (k - s)
     rows = {}
     for col in range(n ** k):
@@ -331,23 +314,7 @@ def matrix_on_leg(M, s, k, ring):
             v = M[i_s][j_s]
             if v:
                 rows.setdefault(base + i_s * pow_s, {})[col] = v
-    return TensorMatrix(n, k, rows, ring)
-
-
-def t_product(shifts, N, ctx, left=None, legs=None, right=None):
-    """Ordered product of T_{legs[t]}(u+shifts[t]) on k = len(shifts) legs,
-    legs 1, 2, ... by default, between optional rational matrices on the left
-    and right (factor order is preserved)."""
-    k = len(shifts)
-    if legs is None:
-        legs = range(1, k + 1)
-    acc = left
-    for s, a in zip(legs, shifts):
-        leg = t_leg(s, a, k, N, ctx)
-        acc = leg if acc is None else tm_mul(acc, leg)
-    if right is not None:
-        acc = tm_mul(acc, right)
-    return acc
+    return TensorMatrix(n, k, rows, zero)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +324,6 @@ def tm_mul(a, b):
     """Matrix product; entry order is preserved (left entry first).  Each
     output entry is one `sum_of_products` over its pairs of entries."""
     _check_shape(a, b)
-    ring = b.ring if a.ring.rational else a.ring
     rows_out = {}
     brows = b.rows
     for r, row_a in a.rows.items():
@@ -372,42 +338,28 @@ def tm_mul(a, b):
                 acc[c] = s
         if acc:
             rows_out[r] = acc
-    return TensorMatrix(a.n, a.k, rows_out, ring)
+    return TensorMatrix(a.n, a.k, rows_out, _product_zero(a, b))
 
 
-def trace_tm_mul(a, b):
-    """tr(a b) without forming the product: one `sum_of_products` over the
-    pairs a[r][mid] * b[mid][r], left entry first; the ring's zero when no
-    pair meets."""
+def trace_of_product(mats):
+    """tr(M_1 M_2 ... M_k) for k >= 1 matrices of one shape.
+
+    All but the last matrix are multiplied with `tm_mul`; of the product
+    with the last only the diagonal pairs a[r][mid] * b[mid][r] are formed,
+    in one `sum_of_products`, left factor first, so entries need not
+    commute.  The ring's zero when no pair meets.
+    """
+    if not mats:
+        raise ValueError("trace_of_product needs at least one matrix")
+    if len(mats) == 1:
+        return trace_full(mats[0])
+    a, b = reduce(tm_mul, mats[:-1]), mats[-1]
     _check_shape(a, b)
     brows = b.rows
     tr = sum_of_products((va, vb) for r, row_a in a.rows.items()
                          for mid, va in row_a.items()
                          if (vb := brows.get(mid, {}).get(r)) is not None)
-    if tr is not None:
-        return tr
-    return (b.ring if a.ring.rational else a.ring).zero
-
-
-def trace_of_product(mats):
-    """tr(M_1 M_2 ... M_k) for k >= 1 square matrices given as lists of rows.
-
-    Every entry product keeps the left factor on the left, so entries need
-    not commute; of the last product only the diagonal is formed.
-    """
-    prod = mats[0]
-    for M in mats[1:-1]:
-        prod = [[_dot(row, M, j) for j in range(len(M))] for row in prod]
-    if len(mats) == 1:
-        diag = [row[i] for i, row in enumerate(prod)]
-    else:
-        diag = [_dot(row, mats[-1], i) for i, row in enumerate(prod)]
-    return sum(diag[1:], diag[0])
-
-
-def _dot(row, M, j):
-    """Entry j of the row vector `row` times M."""
-    return sum_of_products((a, m_row[j]) for a, m_row in zip(row, M))
+    return _product_zero(a, b) if tr is None else tr
 
 
 def trace_full(a):
@@ -417,7 +369,7 @@ def trace_full(a):
         v = row.get(r)
         if v is not None:
             acc = v if acc is None else acc + v
-    return a.ring.zero if acc is None else acc
+    return a.zero if acc is None else acc
 
 
 def trace_partial(a, legs):
@@ -451,4 +403,4 @@ def trace_partial(a, legs):
             elif c_keep in dst:
                 del dst[c_keep]
     rows_out = {r: row for r, row in rows_out.items() if row}
-    return TensorMatrix(n, k_out, rows_out, a.ring)
+    return TensorMatrix(n, k_out, rows_out, a.zero)

@@ -9,9 +9,7 @@ from yangsym.series import USeries, sum_of_products
 from yangsym.tau import TauOperator
 from yangsym.pbw import free_context, yangian_context
 from yangsym.tensor import (
-    RingSpec,
     TensorMatrix,
-    algebra_ring,
     antisymmetrizer,
     b_factor,
     fusion_step,
@@ -20,11 +18,10 @@ from yangsym.tensor import (
     r_matrix,
     symmetrizer,
     t_leg,
-    t_product,
     tm_mul,
     trace_full,
+    trace_of_product,
     trace_partial,
-    trace_tm_mul,
 )
 
 
@@ -201,7 +198,6 @@ def test_trace_lemma_on_free_entries():
     n = 2
     for k in (2, 3, 4):
         fc = free_context(k * n * n)
-        ring = algebra_ring(fc)
         mats = [[[fc.gen(s * n * n + i * n + j) for j in range(n)]
                  for i in range(n)] for s in range(k)]
         left = None
@@ -210,7 +206,7 @@ def test_trace_lemma_on_free_entries():
             left = P if left is None else tm_mul(left, P)
         acc = left
         for s, M in enumerate(mats, start=1):
-            acc = tm_mul(acc, matrix_on_leg(M, s, k, ring))
+            acc = tm_mul(acc, matrix_on_leg(M, s, k, fc.zero()))
         lhs = trace_full(acc)
         prod = mats[0]
         for M in mats[1:]:
@@ -225,7 +221,7 @@ def test_intertwining_small():
     n, N, k = 2, 2, 2
     ctx = yangian_context(n)
     A = antisymmetrizer(k, n)
-    lhs = t_product([0, -1], N, ctx, left=A)
+    lhs = tm_mul(tm_mul(A, t_leg(1, 0, k, N, ctx)), t_leg(2, -1, k, N, ctx))
     rhs = tm_mul(tm_mul(t_leg(2, -1, k, N, ctx), t_leg(1, 0, k, N, ctx)), A)
     assert lhs.equal(rhs)
 
@@ -261,7 +257,7 @@ def test_t_leg_reads_n_from_its_context():
     T = t_leg(1, 0, 1, 2, ctx)
     assert T.n == 3
     assert trace_full(T).coeff(1) == ctx.t(1, 1, 1) + ctx.t(1, 2, 2) + ctx.t(1, 3, 3)
-    assert t_product([0, -1, -2], 2, ctx).k == 3
+    assert t_leg(3, -2, 3, 2, ctx).k == 3
 
 
 # -- stored form: no zero entries, no empty rows ---------------------------------
@@ -310,7 +306,9 @@ def test_operations_keep_the_stored_form(pair, data):
 @given(pair=_matrix_pairs())
 def test_trace_tm_mul_of_rational_matrices(pair):
     a, b = pair
-    assert trace_tm_mul(a, b) == trace_full(tm_mul(a, b))
+    assert trace_of_product([a, b]) == trace_full(tm_mul(a, b))
+    assert trace_of_product([a]) == trace_full(a)
+    assert trace_of_product([a, b, a]) == trace_full(tm_mul(tm_mul(a, b), a))
 
 
 def _free_series_leg(fc, s, k, n, N):
@@ -319,7 +317,7 @@ def _free_series_leg(fc, s, k, n, N):
     first = (s - 1) * N * n * n
     M = [[USeries(N, {m: fc.gen(first + (m - 1) * n * n + i * n + j) for m in range(1, N + 1)})
           for j in range(n)] for i in range(n)]
-    return matrix_on_leg(M, s, k, RingSpec(USeries.zero(N)))
+    return matrix_on_leg(M, s, k, USeries.zero(N))
 
 
 def _swapped_trace(a, b):
@@ -334,12 +332,12 @@ def test_trace_tm_mul_keeps_the_factor_order_of_noncommuting_series(k):
     fc = free_context(k * N * n * n)
     legs = [_free_series_leg(fc, s, k, n, N) for s in range(1, k + 1)]
     a = reduce(tm_mul, legs[:-1], antisymmetrizer(k, n))
-    tr = trace_tm_mul(a, legs[-1])
-    assert tr == trace_full(tm_mul(a, legs[-1]))
+    tr = trace_of_product([antisymmetrizer(k, n), *legs])
+    assert tr == trace_of_product([a, legs[-1]]) == trace_full(tm_mul(a, legs[-1]))
     assert tr != _swapped_trace(a, legs[-1])  # the entries do not commute
     # a rational factor on the right
     S = symmetrizer(k, n)
-    assert trace_tm_mul(tm_mul(a, legs[-1]), S) == trace_full(tm_mul(tm_mul(a, legs[-1]), S))
+    assert trace_of_product([a, legs[-1], S]) == trace_full(tm_mul(tm_mul(a, legs[-1]), S))
 
 
 def test_trace_tm_mul_of_yangian_legs():
@@ -347,24 +345,23 @@ def test_trace_tm_mul_of_yangian_legs():
     ctx = yangian_context(n)
     a = tm_mul(antisymmetrizer(k, n), t_leg(1, 0, k, N, ctx))
     b = t_leg(2, -1, k, N, ctx)
-    tr = trace_tm_mul(a, b)
-    assert tr == trace_full(tm_mul(a, b)) == trace_full(t_product([0, -1], N, ctx,
-                                                                   left=antisymmetrizer(k, n)))
+    tr = trace_of_product([a, b])
+    assert tr == trace_full(tm_mul(a, b))
+    assert tr == trace_of_product([antisymmetrizer(k, n), t_leg(1, 0, k, N, ctx), b])
 
 
 def test_trace_tm_mul_of_shift_operators():
     n, N, k = 2, 3, 2
     ctx = yangian_context(n)
-    ring = RingSpec(TauOperator.zero())
 
     def tau_leg(s, d):
         return TensorMatrix(n, k, {
             r: {c: TauOperator.from_series(v, d) for c, v in row.items()}
-            for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, ring)
+            for r, row in t_leg(s, 0, k, N, ctx).rows.items()}, TauOperator.zero())
 
     for d in (-1, 1):
         a = tm_mul(antisymmetrizer(k, n), tau_leg(1, d))
-        tr = trace_tm_mul(a, tau_leg(2, d))
+        tr = trace_of_product([a, tau_leg(2, d)])
         assert isinstance(tr, TauOperator) and tr
         assert tr == trace_full(tm_mul(a, tau_leg(2, d)))
 
@@ -375,16 +372,33 @@ def test_trace_tm_mul_of_shift_operators():
     (TauOperator.zero(), TauOperator.from_series(USeries.const(1, 3), 1)),
 ], ids=["rational", "series", "tau"])
 def test_trace_tm_mul_without_diagonal_pairs_is_the_ring_zero(zero, one):
-    ring = RingSpec(zero, rational=zero is QZERO)
-    empty = TensorMatrix(2, 2, ring=ring)
-    corner = TensorMatrix(2, 2, {0: {1: one}}, ring)  # a[0][1]; b has no row 1 back to 0
+    empty = TensorMatrix(2, 2, zero=zero)
+    corner = TensorMatrix(2, 2, {0: {1: one}}, zero)  # a[0][1]; b has no row 1 back to 0
     for a, b in ((empty, empty), (TensorMatrix.identity(2, 2), empty), (corner, corner)):
-        tr = trace_tm_mul(a, b)
+        tr = trace_of_product([a, b])
         assert type(tr) is type(zero) and tr == zero == trace_full(tm_mul(a, b))
         if isinstance(zero, USeries):
             assert tr.order == zero.order
 
 
 def test_trace_tm_mul_shape_mismatch():
-    with pytest.raises(ValueError):
-        trace_tm_mul(TensorMatrix.identity(2, 2), TensorMatrix.identity(2, 3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        trace_of_product([TensorMatrix.identity(2, 2), TensorMatrix.identity(2, 3)])
+    # n x n matrices of different n, last or earlier in the product
+    two = matrix_on_leg([[1, 2], [3, 4]], 1, 1, QZERO)
+    three = matrix_on_leg([[1, 0, 9], [0, 1, 9], [0, 0, 1]], 1, 1, QZERO)
+    for mats in ([two, three], [three, two], [two, three, two]):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            trace_of_product(mats)
+
+
+def test_trace_of_no_matrices_is_refused():
+    with pytest.raises(ValueError, match="at least one matrix"):
+        trace_of_product([])
+
+
+@pytest.mark.parametrize("M", [[[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]],
+                         ids=["wide", "tall", "ragged"])
+def test_matrix_on_leg_refuses_a_non_square_matrix(M):
+    with pytest.raises(ValueError, match="square"):
+        matrix_on_leg(M, 1, 1, QZERO)
