@@ -14,11 +14,11 @@ _EXPORTS = {
     "series": ("ShiftedPolynomial", "UPolynomial", "USeries", "factorial_power"),
     "tau": ("TauOperator",),
     "pbw": ("AlgebraContext", "AlgebraElement", "RewriteSystem", "free_context",
-            "gl_context", "ugl_relations", "yangian_context", "yangian_relations"),
+            "gl_context", "yangian_context"),
     "tensor": ("TensorMatrix", "antisymmetrizer", "b_factor", "fusion_step",
                "matrix_on_leg", "perm_op", "r_matrix", "symmetrizer", "t_leg", "tm_mul",
                "trace_full", "trace_of_product", "trace_partial"),
-    "symfun": ("BetheTwist", "Composition", "Partition", "bethe_b", "composition_sum",
+    "symfun": ("BetheTwist", "Partition", "bethe_b", "composition_sum",
                "composition_weights", "compositions", "det_formulas", "elem_e",
                "gen_E", "gen_Hminus", "h_minus", "homog_h", "newton_check", "p_tau",
                "power_p", "prop_eB_traces", "rdet", "schur_s", "tau_form"),

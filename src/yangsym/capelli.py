@@ -21,7 +21,7 @@ e*_k, h*_k, p*_k at a weight and the images ev(e_k), ev(h_k) are built once
 per run, as entries of the family cache of `symfun`.
 """
 
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import accumulate, combinations, combinations_with_replacement, islice
 
 from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
@@ -63,15 +63,6 @@ class HighestWeight:
                     g = g * (QONE - QONE / (mi - mj))
             out.append(g)
         return out
-
-    def __iter__(self):
-        return iter(self.mu)
-
-    def __eq__(self, other):
-        return isinstance(other, HighestWeight) and self.mu == other.mu
-
-    def __hash__(self):
-        return hash(self.mu)
 
     def __repr__(self):
         return f"HighestWeight{self.mu}"
@@ -313,7 +304,7 @@ def check_star_composition(kind, k, mu):
     for lam, weight in composition_weights(k, kind):
         prod = None
         prev_a = 0
-        for part, a in zip(lam, lam.prefix_sums):
+        for part, a in zip(lam, accumulate(lam)):
             key = (part, -a if step < 0 else prev_a)
             f = shifted.get(key)
             if f is None:

@@ -181,9 +181,8 @@ def gl_commutator_words(n, i, j, k, l):
 class RewriteSystem:
     """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b.
 
-    Entries are derived on demand and cached; `prefill` materialises a
-    level-bounded block eagerly.  The table and both memos are shared
-    between all contexts over the same algebra.
+    Entries are derived on demand (`expansion`) and cached.  The table and
+    both memos are shared between all contexts over the same algebra.
     """
 
     def __init__(self, kind, n):
@@ -225,29 +224,6 @@ class RewriteSystem:
             exp = ((1, (b, a)),) + tuple((c, w) for w, c in comm.items())
             self.table[key] = exp
         return exp
-
-    def prefill(self, max_pair_level=None):
-        n = self.n
-        if self.kind == "gl":
-            gens = [encode_e(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-            for a in gens:
-                for b in gens:
-                    if a > b:
-                        self.expansion(a, b)
-        elif self.kind == "yangian":
-            L = max_pair_level if max_pair_level is not None else 1
-            for r in range(1, L + 1):
-                for s in range(1, L + 2 - r):
-                    # all pairs with r + s - 1 <= L
-                    for i in range(1, n + 1):
-                        for j in range(1, n + 1):
-                            a = encode_t(n, r, i, j)
-                            for k in range(1, n + 1):
-                                for l in range(1, n + 1):
-                                    b = encode_t(n, s, k, l)
-                                    if a > b:
-                                        self.expansion(a, b)
-        return self
 
     def normal_word(self, word):
         """Normal form of a word as a map normal-word -> coefficient.
@@ -377,20 +353,6 @@ def _shared_system(kind, n):
     return rs
 
 
-def yangian_relations(n, L):
-    """Exchange table for all generator pairs with level sum - 1 <= L."""
-    if n < 1 or L < 1:
-        raise ValueError("need n >= 1 and L >= 1")
-    return _shared_system("yangian", n).prefill(L)
-
-
-def ugl_relations(n):
-    """The gl_n exchange table in the block PBW order."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return _shared_system("gl", n).prefill()
-
-
 # ---------------------------------------------------------------------------
 # contexts and elements
 
@@ -440,14 +402,10 @@ class AlgebraContext:
         return AlgebraElement(self, {(gid,): 1})
 
     def normal_form(self, raw):
-        """Normal-ordered element from raw (coeff, word) data or an element."""
-        if isinstance(raw, AlgebraElement):
-            items = [(c, w) for w, c in raw.terms.items()]
-        else:
-            items = list(raw)
+        """Normal-ordered element from raw (coeff, word) data."""
         out = {}
         nw = self.rs.normal_word
-        for c, w in items:
+        for c, w in raw:
             c = demote(c)
             if not c:
                 continue

@@ -14,7 +14,7 @@ return a single scalar (`coeff`, `as_scalar`) still return a Fraction.
 """
 
 from fractions import Fraction as Q
-from math import comb, factorial
+from math import comb
 
 #: types accepted wherever a rational scalar is expected
 RATIONAL_TYPES = (int, Q)
@@ -62,5 +62,4 @@ __all__ = [
     "demote",
     "rational_str",
     "binomial",
-    "factorial",
 ]

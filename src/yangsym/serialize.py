@@ -83,8 +83,4 @@ def to_jsonable(value):
         return upolynomial_jsonable(value)
     if isinstance(value, ShiftedPolynomial):
         return shifted_polynomial_jsonable(value)
-    if isinstance(value, AlgebraElement):
-        return algebra_element_jsonable(value)
-    if isinstance(value, RATIONAL_TYPES):
-        return rational_str(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")

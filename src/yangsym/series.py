@@ -176,14 +176,7 @@ class USeries(SparseCoeffs):
             return sum_of_products(((self, other),))
         if isinstance(other, RATIONAL_TYPES):
             return self.scale(other)
-        # ring-element scalar (e.g. an AlgebraElement): multiply on the right
-        return USeries(self.order, {m: c * other for m, c in self.coeffs.items()})
-
-    def __rmul__(self, other):
-        if isinstance(other, RATIONAL_TYPES):
-            return self.scale(other)
-        # left multiplication by a ring element
-        return USeries(self.order, {m: other * c for m, c in self.coeffs.items()})
+        return NotImplemented
 
     def shift(self, a):
         """The series f(u+a), re-expanded in u^{-1} and truncated at this order.

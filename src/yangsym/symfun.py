@@ -33,7 +33,7 @@ determinants from one builder (`_hessenberg_det`), and `schur_s` fills one
 Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 """
 
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
 from .rationals import Q, QONE, as_rational
@@ -44,45 +44,11 @@ from .tensor import TensorMatrix, permutation_sum, r_chain, t_leg, t_series, tra
 
 
 # ---------------------------------------------------------------------------
-# small combinatorial carriers
-
-class Composition:
-    """Ordered list of positive parts; the order of parts matters."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(int(p) for p in parts)
-        if any(p < 1 for p in parts):
-            raise ValueError("composition parts must be positive")
-        self.parts = parts
-
-    @property
-    def prefix_sums(self):
-        out, acc = [], 0
-        for p in self.parts:
-            acc += p
-            out.append(acc)
-        return out
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return f"Composition{self.parts}"
-
+# small combinatorial carriers: compositions are plain tuples of positive
+# parts; partitions and twists are validated on construction
 
 def compositions(k):
-    """All 2^(k-1) compositions of k, in a fixed order."""
+    """All 2^(k-1) compositions of k as tuples of parts, in a fixed order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     out = []
@@ -95,7 +61,7 @@ def compositions(k):
             else:
                 run += 1
         parts.append(run)
-        out.append(Composition(parts))
+        out.append(tuple(parts))
     return out
 
 
@@ -124,14 +90,8 @@ class Partition:
     def __len__(self):
         return len(self.parts)
 
-    def __iter__(self):
-        return iter(self.parts)
-
     def __eq__(self, other):
         return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
 
     def __repr__(self):
         return f"Partition{self.parts}"
@@ -147,10 +107,6 @@ class BetheTwist:
         if any(len(row) != n for row in matrix):
             raise ValueError("twist must be square")
         self.matrix = tuple(tuple(as_rational(v) for v in row) for row in matrix)
-
-    @property
-    def n(self):
-        return len(self.matrix)
 
     @classmethod
     def identity(cls, n):
@@ -379,7 +335,7 @@ def composition_weights(k, kind):
     (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m), a_1 < ... < a_m = k the prefix
     sums of lam.  At p_i = 1 the weights sum to e_k = delta_{k,1} and h_k = 1."""
     step = kind_step(kind)
-    return ((lam, Q(step ** (k - len(lam)), prod(lam.prefix_sums)))
+    return ((lam, Q(step ** (k - len(lam)), prod(accumulate(lam))))
             for lam in compositions(k))
 
 

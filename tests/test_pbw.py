@@ -1,25 +1,30 @@
 import random
+from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangsym import pbw
+from yangsym import pbw, symfun
 from yangsym.rationals import Q
 from yangsym.pbw import (
     AlgebraContext,
     RewriteSystem,
     free_context,
     gl_context,
-    ugl_relations,
     yangian_context,
-    yangian_relations,
     yangian_commutator_words,
     encode_e,
     encode_t,
 )
 from yangsym.series import USeries
-from yangsym.suites import _one_step_results, _proportionality
+from yangsym.suites import (
+    SuiteConfig,
+    _check_termination,
+    _one_step_results,
+    _proportionality,
+    run_suite,
+)
 from yangsym.symfun import BetheTwist, bethe_b
 
 
@@ -176,17 +181,60 @@ def test_free_context_has_no_relations():
     assert (a * b).coeff((0, 2)) == 1
 
 
+@contextmanager
+def _fresh_engine():
+    """Empty exchange tables, memos and family cache, restored on exit."""
+    with patch.dict(pbw._SHARED, clear=True), patch.dict(pbw._CONTEXTS, clear=True), \
+            patch.dict(symfun._CACHE, clear=True):
+        yield
+
+
 def test_termination_measure_on_tables():
-    rs = yangian_relations(2, 4)
-    for (a, b), exp in rs.table.items():
-        pair_level = rs.level(a) + rs.level(b)
-        for c, w in exp:
-            if w != (b, a):
-                assert rs.word_level(w) < pair_level
-    glrs = ugl_relations(3)
-    for (a, b), exp in glrs.table.items():
-        for c, w in exp:
-            assert w == (b, a) or len(w) == 1
+    assert _check_termination(2) and _check_termination(3)
+    with _fresh_engine():
+        # a correction at the level of its pair breaks the measure
+        rs = yangian_context(2).rs
+        a, b = encode_t(2, 2, 1, 1), encode_t(2, 1, 2, 2)
+        rs.table[a, b] = rs.expansion(a, b) + ((1, (a, b)),)
+        assert not _check_termination(2)
+
+
+def test_termination_check_covers_the_same_pairs_whatever_ran_before(monkeypatch):
+    # every pair a > b of level sum <= 5 (76 Yangian and 6 gl pairs at n = 2,
+    # 396 and 36 at n = 3) is asked of the table and its words measured,
+    # however much the table already holds
+    asked, measured = [], []
+    expansion, word_level = RewriteSystem.expansion, RewriteSystem.word_level
+
+    def counting_expansion(rs, a, b):
+        asked.append(rs.kind)
+        return expansion(rs, a, b)
+
+    def counting_word_level(rs, word):
+        measured.append(word)
+        return word_level(rs, word)
+
+    monkeypatch.setattr(RewriteSystem, "expansion", counting_expansion)
+    monkeypatch.setattr(RewriteSystem, "word_level", counting_word_level)
+
+    def coverage():
+        out = {}
+        for n in (2, 3):
+            asked.clear()
+            measured.clear()
+            assert _check_termination(n)
+            out[n] = (asked.count("yangian"), asked.count("gl"), len(measured))
+        return out
+
+    with _fresh_engine():
+        before = coverage()
+        table = yangian_context(2).rs.table
+        grown = len(table)
+        run_suite("commutativity", SuiteConfig(n=2, order=4))
+        assert len(table) > grown
+        after = coverage()
+    assert [before[n][:2] for n in (2, 3)] == [(76, 6), (396, 36)]
+    assert after == before
 
 
 def test_jacobi_small():
@@ -204,7 +252,7 @@ def test_jacobi_small():
 
 
 def test_one_step_confluence_on_small_words():
-    rs = yangian_relations(2, 4)
+    rs = yangian_context(2).rs
     gens = [encode_t(2, r, i, j) for r in (1, 2) for i in (1, 2) for j in (1, 2)]
     for a in gens:
         for b in gens:

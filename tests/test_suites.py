@@ -2,7 +2,7 @@ import pytest
 
 from yangsym.pbw import AlgebraElement, yangian_context
 from yangsym.series import USeries
-from yangsym.suites import SuiteConfig, _series_coeffs_commute, check_tau, run_suite
+from yangsym.suites import Reporter, SuiteConfig, _series_coeffs_commute, check_tau, run_suite
 from yangsym.tau import TauOperator
 
 
@@ -59,3 +59,17 @@ def test_self_pair_finds_two_coefficients_that_do_not_commute():
     assert not ok
     # [t[1,1,2], t[1,2,1]] = t[1,1,1] - t[1,2,2]: the smallest monomial is named
     assert failure == {"u_power_lhs": 1, "u_power_rhs": 2, "monomial": "t[1,1,1]"}
+
+
+def test_every_failing_record_names_a_failure():
+    rep = Reporter("demo")
+    bare = rep.run("bare", "a", {}, lambda: False)
+    detailed = rep.run("detailed", "a", {}, lambda: (False, {"_detail": True, "scalar": "2"}))
+    assert bare.status == detailed.status == "fail"
+    assert bare.failure == detailed.failure == {"reason": "check returned false"}
+    assert detailed.detail == {"scalar": "2"}
+    # passing records keep a null failure
+    passed = [rep.run("true", "a", {}, lambda: True),
+              rep.run("detail", "a", {}, lambda: (True, {"_detail": True, "scalar": "2"}))]
+    assert [(r.status, r.failure) for r in passed] == [("pass", None)] * 2
+    assert passed[1].detail == {"scalar": "2"}
