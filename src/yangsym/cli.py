@@ -17,7 +17,8 @@ import sys
 from .cache import cache_get, cache_key, cache_put, canonical_dumps, resolve_cache_dir
 
 # Each object with the options without a default that it reads, all of
-# which it needs; giving another is a usage error, not an ignored value.
+# which it needs; giving another is a usage error, not an ignored value
+# (as is --sign, --via, --z or --seed to an object that does not read it).
 _DEGREE = "--k/--m"
 OPTIONS_READ = {
     **{obj: (_DEGREE, "--order") for obj in ("e", "h", "p", "b", "h_minus")},
@@ -59,13 +60,13 @@ def build_parser():
     comp.add_argument("--m", type=int, help="degree index (alias of --k)")
     comp.add_argument("--n", type=_positive_int, required=True)
     comp.add_argument("--order", type=int, help="series truncation order")
-    comp.add_argument("--sign", choices=["+", "-"], default="-",
-                      help="sign of the shift direction for p")
+    comp.add_argument("--sign", choices=["+", "-"],
+                      help="sign of the shift direction for p (default -)")
     comp.add_argument("--lambda", dest="lam", help="partition, e.g. 2,1")
-    comp.add_argument("--via", choices=["h", "e"], default="h")
+    comp.add_argument("--via", choices=["h", "e"], help="schur route (default h)")
     comp.add_argument("--mu", help="weight for p_star, e.g. 1,0")
-    comp.add_argument("--z", choices=["identity", "random"], default="identity")
-    comp.add_argument("--seed", type=int, default=20240811)
+    comp.add_argument("--z", choices=["identity", "random"], help="b twist (default identity)")
+    comp.add_argument("--seed", type=int, help="seed of --z random (default 20240811)")
     comp.add_argument("--format", choices=["json", "text"], default="json")
     comp.add_argument("--cache-dir")
     comp.add_argument("--out")
@@ -104,6 +105,11 @@ def _params(args, parser):
             need(value is not None, f"compute {obj} needs {flag}")
         else:
             need(value is None, f"compute {obj} does not take {flag}")
+    for flag, reader, value in (("--sign", "p", args.sign), ("--via", "schur", args.via),
+                                ("--z", "b", args.z), ("--seed", "b", args.seed)):
+        need(value is None or obj == reader, f"compute {obj} does not take {flag}")
+    need(args.seed is None or args.z == "random",
+         f"compute {obj} takes --seed only with --z random")
 
     params = {"n": n}
     if deg is not None:
@@ -111,14 +117,14 @@ def _params(args, parser):
     if N is not None:
         params["order"] = N
     if obj == "p":
-        params["sign"] = args.sign
+        params["sign"] = args.sign or "-"
     elif obj == "b":
-        params["z"] = args.z
+        params["z"] = args.z or "identity"
         if args.z == "random":
-            params["seed"] = args.seed
+            params["seed"] = 20240811 if args.seed is None else args.seed
     elif obj == "schur":
         params["lambda"] = _parse_int_list(args.lam, "--lambda", parser)
-        params["via"] = args.via
+        params["via"] = args.via or "h"
     elif obj == "p_star":
         params["mu"] = _parse_int_list(args.mu, "--mu", parser)
         need(len(params["mu"]) == n, "--mu must have n entries")

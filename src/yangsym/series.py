@@ -6,9 +6,10 @@ Every carrier keeps a dict from keys to nonzero coefficients and inherits
 from `SparseCoeffs` what does not depend on the key: storage (zeros are
 dropped, and a scalar is stored as `rationals.demote` gives it: an int when
 integral), +, -, negation, `scale`, == (also against a bare scalar, which
-means that scalar times the unit), truth, `coeff`, and `shift(a)`, the
-value at u + a.  A carrier supplies its constructor, its product and how a
-result is built from coefficients.
+means that scalar times the unit), truth, `coeff`, `first_difference` (where
+two values first differ) and `shift(a)`, the value at u + a.  A carrier
+supplies its constructor, its product and how a result is built from
+coefficients.
 
 A USeries holds coefficients for u^0 .. u^{-N} where N is the truncation
 order.  Coefficients live in any associative ring implementing +, -, *,
@@ -87,6 +88,20 @@ class SparseCoeffs:
             unit = self._unit_key()
             return all(k == unit for k in self.coeffs) and self.coeff(unit) == other
         return NotImplemented
+
+    def first_difference(self, other):
+        """(keys, lhs, rhs) at the first differing coefficient in key order,
+        with the key at each level of nested carriers, or None.  Both sides
+        are read as their sum reads them (a series up to the lower order), and
+        an absent coefficient as the other side's zero."""
+        lhs, rhs = self._build(self.coeffs, other).coeffs, other._build(other.coeffs, self).coeffs
+        for k in sorted(lhs.keys() | rhs.keys()):
+            a, b = lhs.get(k), rhs.get(k)
+            a, b = (b - b if a is None else a), (a - a if b is None else b)
+            d = a.first_difference(b) if isinstance(a, SparseCoeffs) else None if a == b else ((), a, b)
+            if d is not None:
+                return ((k,) + d[0], d[1], d[2])
+        return None
 
     def __add__(self, other):
         other = self._operand(other)
@@ -201,14 +216,6 @@ class USeries(SparseCoeffs):
             v = AlgebraElement(ctx, ctx._apply_cap({w: x for w, x in t.items() if x}))
             out[m] = out[m] + v if m in out else v
         return USeries(self.order, out)
-
-    def first_difference(self, other):
-        """(m, lhs, rhs) for the first differing coefficient, or None."""
-        for m in range(min(self.order, other.order) + 1):
-            a, b = self.coeff(m), other.coeff(m)
-            if a != b:
-                return (m, a, b)
-        return None
 
     def __repr__(self):
         if not self.coeffs:

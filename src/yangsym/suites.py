@@ -5,6 +5,9 @@ and returns a list of CheckRecords.  Records carry the parameters, the
 status (pass / fail / skipped), the series order up to which the truncation
 fully determines the identity, the wall time, and on failure the first
 differing coefficient or, for a check that locates none, a reason.
+A check returns ok or (ok, info), info being the detail of a pass and the
+failure of a fail.  The identities of `symfun` and `capelli` return their
+two sides, and `compare` alone judges them, for every carrier.
 
 Two suites are adjudications rather than assertions: `lemma-constant`
 computes the proportionality constant between the elementary series and the
@@ -20,7 +23,8 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from .rationals import Q, binomial, rational_str
-from .series import USeries
+from .series import ShiftedPolynomial, SparseCoeffs, UPolynomial, USeries
+from .tau import TauOperator
 from .pbw import (
     AlgebraElement,
     free_context,
@@ -117,30 +121,22 @@ class Reporter:
         self.records = []
 
     def run(self, name, anchor, params, fn, determined_order=None):
+        """Run one check: fn returns ok or (ok, info), where info is the
+        detail of a pass and the failure of a fail."""
         t0 = time.perf_counter()
-        failure = None
-        detail = None
         try:
             res = fn()
-            if isinstance(res, tuple):
-                ok, info = res[0], (res[1] if len(res) > 1 else None)
-                if isinstance(info, dict) and info.pop("_detail", False):
-                    detail = info
-                elif not ok:
-                    failure = info
-            else:
-                ok = bool(res)
+            ok, info = res if isinstance(res, tuple) else (res, None)
         except Exception as exc:  # a crashing check is a failing check
-            ok = False
-            failure = {"error": f"{type(exc).__name__}: {exc}"}
-        if not ok and failure is None:  # a check that locates nothing still fails by name
-            failure = {"reason": "check returned false"}
+            ok, info = False, {"error": f"{type(exc).__name__}: {exc}"}
+        if not ok and info is None:  # a check that locates nothing still fails by name
+            info = {"reason": "check returned false"}
         rec = CheckRecord(
             suite=self.suite, name=name, anchor=anchor, params=params,
             status="pass" if ok else "fail",
             determined_order=determined_order,
             wall_time=time.perf_counter() - t0,
-            failure=failure, detail=detail,
+            failure=None if ok else info, detail=info if ok else None,
         )
         self.records.append(rec)
         return rec
@@ -152,46 +148,35 @@ class Reporter:
 
 
 # ---------------------------------------------------------------------------
-# failure reporting helpers
+# comparing the two sides of an identity
 
-def _coeff_diff(a, b):
-    """First differing monomial between two coefficients (or scalars)."""
-    if isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement):
-        words = sorted(set(a.terms) | set(b.terms))
-        for w in words:
-            ca, cb = a.terms.get(w, 0), b.terms.get(w, 0)
-            if ca != cb:
-                mono = "*".join(a.gen_name(g) for g in w) if w else "1"
-                return mono, str(ca), str(cb)
-        return None
-    return "1", str(a), str(b)
+_KEY_NAMES = {TauOperator: "tau", USeries: "u_power", UPolynomial: "u_exponent",
+              ShiftedPolynomial: "exponent"}
 
 
-def series_failure(lhs, rhs):
-    d = lhs.first_difference(rhs)
+def compare(lhs, rhs):
+    """(True, None) if lhs == rhs, else (False, failure).  The failure names
+    the key of the first differing coefficient at each carrier level, the
+    first differing monomial of that coefficient and both its values."""
+    d = lhs.first_difference(rhs) if isinstance(lhs, SparseCoeffs) else (
+        None if lhs == rhs else ((), lhs, rhs))
     if d is None:
-        return None
-    m, a, b = d
-    mono, sa, sb = _coeff_diff(a, b)
-    return {"u_power": m, "monomial": mono, "lhs": sa, "rhs": sb}
+        return (True, None)
+    keys, a, b = d
+    failure = {}
+    for k in keys:  # one level down, on whichever side holds the key
+        failure[_KEY_NAMES[type(lhs)]] = k
+        lhs, rhs = lhs.coeffs.get(k) or rhs.coeffs[k], rhs.coeffs.get(k) or lhs.coeffs[k]
+    ta, tb = (x.terms if isinstance(x, AlgebraElement) else {(): x} if x else {} for x in (a, b))
+    w = min(w for w in ta.keys() | tb.keys() if ta.get(w, 0) != tb.get(w, 0))
+    element = a if isinstance(a, AlgebraElement) else b
+    failure["monomial"] = "*".join(element.gen_name(g) for g in w) or "1"
+    return (False, dict(failure, lhs=str(ta.get(w, 0)), rhs=str(tb.get(w, 0))))
 
 
-def check_series(lhs, rhs):
-    f = series_failure(lhs, rhs)
-    return (f is None, f)
-
-
-def check_tau(lhs, rhs):
-    for d in sorted(set(lhs.coeffs) | set(rhs.coeffs)):
-        a, b = lhs.coeffs.get(d), rhs.coeffs.get(d)
-        # an absent degree is zero up to the other side's order
-        a = a if a is not None else USeries.zero(b.order)
-        b = b if b is not None else USeries.zero(a.order)
-        f = series_failure(a, b)
-        if f is not None:
-            f["tau"] = d
-            return (False, f)
-    return (True, None)
+def _compare_pairs(pairs):
+    """The first failing `compare` of the (lhs, rhs) pairs, else (True, None)."""
+    return next((r for r in (compare(*p) for p in pairs) if not r[0]), (True, None))
 
 
 def _proportionality(target, base):
@@ -306,7 +291,7 @@ def suite_eb_traces(cfg):
                 rep.run(f"trace_variant_{variant}", "alt_trace_presentations",
                         {"n": n, "k": k, "variant": variant, "order": N},
                         lambda k=k, variant=variant, n=n, target=targets[variant]:
-                        check_series(prop_eB_traces(k, variant, n, N), target()),
+                        compare(prop_eB_traces(k, variant, n, N), target()),
                         determined_order=N)
     return rep.records
 
@@ -324,7 +309,7 @@ def suite_newton(cfg):
                 rep.run(f"newton_{kind}_m{m}", f"newton_{kind}",
                         {"n": n, "order": N, "m": m},
                         lambda m=m, kind=kind, n=n, N=N:
-                        check_tau(*newton_check(m, kind, n, N)[1:]),
+                        compare(*newton_check(m, kind, n, N)),
                         determined_order=N)
     return rep.records
 
@@ -339,7 +324,7 @@ def suite_composition(cfg):
             rep.run(f"composition_{kind}_k{k}", f"power_sum_composition_{kind}",
                     {"n": n, "order": N, "k": k},
                     lambda k=k, kind=kind:
-                    check_tau(composition_sum(k, kind, n, N), tau_form(kind, k, n, N)),
+                    compare(composition_sum(k, kind, n, N), tau_form(kind, k, n, N)),
                     determined_order=N)
     return rep.records
 
@@ -360,7 +345,7 @@ def suite_determinants(cfg):
             rep.run(f"{which}_m{m}", f"determinant_{which}",
                     {"n": n, "order": N, "m": m},
                     lambda which=which, m=m, target=target:
-                    check_series(det_formulas(m, which, n, N), target()),
+                    compare(det_formulas(m, which, n, N), target()),
                     determined_order=N)
     return rep.records
 
@@ -375,7 +360,7 @@ def suite_inverse_op(cfg):
     H = gen_Hminus(L, n, N)
     prod = E * H.shift(1)
     rep.run("unit_term", "inverse_identity_unit", {"n": n, "order": N, "tau_order": L},
-            lambda: check_series(prod.coeff(0), unit_series(n, N)),
+            lambda: compare(prod.coeff(0), unit_series(n, N)),
             determined_order=N)
     for d in range(1, max(required_depth, L) + 1):
         if d > L:
@@ -385,19 +370,19 @@ def suite_inverse_op(cfg):
             continue
         rep.run(f"vanishing_tau_minus_{d}", "inverse_identity_vanishing",
                 {"n": n, "order": N, "tau": -d},
-                lambda d=d: check_series(prod.coeff(-d), USeries.zero(N)),
+                lambda d=d: compare(prod.coeff(-d), USeries.zero(N)),
                 determined_order=N)
     for k in range(1, 3):
         rep.run(f"e_from_h_minus_k{k}", "elementary_from_inverse_family",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: check_series(schur_s((1,) * k, "h", n, N),
-                                         elem_e(k, n, N)),
+                lambda k=k: compare(schur_s((1,) * k, "h", n, N),
+                                    elem_e(k, n, N)),
                 determined_order=N)
     for m in range(1, 5):
         rep.run(f"h_minus_det_vs_recursion_m{m}", "inverse_family_two_routes",
                 {"n": n, "order": N, "m": m},
-                lambda m=m: check_series(h_minus(m, n, N),
-                                         h_minus_from_inverse(m, n, N)),
+                lambda m=m: compare(h_minus(m, n, N),
+                                    h_minus_from_inverse(m, n, N)),
                 determined_order=N)
     return rep.records
 
@@ -410,8 +395,8 @@ def suite_schur(cfg):
     for lam in lams:
         rep.run(f"schur_duality_{'_'.join(map(str, lam))}", "schur_two_routes",
                 {"n": n, "order": N, "lambda": list(lam)},
-                lambda lam=lam: check_series(schur_s(lam, "h", n, N),
-                                             schur_s(lam, "e", n, N)),
+                lambda lam=lam: compare(schur_s(lam, "h", n, N),
+                                        schur_s(lam, "e", n, N)),
                 determined_order=N)
     return rep.records
 
@@ -484,7 +469,7 @@ def _series_coeffs_commute(sa, sb):
                 continue
             comm = ca.commutator(cb)
             if comm:
-                mono, _, _ = _coeff_diff(comm, comm.ctx.zero())
+                mono = compare(comm, 0)[1]["monomial"]
                 return (False, {"u_power_lhs": ma, "u_power_rhs": mb, "monomial": mono})
     return (True, None)
 
@@ -501,13 +486,9 @@ def suite_lemma_constant(cfg):
                 ratio, ok = _proportionality(e, b)
                 # the closed form recorded alongside: n! / (k! (n-1)^(n-k))
                 printed = Q(factorial(n), factorial(k) * (n - 1) ** (n - k))
-                detail = {
-                    "_detail": True,
-                    "computed_ratio": rational_str(ratio),
-                    "printed_ratio": rational_str(printed),
-                    "matches_printed": ratio == printed,
-                }
-                return (ok, detail if ok else {"reason": "ratio not constant"})
+                return (ok, {"computed_ratio": rational_str(ratio),
+                             "printed_ratio": rational_str(printed),
+                             "matches_printed": ratio == printed})
             rep.run(f"bethe_ratio_n{n}_k{k}", "bethe_identity_twist_ratio",
                     {"n": n, "k": k, "order": N}, check, determined_order=N)
         for m in range(1, n):
@@ -517,13 +498,9 @@ def suite_lemma_constant(cfg):
                 tr = trace_partial(big, [m + 1])
                 ratio, ok = _matrix_proportionality(tr, small)
                 printed = Q(n - 1, m + 1)
-                detail = {
-                    "_detail": True,
-                    "computed_factor": rational_str(ratio) if ratio is not None else None,
-                    "printed_factor": rational_str(printed),
-                    "matches_printed": ratio == printed,
-                }
-                return (ok, detail if ok else {"reason": "not proportional"})
+                return (ok, {"computed_factor": rational_str(ratio) if ratio is not None else None,
+                             "printed_factor": rational_str(printed),
+                             "matches_printed": ratio == printed})
             rep.run(f"partial_trace_factor_n{n}_m{m}", "projector_partial_trace_factor",
                     {"n": n, "m": m}, check_tr)
     return rep.records
@@ -541,16 +518,16 @@ def suite_capelli_bridge(cfg):
                 rep.run(f"ev_{kind}_bridge_k{k}", f"evaluation_{kind}_bridge",
                         {"n": n, "order": N, "k": k, "weights": len(weights)},
                         lambda k=k, n=n, kind=kind, weights=weights:
-                        all(ev_bridge(kind, k, n, N, mu)[0] for mu in weights),
+                        all(compare(*ev_bridge(kind, k, n, N, mu))[0] for mu in weights),
                         determined_order=N)
         for m in (1, 2):
             rep.run(f"ev_hminus_bridge_m{m}", "evaluation_inverse_family",
                     {"n": n, "order": N, "m": m},
-                    lambda m=m, n=n: check_series(*ev_hminus_bridge(m, n, N)[1]),
+                    lambda m=m, n=n: compare(*ev_hminus_bridge(m, n, N)),
                     determined_order=N)
             rep.run(f"ev_p_bridge_m{m}", "evaluation_power_bridge",
                     {"n": n, "order": N, "m": m},
-                    lambda m=m, n=n: ev_p_bridge(m, n, N)[0],
+                    lambda m=m, n=n: _compare_pairs(ev_p_bridge(m, n, N)),
                     determined_order=N)
         rep.run("ev_algebra_map", "evaluation_multiplicative",
                 {"n": n, "pairs": 5},
@@ -607,7 +584,7 @@ def suite_perelomov_popov(cfg):
                     return (False, {"reason": "not scalar in the defining representation"})
                 mu = HighestWeight((1,) + (0,) * (n - 1))
                 return (scalar == pp_eigen_trEk(k, mu) == hw_eigenvalue(trEk, mu),
-                        {"_detail": True, "scalar": rational_str(scalar)})
+                        {"scalar": rational_str(scalar)})
             rep.run(f"defining_rep_scalar_k{k}", "gelfand_invariant_defining_rep",
                     {"n": n, "k": k}, check_rep)
         for m in range(1, 4):
@@ -639,13 +616,14 @@ def suite_shifted_identities(cfg):
         for m in range(m_max + 1):
             rep.run(f"eh_star_m{m}", "shifted_eh_orthogonality",
                     {"n": n, "m": m},
-                    lambda m=m, n=n: check_eh_star(m, n)[0])
+                    lambda m=m, n=n: compare(*check_eh_star(m, n)))
         for k in range(1, m_max + 1):
             for kind in ("e", "h"):
                 rep.run(f"{kind}_star_composition_k{k}", f"shifted_composition_{kind}",
                         {"n": n, "k": k, "weights": len(weights)},
                         lambda k=k, kind=kind, weights=weights:
-                        all(check_star_composition(kind, k, mu)[0] for mu in weights))
+                        all(compare(*check_star_composition(kind, k, mu))[0]
+                            for mu in weights))
     return rep.records
 
 
@@ -785,13 +763,11 @@ def _check_truncation_instrumentation(n, N):
     for k in range(1, 4):
         families += [homog_h(k, n, N), power_p(k, -1, n, N), power_p(k, +1, n, N),
                      h_minus(k, n, N)]
-    _, lhs, rhs = newton_check(2, "e", n, N)
-    for op in (lhs, rhs):
+    for op in newton_check(2, "e", n, N):
         families += op.coeffs.values()
     excess = [lv for s in families for lv in levels(s)]
     return (not excess,
-            {"_detail": True, "drop_count": len(excess),
-             "min_dropped_level": min(excess, default=None)})
+            {"drop_count": len(excess), "min_dropped_level": min(excess, default=None)})
 
 
 SUITES = {

@@ -356,7 +356,7 @@ def composition_sum(k, kind, n, N):
 def newton_check(m, kind, n, N):
     """Both sides of the Newton identity at degree m in the tau forms,
     m e_m = sum_k (-1)^{m-k-1} e_k p^-_{m-k} or m h_m = sum_k h_k p^+_{m-k}
-    (k < m); returns (ok, lhs, rhs)."""
+    (k < m); returns (the sum, m e_m or m h_m)."""
     if m < 1:
         raise ValueError("m must be >= 1")
     step = kind_step(kind)
@@ -366,8 +366,7 @@ def newton_check(m, kind, n, N):
         if step ** (m - k - 1) < 0:
             term = -term
         lhs = term if lhs is None else lhs + term
-    rhs = tau_form(kind, m, n, N).scale(m)
-    return (lhs == rhs, lhs, rhs)
+    return lhs, tau_form(kind, m, n, N).scale(m)
 
 
 # ---------------------------------------------------------------------------

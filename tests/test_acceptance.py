@@ -5,8 +5,6 @@ Each test prints one pass/fail line (visible with -s); the pytest verdict
 carries the same information.
 """
 
-import pytest
-
 from yangsym.rationals import Q, binomial
 from yangsym.suites import SuiteConfig, run_suite
 

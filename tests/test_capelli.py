@@ -7,8 +7,8 @@ from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, factorial_po
 from yangsym import capelli, pbw, symfun
 from yangsym.pbw import gl_context, yangian_context
 from yangsym.suites import SuiteConfig, run_suites
-from yangsym.symfun import (composition_sum, composition_weights, elem_e, h_minus,
-                            homog_h, newton_check, power_p, tau_direct)
+from yangsym.symfun import (composition_sum, composition_weights, elem_e, homog_h,
+                            newton_check, power_p, tau_direct)
 from yangsym.capelli import (
     HighestWeight,
     capelli_p,
@@ -77,8 +77,7 @@ def test_capelli_p1(gl2):
 
 
 def test_ev_p_bridge_m2():
-    ok, (lhs, rhs, plus, minus) = ev_p_bridge(2, 2, 4)
-    assert ok
+    (lhs, rhs), (plus, minus) = ev_p_bridge(2, 2, 4)
     assert lhs == rhs
     assert plus == minus
 
@@ -94,8 +93,8 @@ def test_ev_p_bridge_explicit():
 
 def test_ev_hminus_equals_ev_h():
     for m in (1, 2):
-        ok, (lhs, rhs) = ev_hminus_bridge(m, 2, 4)
-        assert ok and lhs == rhs
+        lhs, rhs = ev_hminus_bridge(m, 2, 4)
+        assert lhs == rhs
 
 
 # -- shifted symmetric polynomials ------------------------------------------------
@@ -234,11 +233,12 @@ def test_contexts_and_gl_builders_refuse_n_below_one(build, n):
 # -- shifted identities ---------------------------------------------------------------
 
 def test_eh_star_delta(gl2):
-    ok, _ = check_eh_star(0, 2)
-    assert ok
+    lhs, rhs = check_eh_star(0, 2)
+    assert lhs == rhs == ShiftedPolynomial.const(2, 1)
     for m in (1, 2, 3):
-        assert check_eh_star(m, 2)[0]
-        assert check_eh_star(m, 3)[0]
+        for n in (2, 3):
+            lhs, rhs = check_eh_star(m, n)
+            assert lhs == rhs and rhs.is_zero()
 
 
 def test_eh_star_refuses_negative_m():
@@ -251,10 +251,10 @@ def test_e_star_equals_h_star_at_degree_one():
 
 
 def test_star_compositions_at_sample_weight():
-    assert check_star_composition("e", 1, (1, 0))[0]
-    assert check_star_composition("e", 2, (2, 1))[0]
-    assert check_star_composition("h", 2, (2, 1))[0]
-    assert check_star_composition("e", 3, (3, 1, 0))[0]
+    for kind, k, mu in [("e", 1, (1, 0)), ("e", 2, (2, 1)), ("h", 2, (2, 1)),
+                        ("e", 3, (3, 1, 0))]:
+        lhs, rhs = check_star_composition(kind, k, mu)
+        assert lhs == rhs
 
 
 @pytest.mark.parametrize("kind", ["x", "E", None])
@@ -285,20 +285,21 @@ def test_p_star_k1_matches_first_casimir():
 @pytest.mark.parametrize("k", [1, 2])
 def test_ev_bridges_n2(k):
     for mu in default_weight_grid(2, 6):
-        assert ev_bridge("e", k, 2, 4, mu)[0]
-        assert ev_bridge("h", k, 2, 4, mu)[0]
+        for kind in ("e", "h"):
+            lhs, rhs = ev_bridge(kind, k, 2, 4, mu)
+            assert lhs == rhs
 
 
 def test_ev_bridge_beyond_top_degree():
     # e_3 = 0 at n=2 and e*_3 has no index choices: both sides vanish
-    ok, (lhs, rhs) = ev_bridge("e", 3, 2, 4, HighestWeight((2, 0)))
-    assert ok and lhs.is_zero() and rhs.is_zero()
+    lhs, rhs = ev_bridge("e", 3, 2, 4, HighestWeight((2, 0)))
+    assert lhs.is_zero() and rhs.is_zero()
 
 
 def test_ev_bridge_k1_explicit():
     mu = HighestWeight((4, 1))
-    ok, (lhs, rhs) = ev_bridge("e", 1, 2, 4, mu)
-    assert ok
+    lhs, rhs = ev_bridge("e", 1, 2, 4, mu)
+    assert lhs == rhs
     assert lhs.coeff(0) == 2 and lhs.coeff(1) == 5
 
 

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 import threading
 
 import pytest
@@ -349,6 +348,18 @@ def test_library_value_errors_are_usage_errors(tmp_path, capsys, argv, message):
      "compute h does not take --mu"),
     (["compute", "p_star", "--k", "1", "--n", "2", "--mu", "1,0", "--order", "2"],
      "compute p_star does not take --order"),
+    (["compute", "e", "--k", "2", "--n", "2", "--order", "3", "--sign", "+"],
+     "compute e does not take --sign"),
+    (["compute", "h", "--k", "2", "--n", "2", "--order", "3", "--via", "e"],
+     "compute h does not take --via"),
+    (["compute", "p", "--k", "2", "--n", "2", "--order", "3", "--z", "random"],
+     "compute p does not take --z"),
+    (["compute", "e", "--k", "2", "--n", "2", "--order", "3", "--seed", "5"],
+     "compute e does not take --seed"),
+    (["compute", "b", "--k", "1", "--n", "2", "--order", "3", "--seed", "5"],
+     "compute b takes --seed only with --z random"),
+    (["compute", "b", "--k", "1", "--n", "2", "--order", "3", "--z", "identity", "--seed", "5"],
+     "compute b takes --seed only with --z random"),
 ])
 def test_ignored_or_conflicting_options_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -357,6 +368,20 @@ def test_ignored_or_conflicting_options_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["p", "--k", "2", "--n", "2", "--order", "2"], ["--sign", "-"]),
+    (["schur", "--lambda", "2,1", "--n", "2", "--order", "2"], ["--via", "h"]),
+    (["b", "--k", "1", "--n", "2", "--order", "2"], ["--z", "identity"]),
+    (["b", "--k", "1", "--n", "2", "--order", "2", "--z", "random"], ["--seed", "20240811"]),
+])
+def test_an_omitted_option_keys_the_cache_as_its_default(tmp_path, capsys, argv, default):
+    cache = ["--cache-dir", str(tmp_path)]
+    _, out1, err1 = run_cli(capsys, "compute", *argv, *cache)
+    _, out2, err2 = run_cli(capsys, "compute", *argv, *default, *cache)
+    assert cache_event(err1) == {"cache": "miss", "key": cache_event(err2)["key"]}
+    assert cache_event(err2)["cache"] == "hit" and out1 == out2
 
 
 @pytest.mark.parametrize("argv,message", [

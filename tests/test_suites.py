@@ -1,8 +1,10 @@
 import pytest
 
-from yangsym.pbw import AlgebraElement, yangian_context
-from yangsym.series import USeries
-from yangsym.suites import Reporter, SuiteConfig, _series_coeffs_commute, check_tau, run_suite
+from yangsym.capelli import check_eh_star
+from yangsym.pbw import AlgebraElement, gl_context, yangian_context
+from yangsym.rationals import Q
+from yangsym.series import ShiftedPolynomial, UPolynomial, USeries
+from yangsym.suites import Reporter, SuiteConfig, _series_coeffs_commute, compare, run_suite
 from yangsym.tau import TauOperator
 
 
@@ -29,12 +31,45 @@ def test_capelli_bridge_passes_below_the_random_word_level(n):
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_check_tau_compares_an_absent_degree_up_to_the_other_order(swap):
+def test_compare_reads_an_absent_tau_degree_up_to_the_other_order(swap):
     # u^{-2} tau against the zero operator differs at u^{-2}, not only at u^0
     op = TauOperator.from_series(USeries(2, {2: 1}), 1)
-    ok, failure = check_tau(*((TauOperator.zero(), op) if swap else (op, TauOperator.zero())))
+    ok, failure = compare(*((TauOperator.zero(), op) if swap else (op, TauOperator.zero())))
     assert not ok
     assert (failure["tau"], failure["u_power"]) == (1, 2)
+
+
+def test_compare_locates_a_series_difference_up_to_the_lower_order():
+    y = yangian_context(2)
+    lhs = USeries(2, {0: 1, 1: y.t(1, 1, 1) + y.t(1, 2, 2)})
+    rhs = USeries(3, {0: 1, 1: y.t(1, 1, 1), 3: y.t(2, 1, 1)})
+    assert compare(lhs, rhs) == (False, {"u_power": 1, "monomial": "t[1,2,2]",
+                                         "lhs": "1", "rhs": "0"})
+    # u^{-3} lies beyond the lower order, so it is not compared
+    assert compare(USeries(2, {0: 1}), USeries(3, {0: 1, 3: y.t(2, 1, 1)})) == (True, None)
+
+
+def test_compare_locates_a_tau_difference_at_both_levels():
+    lhs = TauOperator({-1: USeries(2, {0: 1}), 0: USeries(2, {2: Q(1, 2)})})
+    rhs = TauOperator({-1: USeries(2, {0: 1}), 0: USeries(2, {2: Q(1, 3)})})
+    assert compare(lhs, rhs) == (False, {"tau": 0, "u_power": 2, "monomial": "1",
+                                         "lhs": "1/2", "rhs": "1/3"})
+
+
+def test_compare_locates_a_polynomial_difference_over_an_algebra():
+    g = gl_context(2)
+    lhs = UPolynomial({0: 3, 2: g.e(1, 1) * g.e(1, 2)})
+    rhs = UPolynomial({0: 3, 2: g.e(2, 2) - g.e(1, 1) * g.e(1, 2)})
+    assert compare(lhs, rhs) == (False, {"u_exponent": 2, "monomial": "e[1,1]*e[1,2]",
+                                         "lhs": "1", "rhs": "-1"})
+
+
+def test_compare_locates_a_shifted_polynomial_difference():
+    # mu_1 + u against mu_2 + u: the first key in order is the exponent of mu_2
+    ok, failure = compare(ShiftedPolynomial.linear(2, 1), ShiftedPolynomial.linear(2, 2))
+    assert (ok, failure) == (False, {"exponent": (0, 1, 0), "monomial": "1",
+                                     "lhs": "0", "rhs": "1"})
+    assert compare(*check_eh_star(2, 2)) == (True, None)
 
 
 def test_self_pair_commutes_each_unordered_coefficient_pair_once(monkeypatch):
@@ -63,13 +98,40 @@ def test_self_pair_finds_two_coefficients_that_do_not_commute():
 
 def test_every_failing_record_names_a_failure():
     rep = Reporter("demo")
-    bare = rep.run("bare", "a", {}, lambda: False)
-    detailed = rep.run("detailed", "a", {}, lambda: (False, {"_detail": True, "scalar": "2"}))
-    assert bare.status == detailed.status == "fail"
-    assert bare.failure == detailed.failure == {"reason": "check returned false"}
-    assert detailed.detail == {"scalar": "2"}
-    # passing records keep a null failure
+    failed = [rep.run("bare", "a", {}, lambda: False),
+              rep.run("no_info", "a", {}, lambda: (False, None)),
+              rep.run("located", "a", {}, lambda: (False, {"u_power": 1})),
+              rep.run("raised", "a", {}, lambda: 1 // 0)]
+    assert [r.status for r in failed] == ["fail"] * 4
+    assert [r.failure for r in failed] == [{"reason": "check returned false"}] * 2 + [
+        {"u_power": 1}, {"error": "ZeroDivisionError: integer division or modulo by zero"}]
+    assert [r.detail for r in failed] == [None] * 4
+    # passing records keep a null failure, and their info as the detail
     passed = [rep.run("true", "a", {}, lambda: True),
-              rep.run("detail", "a", {}, lambda: (True, {"_detail": True, "scalar": "2"}))]
-    assert [(r.status, r.failure) for r in passed] == [("pass", None)] * 2
-    assert passed[1].detail == {"scalar": "2"}
+              rep.run("no_info", "a", {}, lambda: (True, None)),
+              rep.run("detail", "a", {}, lambda: (True, {"scalar": "2"}))]
+    assert [(r.status, r.failure) for r in passed] == [("pass", None)] * 3
+    assert [r.detail for r in passed] == [None, None, {"scalar": "2"}]
+
+
+def test_a_failing_identity_record_locates_the_difference(monkeypatch):
+    from yangsym import suites
+
+    monkeypatch.setattr(suites, "check_eh_star",
+                        lambda m, n: (ShiftedPolynomial.const(n, 1), ShiftedPolynomial.const(n, 2)))
+    records = run_suite("shifted-identities", SuiteConfig(n=1, max_m=1))
+    eh = [r for r in records if r.name.startswith("eh_star")]
+    assert [r.status for r in eh] == ["fail", "fail"]
+    assert eh[0].failure == {"exponent": (0, 0), "monomial": "1", "lhs": "1", "rhs": "2"}
+
+
+def test_a_failing_adjudication_keeps_its_computed_ratio(monkeypatch):
+    from yangsym import suites
+
+    monkeypatch.setattr(suites, "_proportionality", lambda target, base: (Q(3), False))
+    records = run_suite("lemma-constant", SuiteConfig(n=2, order=2))
+    ratio = [r for r in records if r.name.startswith("bethe_ratio")]
+    assert [r.status for r in ratio] == ["fail", "fail"]
+    assert ratio[0].detail is None
+    assert ratio[0].failure == {"computed_ratio": "3", "printed_ratio": "2",
+                                "matches_printed": False}
