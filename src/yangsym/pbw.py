@@ -33,7 +33,12 @@ Commutators have a second memo, `comm_memo`, shared per (kind, n) like
 the normal form of wa*wb - wb*wa as a tuple of (word, int) terms, `()` if
 they commute, and the reversed pair reads the same entry with sign -1.
 Entries are filled by insertion; they read whole-word `nf_memo` entries
-but add none.
+but add none.  Every commutator is a bracket: `AlgebraContext.bracket(B)`
+is the linear map A -> [A, B], which forms [w, B] from `comm_memo` once per
+word w of its arguments and keeps its nonzero terms, so one map applied to
+many elements brackets each of their words against B once.  That store
+belongs to the map and is freed with it; `commutator_terms` makes a map for
+one argument.
 
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
@@ -262,6 +267,25 @@ class RewriteSystem:
             res = self.comm_memo[wa, wb] = tuple(out.items())
         return res
 
+    def word_bracket(self, wa, B):
+        """Nonzero terms of [wa, B], as a tuple of (word, int) terms, for a
+        normal word wa and a term dict B with int coefficients."""
+        memo, out = self.comm_memo, {}
+        for wb, cb in B.items():
+            fwd = wa < wb
+            key = (wa, wb) if fwd else (wb, wa)
+            terms = memo.get(key)
+            if terms is None:
+                terms = self.word_commutator(*key)
+            c = cb if fwd else -cb
+            for w, q in terms:
+                s = out.get(w, 0) + c * q
+                if s:
+                    out[w] = s
+                elif w in out:
+                    del out[w]
+        return tuple(out.items())
+
     def _extend(self, terms, letters, out):
         """Add the normal form of sum c*v*letters over the normal words
         v -> c of `terms` into `out`, inserting the letters one at a time,
@@ -292,6 +316,8 @@ class RewriteSystem:
                 elif w in dest:
                     del dest[w]
             terms = nxt
+            if not terms:
+                return out
         for v, c in terms.items():
             s = out.get(v, 0) + c
             if s:
@@ -454,30 +480,36 @@ class AlgebraContext:
         return self._apply_cap(acc) if out is None else acc
 
     def commutator_terms(self, A, B):
-        """Terms of AB - BA from the word commutators.  An operand with a
-        Fraction coefficient is multiplied by the lcm of its denominators,
-        so the loop runs on ints and the output is divided once."""
-        (A, da), (B, db) = _cleared(A), _cleared(B)
-        memo, wc = self.rs.comm_memo, self.rs.word_commutator
-        out = {}
-        for wa, ca in A.items():
-            for wb, cb in B.items():
-                fwd = wa < wb
-                key = (wa, wb) if fwd else (wb, wa)
-                terms = memo.get(key)
+        """Terms of AB - BA."""
+        return self.bracket(B)(A)
+
+    def bracket(self, B):
+        """The linear map A -> terms of [A, B], for term dicts A and B.
+
+        An operand with a Fraction coefficient is multiplied by the lcm of its
+        denominators, so the map runs on ints and divides its output once.
+        [w, B] is formed once per word w of an argument, from the word
+        commutators, and kept for every later argument while the map lives."""
+        B, db = _cleared(B)
+        by_word, word_bracket = {}, self.rs.word_bracket
+
+        def apply(A):
+            A, da = _cleared(A)
+            out = {}
+            for wa, ca in A.items():
+                terms = by_word.get(wa)
                 if terms is None:
-                    terms = wc(*key)
-                if not terms:
-                    continue
-                c = ca * cb if fwd else -ca * cb
+                    terms = by_word[wa] = word_bracket(wa, B)
                 for w, q in terms:
-                    s = out.get(w, 0) + c * q
+                    s = out.get(w, 0) + ca * q
                     if s:
                         out[w] = s
                     elif w in out:
                         del out[w]
-        d = da * db
-        return out if d == 1 else {w: demote(Q(c, d)) for w, c in out.items()}
+            d = da * db
+            return out if d == 1 else {w: demote(Q(c, d)) for w, c in out.items()}
+
+        return apply
 
 
 def _cleared(terms):

@@ -179,6 +179,16 @@ def _compare_pairs(pairs):
     return next((r for r in (compare(*p) for p in pairs) if not r[0]), (True, None))
 
 
+def _compare_weights(sides, weights):
+    """The failure of the first weight mu whose sides(mu) differ, with the
+    weight added as "mu", else (True, None)."""
+    for mu in weights:
+        ok, failure = compare(*sides(mu))
+        if not ok:
+            return (False, {"mu": list(mu.mu), **failure})
+    return (True, None)
+
+
 def _proportionality(target, base):
     """(ratio, target == ratio * base) for two series of algebra elements, the
     ratio read off the first term of the lowest coefficient of a nonzero base."""
@@ -430,20 +440,36 @@ def _check_top_e_central(n, N):
     """Coefficients of e_n(u) commute with every generator of level
     <= N - n + 1 (the levels the truncation fully determines)."""
     ctx = yangian_context(n)
-    en = elem_e(n, n, N)
-    for c in en.coeffs.values():
-        if not isinstance(c, AlgebraElement) or c.as_scalar() is not None:
-            continue
-        for r in range(1, N - n + 2):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    g = ctx.t(r, i, j)
-                    if c.commutator(g):
-                        return False
+    brackets = [(f"t[{r},{i},{j}]", ctx.bracket(ctx.t(r, i, j).terms))
+                for r in range(1, N - n + 2) for i in range(1, n + 1) for j in range(1, n + 1)]
+    for m, c in _nonscalar_coeffs(elem_e(n, n, N)):
+        for g, bracket in brackets:
+            comm = bracket(c.terms)
+            if comm:
+                return (False, {"u_power": m, "generator": g,
+                                "monomial": _first_monomial(ctx, comm)})
     return True
 
 
+def _nonscalar_coeffs(series):
+    """(power, coefficient) for the coefficients that are non-scalar elements."""
+    return [(m, c) for m, c in series.coeffs.items()
+            if isinstance(c, AlgebraElement) and c.as_scalar() is None]
+
+
+def _coeff_brackets(series):
+    """The bracket [-, c] of each non-scalar coefficient c of a series, by power."""
+    return {m: c.ctx.bracket(c.terms) for m, c in _nonscalar_coeffs(series)}
+
+
+def _first_monomial(ctx, terms):
+    return compare(AlgebraElement(ctx, terms), 0)[1]["monomial"]
+
+
 def _pairwise_commute(rep, label, n, N, family, extra=None):
+    # the brackets [-, c] of member b's coefficients serve every check (a, b)
+    # with a <= b, and are dropped after (b, b), the last of them
+    brackets = [_coeff_brackets(s) for _, s in family]
     for a in range(len(family)):
         for b in range(a, len(family)):
             name_a, sa = family[a]
@@ -452,25 +478,25 @@ def _pairwise_commute(rep, label, n, N, family, extra=None):
             if extra:
                 params.update(extra)
             rep.run(f"{label}_{name_a}_vs_{name_b}", f"commuting_{label}", params,
-                    lambda sa=sa, sb=sb: _series_coeffs_commute(sa, sb),
+                    lambda sa=sa, sb=sb, br=brackets[b]: _series_coeffs_commute(sa, sb, br),
                     determined_order=N)
+            if b == a:
+                brackets[a] = None
 
 
-def _series_coeffs_commute(sa, sb):
+def _series_coeffs_commute(sa, sb, brackets):
+    """Whether every coefficient of sa commutes with every coefficient of sb,
+    given the brackets [-, c] of the non-scalar coefficients c of sb by power."""
     # on a self pair only m < m' is needed: [y, x] = -[x, y] and [x, x] = 0
     same = sa is sb
-    for ma, ca in sa.coeffs.items():
-        if not isinstance(ca, AlgebraElement) or ca.as_scalar() is not None:
-            continue
-        for mb, cb in sb.coeffs.items():
+    for ma, ca in _nonscalar_coeffs(sa):
+        for mb, bracket in brackets.items():
             if same and mb <= ma:
                 continue
-            if not isinstance(cb, AlgebraElement) or cb.as_scalar() is not None:
-                continue
-            comm = ca.commutator(cb)
+            comm = bracket(ca.terms)
             if comm:
-                mono = compare(comm, 0)[1]["monomial"]
-                return (False, {"u_power_lhs": ma, "u_power_rhs": mb, "monomial": mono})
+                return (False, {"u_power_lhs": ma, "u_power_rhs": mb,
+                                "monomial": _first_monomial(ca.ctx, comm)})
     return (True, None)
 
 
@@ -517,8 +543,8 @@ def suite_capelli_bridge(cfg):
             for kind in ("e", "h"):
                 rep.run(f"ev_{kind}_bridge_k{k}", f"evaluation_{kind}_bridge",
                         {"n": n, "order": N, "k": k, "weights": len(weights)},
-                        lambda k=k, n=n, kind=kind, weights=weights:
-                        all(compare(*ev_bridge(kind, k, n, N, mu))[0] for mu in weights),
+                        lambda k=k, n=n, kind=kind, weights=weights: _compare_weights(
+                            lambda mu: ev_bridge(kind, k, n, N, mu), weights),
                         determined_order=N)
         for m in (1, 2):
             rep.run(f"ev_hminus_bridge_m{m}", "evaluation_inverse_family",
@@ -574,9 +600,8 @@ def suite_perelomov_popov(cfg):
             trEk = tr_E_power(k, n)
             rep.run(f"pp_vs_hw_k{k}", "gelfand_invariant_eigenvalue",
                     {"n": n, "k": k, "weights": len(weights)},
-                    lambda trEk=trEk, k=k, weights=weights:
-                    all(pp_eigen_trEk(k, mu) == hw_eigenvalue(trEk, mu)
-                        for mu in weights))
+                    lambda trEk=trEk, k=k, weights=weights: _compare_weights(
+                        lambda mu: (pp_eigen_trEk(k, mu), hw_eigenvalue(trEk, mu)), weights))
             def check_rep(trEk=trEk, k=k, n=n):
                 M = defining_rep_value(trEk)
                 ok, scalar = is_scalar_matrix(M)
@@ -621,9 +646,8 @@ def suite_shifted_identities(cfg):
             for kind in ("e", "h"):
                 rep.run(f"{kind}_star_composition_k{k}", f"shifted_composition_{kind}",
                         {"n": n, "k": k, "weights": len(weights)},
-                        lambda k=k, kind=kind, weights=weights:
-                        all(compare(*check_star_composition(kind, k, mu))[0]
-                            for mu in weights))
+                        lambda k=k, kind=kind, weights=weights: _compare_weights(
+                            lambda mu: check_star_composition(kind, k, mu), weights))
     return rep.records
 
 

@@ -9,6 +9,7 @@ from yangsym import pbw, symfun
 from yangsym.rationals import Q
 from yangsym.pbw import (
     AlgebraContext,
+    AlgebraElement,
     RewriteSystem,
     free_context,
     gl_context,
@@ -460,6 +461,28 @@ def test_commutator_of_twisted_bethe_coefficients(seed, ks, powers, data):
     assert not _assert_commutator_oracle(ctx, x, y)
     z = data.draw(_elements(ctx, _COMMUTATOR_ALGEBRAS["y3"][2]))
     _assert_commutator_oracle(ctx, x, z)
+
+
+_BRACKET_ALGEBRAS = {
+    "y2": _FORMAT_CONTEXTS["y2"],
+    "gl3": (gl_context(3), _GL3_GENS),
+    "free": (free_context(3), [0, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_ALGEBRAS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_bracket_serves_every_argument_in_any_order(name, data):
+    ctx, gens = _BRACKET_ALGEBRAS[name]
+    b = data.draw(_elements(ctx, gens))
+    xs = data.draw(st.lists(_elements(ctx, gens), min_size=2, max_size=4))
+    order = data.draw(st.permutations(range(len(xs))))
+    bracket = ctx.bracket(b.terms)
+    for i in order + order[:1]:  # the first again, from the words it kept
+        terms = bracket(xs[i].terms)
+        _assert_stored_form(terms.values())
+        assert AlgebraElement(ctx, terms) == xs[i] * b - b * xs[i]
 
 
 def test_word_commutator_reads_one_entry_for_both_orders():

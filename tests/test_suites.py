@@ -1,10 +1,17 @@
 import pytest
 
 from yangsym.capelli import check_eh_star
-from yangsym.pbw import AlgebraElement, gl_context, yangian_context
+from yangsym.pbw import RewriteSystem, gl_context, yangian_context
 from yangsym.rationals import Q
 from yangsym.series import ShiftedPolynomial, UPolynomial, USeries
-from yangsym.suites import Reporter, SuiteConfig, _series_coeffs_commute, compare, run_suite
+from yangsym.suites import (
+    Reporter,
+    SuiteConfig,
+    _coeff_brackets,
+    _series_coeffs_commute,
+    compare,
+    run_suite,
+)
 from yangsym.tau import TauOperator
 
 
@@ -72,28 +79,97 @@ def test_compare_locates_a_shifted_polynomial_difference():
     assert compare(*check_eh_star(2, 2)) == (True, None)
 
 
-def test_self_pair_commutes_each_unordered_coefficient_pair_once(monkeypatch):
+def test_self_pair_commutes_each_unordered_coefficient_pair_once():
     y = yangian_context(2)
     s = USeries(3, {0: y.one(), 1: y.t(1, 1, 1), 2: y.t(2, 2, 2), 3: y.t(1, 2, 2)})
-    pairs = []
-    commutator = AlgebraElement.commutator
+    applied = []
 
-    def counting_commutator(a, b):
-        pairs.append(1)
-        return commutator(a, b)
+    def counting(bracket):
+        def apply(terms):
+            applied.append(1)
+            return bracket(terms)
+        return apply
 
-    monkeypatch.setattr(AlgebraElement, "commutator", counting_commutator)
-    assert _series_coeffs_commute(s, s) == (True, None)
-    assert len(pairs) == 3  # one per unordered pair m < m'
+    brackets = {m: counting(b) for m, b in _coeff_brackets(s).items()}
+    assert _series_coeffs_commute(s, s, brackets) == (True, None)
+    assert len(applied) == 3  # one per unordered pair m < m'
 
 
 def test_self_pair_finds_two_coefficients_that_do_not_commute():
     y = yangian_context(2)
     s = USeries(2, {1: y.t(1, 1, 2), 2: y.t(1, 2, 1)})
-    ok, failure = _series_coeffs_commute(s, s)
+    ok, failure = _series_coeffs_commute(s, s, _coeff_brackets(s))
     assert not ok
     # [t[1,1,2], t[1,2,1]] = t[1,1,1] - t[1,2,2]: the smallest monomial is named
     assert failure == {"u_power_lhs": 1, "u_power_rhs": 2, "monomial": "t[1,1,1]"}
+
+
+def test_commutativity_forms_each_word_bracket_once(monkeypatch):
+    formed, kept = [], []
+    word_bracket = RewriteSystem.word_bracket
+
+    def counting_word_bracket(rs, wa, B):
+        formed.append((wa, id(B)))
+        kept.append(B)  # keeps each id unique while counting
+        return word_bracket(rs, wa, B)
+
+    monkeypatch.setattr(RewriteSystem, "word_bracket", counting_word_bracket)
+    records = run_suite("commutativity", SuiteConfig(n=2, order=4))
+    bethe = [r for r in records if r.name.startswith("bethe_family")]
+    assert len(bethe) == 36 and all(r.status == "pass" for r in records)
+    assert formed and len(set(formed)) == len(formed)
+
+
+def test_a_failing_top_elementary_check_names_power_generator_and_monomial(monkeypatch):
+    from yangsym import suites
+
+    y = yangian_context(2)
+    monkeypatch.setattr(suites, "elem_e",
+                        lambda k, n, N: USeries(N, {0: y.one(), 1: y.t(1, 1, 2)}))
+    records = run_suite("commutativity", SuiteConfig(n=2, order=2, max_k=1))
+    top = [r for r in records if r.name == "top_elementary_central"]
+    # [t[1,1,2], t[1,1,1]] = -t[1,1,2]
+    assert top[0].failure == {"u_power": 1, "generator": "t[1,1,1]", "monomial": "t[1,1,2]"}
+
+
+def _patch_at_weight(monkeypatch, name, mu, bump):
+    """Patch suites.<name> so that one side changes at the weight mu alone."""
+    from yangsym import suites
+
+    real = getattr(suites, name)
+
+    def patched(*args):
+        out = real(*args)
+        return bump(out) if args[-1].mu == mu else out
+
+    monkeypatch.setattr(suites, name, patched)
+
+
+def test_a_failing_evaluation_bridge_names_its_weight(monkeypatch):
+    _patch_at_weight(monkeypatch, "ev_bridge", (4, 2), lambda sides: (sides[0], sides[1] + 1))
+    records = run_suite("capelli-bridge", SuiteConfig(n=2, order=3, max_k=1))
+    failed = {r.name: r.failure for r in records if r.status != "pass"}
+    assert failed == {f"ev_{kind}_bridge_k1": {"mu": [4, 2], "u_power": 0, "monomial": "1",
+                                               "lhs": "2", "rhs": "3"} for kind in "eh"}
+
+
+def test_a_failing_star_composition_names_its_weight(monkeypatch):
+    _patch_at_weight(monkeypatch, "check_star_composition", (4, 2),
+                     lambda sides: (sides[0], sides[1] + 1))
+    records = run_suite("shifted-identities", SuiteConfig(n=2, max_m=1))
+    failed = {r.name: r.failure for r in records if r.status != "pass"}
+    assert failed == {
+        "e_star_composition_k1": {"mu": [4, 2], "u_exponent": 0, "monomial": "1",
+                                  "lhs": "4", "rhs": "5"},
+        "h_star_composition_k1": {"mu": [4, 2], "u_exponent": 0, "monomial": "1",
+                                  "lhs": "6", "rhs": "7"}}
+
+
+def test_a_failing_gelfand_eigenvalue_names_its_weight(monkeypatch):
+    _patch_at_weight(monkeypatch, "pp_eigen_trEk", (4, 2), lambda value: value + 1)
+    records = run_suite("perelomov-popov", SuiteConfig(n=2, max_k=1))
+    failed = {r.name: r.failure for r in records if r.status != "pass"}
+    assert failed == {"pp_vs_hw_k1": {"mu": [4, 2], "monomial": "1", "lhs": "7", "rhs": "6"}}
 
 
 def test_every_failing_record_names_a_failure():
