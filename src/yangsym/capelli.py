@@ -25,7 +25,7 @@ per run, as entries of the family cache of `symfun`.
 
 from itertools import accumulate, combinations, combinations_with_replacement, islice
 
-from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational, demote
+from .rationals import Q, RATIONAL_TYPES, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
 from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
 from .tensor import matrix_on_leg, trace_of_product
@@ -53,17 +53,17 @@ class HighestWeight:
     def m_values(self):
         """m_i = mu_i + n - i; strictly decreasing, so all gammas are finite."""
         n = self.n
-        return [Q(self.mu[i] + n - (i + 1)) for i in range(n)]
+        return [self.mu[i] + n - (i + 1) for i in range(n)]
 
     def gammas(self):
         ms = self.m_values()
         out = []
         for i, mi in enumerate(ms):
-            g = QONE
+            g = 1
             for j, mj in enumerate(ms):
                 if j != i:
-                    g = g * (QONE - QONE / (mi - mj))
-            out.append(g)
+                    g = g * (1 - Q(1, mi - mj))
+            out.append(demote(g))
         return out
 
     def __repr__(self):
@@ -135,10 +135,7 @@ def pp_eigen_trEk(k, mu):
     if k < 0:
         raise ValueError("k must be >= 0")
     mu = _weight(mu)
-    acc = QZERO
-    for mi, gi in zip(mu.m_values(), mu.gammas()):
-        acc = acc + gi * mi ** k
-    return acc
+    return sum(gi * mi ** k for mi, gi in zip(mu.m_values(), mu.gammas()))
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +215,15 @@ def hw_eigenvalue(z, mu):
     mu = _weight(mu)
     if mu.n != n:
         raise ValueError("weight length mismatch")
-    vals = [as_rational(x) for x in mu.mu]
     nn = n * n
-    acc = QZERO
+    acc = 0
     for word, c in z.terms.items():
-        v = c
-        ok = True
         for gid in word:
-            block = gid // nn
-            if block != 1:
-                ok = False
+            if gid // nn != 1:  # not a Cartan generator e_ii
                 break
-            i = (gid % nn) // n
-            v = v * vals[i]
-        if ok:
-            acc = acc + v
+            c = c * mu.mu[(gid % nn) // n]
+        else:
+            acc = acc + c
     return acc
 
 
@@ -241,7 +232,7 @@ def defining_rep_value(z):
     if not isinstance(z, AlgebraElement) or z.ctx.kind != "gl":
         raise ValueError("defining_rep_value expects a U(gl_n) element")
     n = z.ctx.n
-    out = [[QZERO] * n for _ in range(n)]
+    out = [[0] * n for _ in range(n)]
     for word, c in z.terms.items():
         if not word:
             for a in range(n):

@@ -55,10 +55,11 @@ needs a generator above level N and no product drops a monomial;
 `yangian_context(n)` and `gl_context(n)` return one context per n.
 
 Coefficients in element terms, in the exchange table and in the two memos
-are plain ints when integral and Fractions (denominator above 1) otherwise,
-never floats; `rationals.demote` puts a value into that form.  The exchange
-table and both memos are integral, so straightening and commutators run on
-machine-sized ints.  `coeff` and `as_scalar` return Fractions.
+follow `rationals.demote`, the stored form of every layer: plain ints when
+integral and Fractions (denominator above 1) otherwise, never floats.  The
+exchange table and both memos are integral, so straightening and
+commutators run on machine-sized ints.  `coeff` and `as_scalar` alone
+return Fractions, whatever the stored form.
 """
 
 from math import lcm

@@ -4,13 +4,15 @@ Every coefficient in this package is an arbitrary-precision rational;
 nothing is ever rounded.  The scalar type Q is the standard library's
 fractions.Fraction; plain ints are accepted wherever a rational is.
 
-Coefficients stored inside algebra elements, series, polynomials and
-shift operators follow one rule (see `demote`): a plain int when the value
-is integral, a Fraction with denominator above 1 otherwise, and never a
-float.  Integer arithmetic is several times faster than Fraction
-arithmetic, and int and Fraction agree on equality, hashing and `str`, so
-the rule is invisible in results.  The accessors of an algebra element that
-return a single scalar (`coeff`, `as_scalar`) still return a Fraction.
+Every stored rational, in every layer, follows one rule (see `demote`): a
+plain int when the value is integral, a Fraction with denominator above 1
+otherwise, and never a float.  That covers the coefficients of algebra
+elements, series, polynomials and shift operators, and the rational entries
+of tensor matrices, twists and weights.  Integer arithmetic is several times
+faster than Fraction arithmetic, and int and Fraction agree on equality,
+hashing and `str`, so the rule is invisible in results.  The accessors of
+an algebra element that return a single scalar (`coeff`, `as_scalar`) still
+return a Fraction.
 """
 
 from fractions import Fraction as Q
@@ -19,31 +21,23 @@ from math import comb
 #: types accepted wherever a rational scalar is expected
 RATIONAL_TYPES = (int, Q)
 
-QZERO = Q(0)
-QONE = Q(1)
-
-
-def as_rational(x):
-    """Coerce an int / Fraction / 'p/q' string to Q."""
-    if isinstance(x, Q):
-        return x
-    if isinstance(x, (int, str)):
-        return Q(x)
-    raise TypeError(f"not a rational scalar: {x!r}")
-
 
 def demote(x):
     """Stored form of an exact rational: an int when x is integral, else a
-    Fraction with denominator above 1.  Accepts what `as_rational` does."""
+    Fraction with denominator above 1.  Anything but an int or a Fraction
+    (a float, a string) raises TypeError."""
     if type(x) is int:
         return x
-    q = as_rational(x)
-    return q.numerator if q.denominator == 1 else q
+    if isinstance(x, Q):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):  # bool
+        return int(x)
+    raise TypeError(f"not a rational scalar: {x!r}")
 
 
 def rational_str(x):
     """Canonical string form 'p' or 'p/q' with q > 0 and gcd(p,q)=1."""
-    return str(as_rational(x))
+    return str(demote(x))
 
 
 def binomial(n, k):
@@ -55,10 +49,7 @@ def binomial(n, k):
 
 __all__ = [
     "Q",
-    "QZERO",
-    "QONE",
     "RATIONAL_TYPES",
-    "as_rational",
     "demote",
     "rational_str",
     "binomial",

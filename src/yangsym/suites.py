@@ -174,18 +174,13 @@ def compare(lhs, rhs):
     return (False, dict(failure, lhs=str(ta.get(w, 0)), rhs=str(tb.get(w, 0))))
 
 
-def _compare_pairs(pairs):
-    """The first failing `compare` of the (lhs, rhs) pairs, else (True, None)."""
-    return next((r for r in (compare(*p) for p in pairs) if not r[0]), (True, None))
-
-
-def _compare_weights(sides, weights):
-    """The failure of the first weight mu whose sides(mu) differ, with the
-    weight added as "mu", else (True, None)."""
-    for mu in weights:
-        ok, failure = compare(*sides(mu))
+def _first_failure(key, cases):
+    """The failure of the first (label, (lhs, rhs)) case whose sides differ,
+    with its label added under key, else (True, None)."""
+    for label, sides in cases:
+        ok, failure = compare(*sides)
         if not ok:
-            return (False, {"mu": list(mu.mu), **failure})
+            return (False, {key: label, **failure})
     return (True, None)
 
 
@@ -194,7 +189,7 @@ def _proportionality(target, base):
     ratio read off the first term of the lowest coefficient of a nonzero base."""
     m = min(base.coeffs)
     w, q = next(iter(base.coeffs[m].terms.items()))
-    ratio = Q(target.coeffs[m].terms.get(w, 0)) / q
+    ratio = Q(target.coeffs[m].terms.get(w, 0), q)
     return (ratio, base.scale(ratio) == target)
 
 
@@ -203,8 +198,7 @@ def _matrix_proportionality(target, base):
     for r, row in base.rows.items():
         for c, v in row.items():
             if v:
-                t = target.entry(r, c)
-                ratio = t / v
+                ratio = Q(target.entry(r, c), v)
                 return (ratio, target.equal(base.scale(ratio)))
     return (None, target.is_zero())
 
@@ -543,8 +537,8 @@ def suite_capelli_bridge(cfg):
             for kind in ("e", "h"):
                 rep.run(f"ev_{kind}_bridge_k{k}", f"evaluation_{kind}_bridge",
                         {"n": n, "order": N, "k": k, "weights": len(weights)},
-                        lambda k=k, n=n, kind=kind, weights=weights: _compare_weights(
-                            lambda mu: ev_bridge(kind, k, n, N, mu), weights),
+                        lambda k=k, n=n, kind=kind, weights=weights: _first_failure(
+                            "mu", ((list(mu.mu), ev_bridge(kind, k, n, N, mu)) for mu in weights)),
                         determined_order=N)
         for m in (1, 2):
             rep.run(f"ev_hminus_bridge_m{m}", "evaluation_inverse_family",
@@ -553,11 +547,11 @@ def suite_capelli_bridge(cfg):
                     determined_order=N)
             rep.run(f"ev_p_bridge_m{m}", "evaluation_power_bridge",
                     {"n": n, "order": N, "m": m},
-                    lambda m=m, n=n: _compare_pairs(ev_p_bridge(m, n, N)),
+                    lambda m=m, n=n: _first_failure("pair", enumerate(ev_p_bridge(m, n, N))),
                     determined_order=N)
         rep.run("ev_algebra_map", "evaluation_multiplicative",
                 {"n": n, "pairs": 5},
-                lambda n=n, rng=rng: _check_ev_multiplicative(n, rng))
+                lambda n=n, rng=rng: _first_failure("pair", _ev_multiplicative_sides(n, rng)))
     return rep.records
 
 
@@ -575,20 +569,19 @@ def _random_yangian_element(ctx, rng):
             word.append(encode_t(n, r, rng.randint(1, n), rng.randint(1, n)))
             if budget < 1:
                 break
-        coeff = Q(rng.randint(-3, 3))
+        coeff = rng.randint(-3, 3)
         if coeff:
             out = out + ctx.normal_form([(coeff, tuple(word))])
     return out
 
 
-def _check_ev_multiplicative(n, rng):
+def _ev_multiplicative_sides(n, rng):
+    """(pair, (ev(xy), ev(x) ev(y))) for five pairs of random elements."""
     ctx = yangian_context(n)
-    for _ in range(5):
+    for pair in range(5):
         x = _random_yangian_element(ctx, rng)
         y = _random_yangian_element(ctx, rng)
-        if ev_hom(x * y) != ev_hom(x) * ev_hom(y):
-            return False
-    return True
+        yield pair, (ev_hom(x * y), ev_hom(x) * ev_hom(y))
 
 
 def suite_perelomov_popov(cfg):
@@ -600,8 +593,9 @@ def suite_perelomov_popov(cfg):
             trEk = tr_E_power(k, n)
             rep.run(f"pp_vs_hw_k{k}", "gelfand_invariant_eigenvalue",
                     {"n": n, "k": k, "weights": len(weights)},
-                    lambda trEk=trEk, k=k, weights=weights: _compare_weights(
-                        lambda mu: (pp_eigen_trEk(k, mu), hw_eigenvalue(trEk, mu)), weights))
+                    lambda trEk=trEk, k=k, weights=weights: _first_failure("mu", (
+                        (list(mu.mu), (pp_eigen_trEk(k, mu), hw_eigenvalue(trEk, mu)))
+                        for mu in weights)))
             def check_rep(trEk=trEk, k=k, n=n):
                 M = defining_rep_value(trEk)
                 ok, scalar = is_scalar_matrix(M)
@@ -629,7 +623,7 @@ def suite_perelomov_popov(cfg):
     if cfg.n in (None, 2):
         rep.run("defining_rep_value_n2_k2", "gelfand_invariant_defining_rep",
                 {"n": 2, "k": 2},
-                lambda: is_scalar_matrix(defining_rep_value(tr_E_power(2, 2))) == (True, Q(2)))
+                lambda: is_scalar_matrix(defining_rep_value(tr_E_power(2, 2))) == (True, 2))
     return rep.records
 
 
@@ -646,8 +640,9 @@ def suite_shifted_identities(cfg):
             for kind in ("e", "h"):
                 rep.run(f"{kind}_star_composition_k{k}", f"shifted_composition_{kind}",
                         {"n": n, "k": k, "weights": len(weights)},
-                        lambda k=k, kind=kind, weights=weights: _compare_weights(
-                            lambda mu: check_star_composition(kind, k, mu), weights))
+                        lambda k=k, kind=kind, weights=weights: _first_failure(
+                            "mu", ((list(mu.mu), check_star_composition(kind, k, mu))
+                                   for mu in weights)))
     return rep.records
 
 
@@ -655,15 +650,15 @@ def suite_engine_selfcheck(cfg):
     rep = Reporter("engine-selfcheck")
     for n in _ns(cfg, default=(2, 3)):
         rep.run(f"yangian_confluence_n{n}", "rewrite_confluence", {"n": n},
-                lambda n=n: _check_confluence(yangian_context(n).rs))
+                lambda n=n: _check_confluence(yangian_context(n)))
         rep.run(f"gl_confluence_n{n}", "rewrite_confluence", {"n": n},
-                lambda n=n: _check_confluence(gl_context(n).rs))
+                lambda n=n: _check_confluence(gl_context(n)))
         rep.run(f"jacobi_n{n}", "extracted_bracket_jacobi", {"n": n},
                 lambda n=n: _check_jacobi(n))
         rep.run(f"termination_measure_n{n}", "rewrite_termination_measure", {"n": n},
                 lambda n=n: _check_termination(n))
         rep.run(f"trace_lemma_n{n}", "cyclic_trace_lemma", {"n": n},
-                lambda n=n: _check_trace_lemma(n))
+                lambda n=n: _first_failure("k", _trace_lemma_sides(n)))
     shapes = [(cfg.n, cfg.order)] if cfg.n and cfg.order else [(2, 6), (3, 5)]
     for n, N in shapes:
         rep.run(f"truncation_drops_n{n}_N{N}", "truncation_soundness",
@@ -700,9 +695,11 @@ def _generator_ids(rs, max_level):
     return [encode_t(n, r, i, j) for r in range(1, max_level + 1) for i in idx for j in idx]
 
 
-def _check_confluence(rs):
+def _check_confluence(ctx):
     """Each word of three generators of total level at most 4 reaches one
-    normal form from every first rewrite (two-letter words have only one)."""
+    normal form from every first rewrite (two-letter words have only one).
+    A failure names the word."""
+    rs = ctx.rs
     ids, level = _generator_ids(rs, 2), rs.level
     for a in ids:
         for b in ids:
@@ -710,11 +707,14 @@ def _check_confluence(rs):
                 if level(a) + level(b) + level(c) <= 4:
                     results = _one_step_results(rs, (a, b, c))
                     if any(r != results[0] for r in results[1:]):
-                        return False
+                        return (False, {"word": _first_monomial(ctx, {(a, b, c): 1})})
     return True
 
 
 def _check_jacobi(n):
+    """The Jacobi identity for the extracted brackets of each generator triple
+    of total level at most 4.  A failure names the triple and a monomial of
+    the Jacobi sum."""
     ctx = yangian_context(n)
     gens = [ctx.t(r, i, j) for r in (1, 2) for i in range(1, n + 1)
             for j in range(1, n + 1)]
@@ -727,15 +727,18 @@ def _check_jacobi(n):
         j = x.commutator(y.commutator(z)) + y.commutator(z.commutator(x)) \
             + z.commutator(x.commutator(y))
         if j:
-            return False
+            return (False, {"generators": [_first_monomial(ctx, g.terms) for g in (x, y, z)],
+                            "monomial": _first_monomial(ctx, j.terms)})
     return True
 
 
 def _check_termination(n):
     """The exchange entry of each generator pair a > b of level sum at most 5
     (every pair of U(gl_n)) keeps the swap x_b x_a at the level of the pair
-    and puts every correction strictly below it."""
-    for rs in (yangian_context(n).rs, gl_context(n).rs):
+    and puts every correction strictly below it.  A failure names the pair
+    and the offending word."""
+    for ctx in (yangian_context(n), gl_context(n)):
+        rs = ctx.rs
         ids = _generator_ids(rs, 4)
         for a in ids:
             for b in ids:
@@ -745,13 +748,15 @@ def _check_termination(n):
                 for _, w in rs.expansion(a, b):
                     wl = rs.word_level(w)
                     if not (wl == level if w == (b, a) else wl < level):
-                        return False
+                        return (False, {"pair": [_first_monomial(ctx, {(g,): 1}) for g in (a, b)],
+                                        "word": _first_monomial(ctx, {w: 1})})
     return True
 
 
-def _check_trace_lemma(n):
-    """Full trace of P_{k-1,k}...P_{1,2} (X1)_1...(Xk)_k equals the trace of
-    the plain product X1 X2...Xk, for generic noncommutative matrices, k <= 4."""
+def _trace_lemma_sides(n):
+    """(k, sides) of: the full trace of P_{k-1,k}...P_{1,2} (X1)_1...(Xk)_k
+    equals the trace of the plain product X1 X2...Xk, for generic
+    noncommutative matrices, k = 2, 3, 4."""
     for k in range(2, 5):
         fc = free_context(k * n * n)
         zero = fc.zero()
@@ -764,9 +769,7 @@ def _check_trace_lemma(n):
         acc = left
         for s, M in enumerate(mats, start=1):
             acc = tm_mul(acc, matrix_on_leg(M, s, k, zero))
-        if trace_full(acc) != trace_of_product([matrix_on_leg(M, 1, 1, zero) for M in mats]):
-            return False
-    return True
+        yield k, (trace_full(acc), trace_of_product([matrix_on_leg(M, 1, 1, zero) for M in mats]))
 
 
 def _check_truncation_instrumentation(n, N):

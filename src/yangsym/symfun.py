@@ -36,7 +36,7 @@ Jacobi-Trudi matrix for either route; e_k is schur_s((1,)*k, "h").
 from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
-from .rationals import Q, QONE, as_rational
+from .rationals import Q, demote
 from .series import USeries, sum_of_products
 from .tau import TauOperator
 from .pbw import yangian_context
@@ -106,17 +106,17 @@ class BetheTwist:
         n = len(matrix)
         if any(len(row) != n for row in matrix):
             raise ValueError("twist must be square")
-        self.matrix = tuple(tuple(as_rational(v) for v in row) for row in matrix)
+        self.matrix = tuple(tuple(demote(v) for v in row) for row in matrix)
 
     @classmethod
     def identity(cls, n):
-        return cls([[QONE if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def random(cls, n, rng):
         """Random integer-entried twist (entries in [-5, 5], not all zero)."""
         while True:
-            m = [[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+            m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             if any(v for row in m for v in row):
                 return cls(m)
 
@@ -501,7 +501,7 @@ def gen_E(n, N):
     _check_n(n)
     acc = TauOperator.zero()
     for k in range(n + 1):
-        acc = acc + tau_form("e", k, n, N).scale(Q((-1) ** k))
+        acc = acc + tau_form("e", k, n, N).scale((-1) ** k)
     return acc
 
 

@@ -6,7 +6,10 @@ Entries live in any ring: rationals for permutation operators, rational
 R-matrices and (anti)symmetrizers; series over an algebra for products of
 generating-matrix legs; shift operators for the tau calculus; algebra
 elements and polynomials in u over U(gl_n).  A matrix keeps the zero of its
-ring, and a product takes the zero of its non-rational factor.
+ring, and a product takes the zero of its non-rational factor.  Entries of
+the rational ring follow `rationals.demote`: the constructors build ints,
+and `scale`, `+`, `tm_mul` and `trace_partial` store an integral Fraction
+as an int, so the integral projectors k!*A_k and k!*S_k multiply in ints.
 
 `TensorMatrix` is the one matrix type: an n x n matrix is a matrix on one
 leg (`matrix_on_leg(M, 1, 1, zero)`).  Entry products never reorder
@@ -29,7 +32,7 @@ from functools import reduce
 from itertools import permutations
 from math import factorial
 
-from .rationals import Q, QONE, QZERO, RATIONAL_TYPES, as_rational
+from .rationals import Q, RATIONAL_TYPES, demote
 from .series import USeries, sum_of_products
 
 
@@ -39,7 +42,7 @@ class TensorMatrix:
 
     __slots__ = ("n", "k", "rows", "zero")
 
-    def __init__(self, n, k, rows=None, zero=QZERO):
+    def __init__(self, n, k, rows=None, zero=0):
         self.n = n
         self.k = k
         self.rows = rows if rows is not None else {}
@@ -49,10 +52,10 @@ class TensorMatrix:
 
     @classmethod
     def identity(cls, n, k):
-        return cls(n, k, {i: {i: QONE} for i in range(n ** k)})
+        return cls(n, k, {i: {i: 1} for i in range(n ** k)})
 
     @classmethod
-    def from_permutation(cls, sigma, k, n, coeff=QONE):
+    def from_permutation(cls, sigma, k, n, coeff=1):
         """Operator sending e_{j_1} x ... x e_{j_k} to the basis vector whose
         sigma(t)-th slot holds j_t; sigma is a tuple with sigma[t-1] = sigma(t)."""
         if not coeff:
@@ -76,12 +79,12 @@ class TensorMatrix:
         return row.get(c, self.zero)
 
     def scale(self, q):
-        q = as_rational(q)
+        q = demote(q)
         if not q:
             return TensorMatrix(self.n, self.k, {}, self.zero)
         rows = {}
         for r, row in self.rows.items():
-            rows[r] = {c: q * v for c, v in row.items()}
+            rows[r] = {c: _stored(q * v) for c, v in row.items()}
         return TensorMatrix(self.n, self.k, rows, self.zero)
 
     def __add__(self, other):
@@ -91,7 +94,7 @@ class TensorMatrix:
             dst = rows.setdefault(r, {})
             for c, v in row.items():
                 s = dst.get(c)
-                s = v if s is None else s + v
+                s = v if s is None else _stored(s + v)
                 if s:
                     dst[c] = s
                 elif c in dst:
@@ -137,6 +140,12 @@ def _index(digits, n):
     return idx
 
 
+def _stored(v):
+    """A rational entry in stored form (`rationals.demote`); any other
+    entry as it is."""
+    return demote(v) if type(v) is Q else v
+
+
 def _check_shape(a, b):
     if a.n != b.n or a.k != b.k:
         raise ValueError(f"shape mismatch: ({a.n},{a.k}) vs ({b.n},{b.k})")
@@ -161,10 +170,10 @@ def perm_op(l, m, k, n):
 
 def r_matrix(l, m, c, k, n):
     """Yang matrix 1 - P_{l,m}/c at a nonzero rational argument c."""
-    c = as_rational(c)
+    c = demote(c)
     if not c:
         raise ValueError("R-matrix argument must be nonzero (pole of the Yang matrix)")
-    return TensorMatrix.identity(n, k) + perm_op(l, m, k, n).scale(-QONE / c)
+    return TensorMatrix.identity(n, k) + perm_op(l, m, k, n).scale(Q(-1, c))
 
 
 def _perm_sign(sigma):
@@ -200,7 +209,7 @@ def _projector_fusion(k, n, signed):
     acc = TensorMatrix.identity(n, k)
     for i in range(k - 1, 0, -1):
         for j in range(k, i, -1):
-            arg = Q(j - i) if signed else Q(i - j)
+            arg = j - i if signed else i - j
             acc = tm_mul(acc, r_matrix(i, j, arg, k, n))
     return acc.scale(Q(1, factorial(k)))
 
@@ -335,7 +344,7 @@ def tm_mul(a, b):
         for c, entry_pairs in pairs.items():
             s = sum_of_products(entry_pairs)
             if s:
-                acc[c] = s
+                acc[c] = _stored(s)
         if acc:
             rows_out[r] = acc
     return TensorMatrix(a.n, a.k, rows_out, _product_zero(a, b))
@@ -397,7 +406,7 @@ def trace_partial(a, legs):
             c_keep = _index([cd[t - 1] for t in keep], n)
             dst = rows_out.setdefault(r_keep, {})
             s = dst.get(c_keep)
-            s = v if s is None else s + v
+            s = v if s is None else _stored(s + v)
             if s:
                 dst[c_keep] = s
             elif c_keep in dst:

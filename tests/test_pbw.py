@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangsym import pbw, symfun
+from yangsym.capelli import default_weight_grid
 from yangsym.rationals import Q
 from yangsym.pbw import (
     AlgebraContext,
@@ -27,6 +28,16 @@ from yangsym.suites import (
     run_suite,
 )
 from yangsym.symfun import BetheTwist, bethe_b
+from yangsym.tensor import (
+    TensorMatrix,
+    antisymmetrizer,
+    fusion_step,
+    permutation_sum,
+    r_chain,
+    r_matrix,
+    symmetrizer,
+    trace_partial,
+)
 
 
 # -- independent oracle: the defining exchange relation, expanded in a free
@@ -191,13 +202,14 @@ def _fresh_engine():
 
 
 def test_termination_measure_on_tables():
-    assert _check_termination(2) and _check_termination(3)
+    assert _check_termination(2) is True and _check_termination(3) is True
     with _fresh_engine():
         # a correction at the level of its pair breaks the measure
         rs = yangian_context(2).rs
         a, b = encode_t(2, 2, 1, 1), encode_t(2, 1, 2, 2)
         rs.table[a, b] = rs.expansion(a, b) + ((1, (a, b)),)
-        assert not _check_termination(2)
+        assert _check_termination(2) == (False, {"pair": ["t[2,1,1]", "t[1,2,2]"],
+                                                 "word": "t[2,1,1]*t[1,2,2]"})
 
 
 def test_termination_check_covers_the_same_pairs_whatever_ran_before(monkeypatch):
@@ -223,7 +235,7 @@ def test_termination_check_covers_the_same_pairs_whatever_ran_before(monkeypatch
         for n in (2, 3):
             asked.clear()
             measured.clear()
-            assert _check_termination(n)
+            assert _check_termination(n) is True
             out[n] = (asked.count("yangian"), asked.count("gl"), len(measured))
         return out
 
@@ -384,6 +396,25 @@ def test_coefficients_are_int_or_proper_fraction(name, data):
     assert type(ctx.scalar(q).as_scalar()) is Q
     assert type((x - x).as_scalar()) is Q
     assert type(ctx.one().as_scalar()) is Q
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_twist_and_weight_rationals_are_int_or_proper_fraction(n):
+    mats = [TensorMatrix.identity(n, 2), permutation_sum(3, n, True), permutation_sum(3, n, False),
+            r_matrix(1, 2, 2, 2, n), r_matrix(1, 2, Q(-1, 2), 2, n),
+            r_chain(3, 1, 3, n), r_chain(3, -1, 3, n),
+            fusion_step(antisymmetrizer(2, n), "A"), fusion_step(symmetrizer(2, n), "S"),
+            trace_partial(antisymmetrizer(3, n), [3]), trace_partial(symmetrizer(3, n), [1, 3])]
+    for k in range(1, 5):
+        for method in ("group_sum", "fusion", "b_product"):
+            mats += [antisymmetrizer(k, n, method), symmetrizer(k, n, method)]
+    for m in mats:
+        _assert_stored_form(v for row in m.rows.values() for v in row.values())
+    for Z in (BetheTwist.identity(n), BetheTwist.random(n, random.Random(n)),
+              BetheTwist([[Q(2 * i + j, 2) for j in range(n)] for i in range(n)])):
+        _assert_stored_form(v for row in Z.matrix for v in row)
+    for mu in default_weight_grid(n):
+        _assert_stored_form(mu.m_values() + mu.gammas())
 
 
 @pytest.mark.parametrize("name", sorted(_FORMAT_CONTEXTS))

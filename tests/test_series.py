@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangsym.rationals import Q
+from yangsym.rationals import Q, demote, rational_str
 from yangsym.series import (
     ShiftedPolynomial,
     SparseCoeffs,
@@ -206,6 +206,16 @@ def _assert_stored_form(*values):
     for x in values:
         for c in _stored_scalars(x):
             assert type(c) is int or (type(c) is Q and c.denominator > 1), repr(c)
+
+
+def test_stored_form_is_int_or_fraction_and_refuses_the_rest():
+    assert [(demote(q), type(demote(q))) for q in (Q(4, 2), Q(1, 2), 3, True)] == [
+        (2, int), (Q(1, 2), Q), (3, int), (1, int)]
+    assert rational_str(Q(6, 3)) == rational_str(2) == "2" and rational_str(Q(-2, 4)) == "-1/2"
+    for bad in (lambda: demote("1/2"), lambda: demote(0.5), lambda: rational_str(0.5),
+                lambda: series(2, (0, 1)).scale(0.5)):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            bad()
 
 
 @pytest.mark.parametrize("kind", sorted(_CARRIERS))

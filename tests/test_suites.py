@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from yangsym import suites
 from yangsym.capelli import check_eh_star
-from yangsym.pbw import RewriteSystem, gl_context, yangian_context
+from yangsym.pbw import AlgebraElement, RewriteSystem, gl_context, yangian_context
 from yangsym.rationals import Q
 from yangsym.series import ShiftedPolynomial, UPolynomial, USeries
 from yangsym.suites import (
@@ -211,3 +214,60 @@ def test_a_failing_adjudication_keeps_its_computed_ratio(monkeypatch):
     assert ratio[0].detail is None
     assert ratio[0].failure == {"computed_ratio": "3", "printed_ratio": "2",
                                 "matches_printed": False}
+
+
+def _bump_first_call(real):
+    """real, with 1 added to its first result."""
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return real(*args) + 1 if len(calls) == 1 else real(*args)
+    return patched
+
+
+def _perturb_later_rewrites(rs, word, real=suites._one_step_results):
+    results = real(rs, word)
+    return results[:1] + [{**r, (): 1} for r in results[1:]]
+
+
+_LOCATED_FAILURES = {
+    # ev(xy) of the first pair gains 1
+    "ev_algebra_map": (
+        lambda mp: mp.setattr(suites, "ev_hom", _bump_first_call(suites.ev_hom)),
+        lambda: suites._first_failure("pair",
+                                      suites._ev_multiplicative_sides(2, random.Random(1))),
+        {"pair": 0, "monomial": "1", "lhs": "1", "rhs": "0"}),
+    # every rewrite but the first of a word gains 1
+    "confluence": (
+        lambda mp: mp.setattr(suites, "_one_step_results", _perturb_later_rewrites),
+        lambda: suites._check_confluence(yangian_context(2)),
+        {"word": "t[1,2,1]*t[1,1,2]*t[1,1,1]"}),
+    # each bracket gains 1, so the Jacobi sum is 3
+    "jacobi": (
+        lambda mp: mp.setattr(AlgebraElement, "commutator",
+                              lambda x, y, real=AlgebraElement.commutator: real(x, y) + 1),
+        lambda: suites._check_jacobi(2),
+        {"generators": ["t[1,1,1]"] * 3, "monomial": "1"}),
+    # a one-letter correction is measured at the level of its pair
+    "termination": (
+        lambda mp: mp.setattr(RewriteSystem, "word_level",
+                              lambda rs, w, real=RewriteSystem.word_level:
+                              real(rs, w) + (len(w) == 1)),
+        lambda: suites._check_termination(2),
+        {"pair": ["t[1,1,2]", "t[1,1,1]"], "word": "t[1,1,2]"}),
+    # the plain product's trace gains 1
+    "trace_lemma": (
+        lambda mp: mp.setattr(suites, "trace_of_product",
+                              lambda mats, real=suites.trace_of_product: real(mats) + 1),
+        lambda: suites._first_failure("k", suites._trace_lemma_sides(2)),
+        {"k": 2, "monomial": "1", "lhs": "0", "rhs": "1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCATED_FAILURES))
+def test_a_failing_engine_check_names_its_witness(monkeypatch, name):
+    patch, check, failure = _LOCATED_FAILURES[name]
+    assert check() in (True, (True, None))
+    patch(monkeypatch)
+    assert check() == (False, failure)

@@ -4,10 +4,12 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangsym.rationals import Q, QZERO, binomial
+from yangsym.rationals import Q, binomial
 from yangsym.series import USeries, sum_of_products
 from yangsym.tau import TauOperator
 from yangsym.pbw import free_context, yangian_context
+from yangsym.suites import _matrix_proportionality
+from yangsym.symfun import BetheTwist
 from yangsym.tensor import (
     TensorMatrix,
     antisymmetrizer,
@@ -67,6 +69,15 @@ def test_r_matrix_basics():
     assert R.equal(A2.scale(2))
     with pytest.raises(ValueError):
         r_matrix(1, 2, 0, 2, 2)
+    # 1 - P/2 at an int argument: exact halves where P has entries, else the int 1
+    half = r_matrix(1, 2, 2, 2, 2)
+    assert [(half.entry(r, c), type(half.entry(r, c))) for r, c in ((1, 2), (0, 0), (1, 1))] == [
+        (Q(-1, 2), Q), (Q(1, 2), Q), (1, int)]
+    # floats are refused, not rounded
+    for bad in (lambda: r_matrix(1, 2, 0.5, 2, 2), lambda: R.scale(0.5),
+                lambda: BetheTwist([[0.5]])):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            bad()
 
 
 def test_r_matrix_unitarity():
@@ -185,6 +196,10 @@ def test_partial_trace_projector_factor():
         TensorMatrix.identity(3, 1).scale(Q(1)))
     assert trace_partial(antisymmetrizer(3, 3), [3]).equal(
         antisymmetrizer(2, 3).scale(Q(1, 3)))
+    # the factor of two int matrices is an exact Fraction
+    two, three = (TensorMatrix.identity(2, 1).scale(c) for c in (2, 3))
+    ratio, ok = _matrix_proportionality(two, three)
+    assert (ratio, type(ratio), ok) == (Q(2, 3), Q, True)
 
 
 def test_partial_trace_arbitrary_subset():
@@ -367,7 +382,7 @@ def test_trace_tm_mul_of_shift_operators():
 
 
 @pytest.mark.parametrize("zero,one", [
-    (QZERO, 1),
+    (0, 1),
     (USeries.zero(3), USeries.const(1, 3)),
     (TauOperator.zero(), TauOperator.from_series(USeries.const(1, 3), 1)),
 ], ids=["rational", "series", "tau"])
@@ -385,8 +400,8 @@ def test_trace_tm_mul_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
         trace_of_product([TensorMatrix.identity(2, 2), TensorMatrix.identity(2, 3)])
     # n x n matrices of different n, last or earlier in the product
-    two = matrix_on_leg([[1, 2], [3, 4]], 1, 1, QZERO)
-    three = matrix_on_leg([[1, 0, 9], [0, 1, 9], [0, 0, 1]], 1, 1, QZERO)
+    two = matrix_on_leg([[1, 2], [3, 4]], 1, 1, 0)
+    three = matrix_on_leg([[1, 0, 9], [0, 1, 9], [0, 0, 1]], 1, 1, 0)
     for mats in ([two, three], [three, two], [two, three, two]):
         with pytest.raises(ValueError, match="shape mismatch"):
             trace_of_product(mats)
@@ -401,4 +416,4 @@ def test_trace_of_no_matrices_is_refused():
                          ids=["wide", "tall", "ragged"])
 def test_matrix_on_leg_refuses_a_non_square_matrix(M):
     with pytest.raises(ValueError, match="square"):
-        matrix_on_leg(M, 1, 1, QZERO)
+        matrix_on_leg(M, 1, 1, 0)
