@@ -456,8 +456,19 @@ class AlgebraContext:
     def mul_terms(self, A, B, out=None):
         """Terms of A*B in stored form.  Given a term dict `out`, adds A*B into
         it instead and returns it; whoever finishes that sum applies
-        `_apply_cap` once."""
+        `_apply_cap` once.  When one operand is a bare scalar {(): q}, the
+        other's terms are multiplied by q, with no word products."""
         acc = {} if out is None else out
+        scalar = A if len(A) == 1 and () in A else B if len(B) == 1 and () in B else None
+        if scalar is not None:
+            q = scalar[()]
+            for w, c in (B if scalar is A else A).items():
+                s = acc.get(w, 0) + q * c
+                if s:
+                    acc[w] = s
+                elif w in acc:
+                    del acc[w]
+            return self._apply_cap(acc) if out is None else acc
         nw = self.rs.normal_word
         for wa, ca in A.items():
             for wb, cb in B.items():
@@ -615,10 +626,16 @@ class AlgebraElement:
         return (-self) + other
 
     def scale(self, q):
+        """q times this element; a product is demoted only when it is not an
+        int (an int q times int terms never is)."""
         q = demote(q)
         if not q:
             return AlgebraElement(self.ctx, {})
-        return AlgebraElement(self.ctx, {w: demote(q * c) for w, c in self.terms.items()})
+        terms = {w: q * c for w, c in self.terms.items()}
+        for w, c in terms.items():
+            if type(c) is not int:
+                terms[w] = demote(c)
+        return AlgebraElement(self.ctx, terms)
 
     def __mul__(self, other):
         if type(other) is not AlgebraElement:

@@ -3,18 +3,20 @@ and polynomials in mu_1..mu_n and u (the shift operators of `tau` are the
 fourth).
 
 Every carrier keeps a dict from keys to nonzero coefficients and inherits
-from `SparseCoeffs` what does not depend on the key: storage (zeros are
-dropped, and a scalar is stored as `rationals.demote` gives it: an int when
-integral), +, -, negation, `scale`, == (also against a bare scalar, which
-means that scalar times the unit), truth, `coeff`, `first_difference` (where
-two values first differ) and `shift(a)`, the value at u + a.  A carrier
-supplies its constructor, its product and how a result is built from
-coefficients.
+from `SparseCoeffs` what does not depend on the key: storage, +, -,
+negation, `scale`, == (also against a bare scalar, which means that scalar
+times the unit), truth, `coeff`, `first_difference` (where two values first
+differ) and `shift(a)`, the value at u + a.  A carrier supplies its
+constructor, its product and how a result is built from coefficients.
 
+A constructor stores its coefficients in one pass: zeros are dropped (an
+element or a carrier by its own terms, without calling its truth), a
+rational is stored as `rationals.demote` gives it (an int when integral),
+and anything else, a float included, raises TypeError.  Coefficients are
+rationals, AlgebraElements, or carriers (the series of a shift operator).
 A USeries holds coefficients for u^0 .. u^{-N} where N is the truncation
-order.  Coefficients live in any associative ring implementing +, -, *,
-equality and multiplication by rational scalars; in practice they are
-rationals or AlgebraElements.  Arithmetic on two series reconciles to the
+order; its constructor skips the powers above N in the same pass and
+refuses a negative one.  Arithmetic on two series reconciles to the
 minimum of the two orders, so every stored coefficient of a result is fully
 determined.
 
@@ -22,8 +24,10 @@ One kernel, `sum_of_products(pairs)`, forms every product of series:
 `USeries.__mul__` is one pair, and the entries of `tensor.tm_mul` (every
 matrix product, n x n ones included), the diagonal of the last product in
 `tensor.trace_of_product`, the degrees of `TauOperator.__mul__` and the row
-expansions of `symfun` are many.  It multiplies element
-coefficients straight into one term dict per power of u^{-1}.
+expansions of `symfun` are many.  It multiplies element coefficients
+straight into one term dict per power of u^{-1}, and a pair of a rational q
+and a series (the integer projectors of the trace oracles) adds q times each
+coefficient into the same dicts without building the scaled series.
 """
 
 from .pbw import AlgebraElement
@@ -40,9 +44,7 @@ class SparseCoeffs:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=None):
-        # exact types first: isinstance(element, Fraction) is an ABC check
-        self.coeffs = {k: c if type(c) in _KEPT else demote(c) if isinstance(c, RATIONAL_TYPES)
-                       else c for k, c in coeffs.items() if c} if coeffs else {}
+        self.coeffs = _stored(coeffs, None) if coeffs else {}
 
     def _build(self, coeffs, other=None):
         """A value of this carrier with the given coefficients; `other` is the
@@ -153,6 +155,38 @@ class SparseCoeffs:
         return self._build(out)
 
 
+def _stored(coeffs, top):
+    """The nonzero coefficients of `coeffs` in stored form, in one pass: a
+    rational as `rationals.demote` gives it, an element or a carrier as it is
+    (zero when it has no terms); keys above `top` (a series order; None for
+    none) are skipped and a negative one raises.  Anything else, a float
+    included, raises TypeError."""
+    out = {}
+    for k, c in coeffs.items():
+        if top is not None:
+            if k > top:
+                continue
+            if k < 0:
+                raise ValueError("negative u^{-m} exponent")
+        # exact types first: isinstance(element, Fraction) is an ABC check
+        t = type(c)
+        if t is int:
+            if not c:
+                continue
+        elif t is AlgebraElement:
+            if not c.terms:
+                continue
+        elif isinstance(c, SparseCoeffs):
+            if not c.coeffs:
+                continue
+        else:
+            c = demote(c)
+            if type(c) is int and not c:
+                continue
+        out[k] = c
+    return out
+
+
 class USeries(SparseCoeffs):
     """Formal power series in u^{-1}, truncated at a fixed order."""
 
@@ -162,11 +196,7 @@ class USeries(SparseCoeffs):
         if order < 0:
             raise ValueError("order must be non-negative")
         self.order = order
-        if coeffs:
-            if min(coeffs) < 0:
-                raise ValueError("negative u^{-m} exponent")
-            coeffs = {m: c for m, c in coeffs.items() if m <= order}
-        super().__init__(coeffs)
+        self.coeffs = _stored(coeffs, order) if coeffs else {}
 
     def _build(self, coeffs, other=None):
         return USeries(self.order if other is None else min(self.order, other.order), coeffs)
@@ -231,18 +261,23 @@ def sum_of_products(pairs):
     """Sum of a*b over the (a, b) pairs, factor order kept; None for no pairs.
 
     Two element coefficients of a pair of series go into the term dict of
-    their power by `mul_terms(..., out)`, put in stored form once at the end;
-    any other coefficients or pair add a*b.  A power that meets an element
-    is an element.  The order is the least among the nonzero series products,
-    or among all if every one is zero; coefficient rings are domains, so a
-    product is zero exactly when no two coefficients meet within its order.
+    their power by `mul_terms(..., out)`, and a pair of a rational q and a
+    series (on either side) adds q times each coefficient straight into its
+    power, element terms into the same term dicts, which are put in stored
+    form once at the end; any other coefficients or pair add a*b.  A power
+    that meets an element is an element.  The order is the least among the
+    nonzero series products, or among all if every one is zero; coefficient
+    rings are domains, so a product is zero exactly when no two coefficients
+    meet within its order.
     """
     ctx = rs = rest = order = least = None
     terms, other = {}, {}  # power -> element term dict / any other coefficient
 
-    def put(m, v):
+    def put(m, v, q):
+        """Add q*v to the coefficient of u^{-m}."""
         nonlocal ctx, rs
         if type(v) is not AlgebraElement:
+            v = q * v
             s = other.get(m)
             other[m] = v if s is None else s + v
             return
@@ -250,9 +285,11 @@ def sum_of_products(pairs):
             ctx, rs = v.ctx, v.ctx.rs
         elif v.ctx.rs is not rs:
             raise ValueError("algebra instance mismatch")
-        t = terms.setdefault(m, {})
+        t = terms.get(m)
+        if t is None:
+            t = terms[m] = {}
         for w, c in v.terms.items():
-            s = t.get(w, 0) + c
+            s = t.get(w, 0) + q * c
             if s:
                 t[w] = s
             elif w in t:
@@ -280,15 +317,17 @@ def sum_of_products(pairs):
                             t = terms[m] = {}
                         ctx.mul_terms(x.terms, y.terms, t)
                     else:
-                        put(m, x * y)
+                        put(m, x * y, 1)
+        elif (type(a) is USeries and isinstance(b, RATIONAL_TYPES)
+              or type(b) is USeries and isinstance(a, RATIONAL_TYPES)):
+            q, s = (demote(b), a) if type(a) is USeries else (demote(a), b)
+            top, hit = s.order, bool(q) and bool(s.coeffs)
+            if hit:
+                for m, x in s.coeffs.items():
+                    put(m, x, q)
         else:
-            p = a * b
-            if type(p) is not USeries:
-                rest = p if rest is None else rest + p
-                continue
-            top, hit = p.order, bool(p.coeffs)
-            for m, v in p.coeffs.items():
-                put(m, v)
+            rest = a * b if rest is None else rest + a * b
+            continue
         least = top if least is None else min(least, top)
         if hit:
             order = top if order is None else min(order, top)
@@ -299,9 +338,6 @@ def sum_of_products(pairs):
         other[m] = v if s is None else v + s
     out = USeries(least if order is None else order, other)
     return out if rest is None else rest + out
-
-
-_KEPT = frozenset((int, AlgebraElement, USeries))
 
 
 class UPolynomial(SparseCoeffs):

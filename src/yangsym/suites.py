@@ -34,6 +34,7 @@ from .pbw import (
     encode_e,
 )
 from .tensor import (
+    TensorMatrix,
     antisymmetrizer,
     symmetrizer,
     fusion_step,
@@ -157,7 +158,20 @@ _KEY_NAMES = {TauOperator: "tau", USeries: "u_power", UPolynomial: "u_exponent",
 def compare(lhs, rhs):
     """(True, None) if lhs == rhs, else (False, failure).  The failure names
     the key of the first differing coefficient at each carrier level, the
-    first differing monomial of that coefficient and both its values."""
+    first differing monomial of that coefficient and both its values; for two
+    tensor matrices it first names the row and column of the first differing
+    entry."""
+    if isinstance(lhs, TensorMatrix):
+        if lhs.equal(rhs):
+            return (True, None)
+        if (lhs.n, lhs.k) != (rhs.n, rhs.k):
+            return (False, {"shape": [[lhs.n, lhs.k], [rhs.n, rhs.k]]})
+        for r in sorted(lhs.rows.keys() | rhs.rows.keys()):
+            for c in sorted(lhs.rows.get(r, {}).keys() | rhs.rows.get(r, {}).keys()):
+                ok, failure = compare(lhs.entry(r, c), rhs.entry(r, c))
+                if not ok:
+                    return (False, {"row": r, "column": c, **failure})
+        return (True, None)
     d = lhs.first_difference(rhs) if isinstance(lhs, SparseCoeffs) else (
         None if lhs == rhs else ((), lhs, rhs))
     if d is None:
@@ -217,41 +231,39 @@ def suite_symmetrizers(cfg):
         for k in range(1, kmax + 1):
             A = {m: antisymmetrizer(k, n, m) for m in ("group_sum", "fusion", "b_product")}
             S = {m: symmetrizer(k, n, m) for m in ("group_sum", "fusion", "b_product")}
-            rep.run("method_agreement_A", "projector_triple_agreement",
-                    {"n": n, "k": k},
-                    lambda A=A: A["group_sum"].equal(A["fusion"]) and
-                    A["group_sum"].equal(A["b_product"]))
-            rep.run("method_agreement_S", "projector_triple_agreement",
-                    {"n": n, "k": k},
-                    lambda S=S: S["group_sum"].equal(S["fusion"]) and
-                    S["group_sum"].equal(S["b_product"]))
+            for name, P in (("A", A), ("S", S)):
+                rep.run(f"method_agreement_{name}", "projector_triple_agreement",
+                        {"n": n, "k": k},
+                        lambda P=P: _first_failure("method", (
+                            (m, (P["group_sum"], P[m])) for m in ("fusion", "b_product"))))
             rep.run("idempotent", "projector_idempotent", {"n": n, "k": k},
-                    lambda A=A, S=S: tm_mul(A["group_sum"], A["group_sum"]).equal(A["group_sum"])
-                    and tm_mul(S["group_sum"], S["group_sum"]).equal(S["group_sum"]))
+                    lambda A=A, S=S: _first_failure("projector", (
+                        (name, (tm_mul(P["group_sum"], P["group_sum"]), P["group_sum"]))
+                        for name, P in (("A", A), ("S", S)))))
             rep.run("trace_dimensions", "projector_trace", {"n": n, "k": k},
-                    lambda A=A, S=S, n=n, k=k:
-                    trace_full(A["group_sum"]) == binomial(n, k) and
-                    trace_full(S["group_sum"]) == binomial(n + k - 1, k))
+                    lambda A=A, S=S, n=n, k=k: _first_failure("projector", (
+                        ("A", (trace_full(A["group_sum"]), binomial(n, k))),
+                        ("S", (trace_full(S["group_sum"]), binomial(n + k - 1, k))))))
             if k >= 2:
                 rep.run("fusion_recursion", "projector_fusion_step", {"n": n, "k": k},
-                        lambda n=n, k=k:
-                        fusion_step(antisymmetrizer(k - 1, n), "A").equal(antisymmetrizer(k, n))
-                        and fusion_step(symmetrizer(k - 1, n), "S").equal(symmetrizer(k, n)))
+                        lambda n=n, k=k: _first_failure("projector", (
+                            (name, (fusion_step(proj(k - 1, n), name), proj(k, n)))
+                            for name, proj in (("A", antisymmetrizer), ("S", symmetrizer)))))
         # the explicit three-leg factorizations, both presentations
         rep.run("three_leg_factorizations", "projector_r_factorization", {"n": n},
-                lambda n=n: _check_a3_factorizations(n))
+                lambda n=n: _first_failure("presentation", _a3_factorizations(n)))
         rep.run("top_degree_vanishing", "projector_top_degree", {"n": n},
-                lambda n=n: antisymmetrizer(n + 1, n).is_zero())
+                lambda n=n: compare(antisymmetrizer(n + 1, n), TensorMatrix(n, n + 1)))
     return rep.records
 
 
-def _check_a3_factorizations(n):
+def _a3_factorizations(n):
+    """(presentation, (A_3, its product of R-matrices)) for both presentations."""
     A3 = antisymmetrizer(3, n)
-    by_fusion = tm_mul(tm_mul(r_matrix(2, 3, 1, 3, n), r_matrix(1, 3, 2, 3, n)),
-                       r_matrix(1, 2, 1, 3, n)).scale(Q(1, 6))
-    by_b = tm_mul(tm_mul(r_matrix(1, 2, 1, 3, n), r_matrix(2, 3, Q(1, 2), 3, n)),
-                  r_matrix(1, 2, 1, 3, n)).scale(Q(1, 12))
-    return A3.equal(by_fusion) and A3.equal(by_b)
+    yield "fusion", (A3, tm_mul(tm_mul(r_matrix(2, 3, 1, 3, n), r_matrix(1, 3, 2, 3, n)),
+                                r_matrix(1, 2, 1, 3, n)).scale(Q(1, 6)))
+    yield "b_product", (A3, tm_mul(tm_mul(r_matrix(1, 2, 1, 3, n), r_matrix(2, 3, Q(1, 2), 3, n)),
+                                   r_matrix(1, 2, 1, 3, n)).scale(Q(1, 12)))
 
 
 def suite_intertwining(cfg):
@@ -273,8 +285,8 @@ def suite_intertwining(cfg):
 
 
 def _intertwines(P, legs):
-    """P T_1 ... T_k equals T_k ... T_1 P, as whole matrices."""
-    return reduce(tm_mul, [P, *legs]).equal(reduce(tm_mul, [*legs[::-1], P]))
+    """P T_1 ... T_k against T_k ... T_1 P, as whole matrices (`compare`)."""
+    return compare(reduce(tm_mul, [P, *legs]), reduce(tm_mul, [*legs[::-1], P]))
 
 
 def suite_eb_traces(cfg):
@@ -623,7 +635,8 @@ def suite_perelomov_popov(cfg):
     if cfg.n in (None, 2):
         rep.run("defining_rep_value_n2_k2", "gelfand_invariant_defining_rep",
                 {"n": 2, "k": 2},
-                lambda: is_scalar_matrix(defining_rep_value(tr_E_power(2, 2))) == (True, 2))
+                lambda: compare(matrix_on_leg(defining_rep_value(tr_E_power(2, 2)), 1, 1, 0),
+                                TensorMatrix.identity(2, 1).scale(2)))
     return rep.records
 
 

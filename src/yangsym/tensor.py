@@ -32,8 +32,9 @@ from functools import reduce
 from itertools import permutations
 from math import factorial
 
+from .pbw import AlgebraElement
 from .rationals import Q, RATIONAL_TYPES, demote
-from .series import USeries, sum_of_products
+from .series import SparseCoeffs, USeries, sum_of_products
 
 
 class TensorMatrix:
@@ -308,12 +309,16 @@ def t_leg(s, a, k, N, ctx):
 
 def matrix_on_leg(M, s, k, zero):
     """A square n x n matrix M (n = len(M), a list of rows) with entries in
-    the ring of `zero` acting on leg s of k."""
+    the ring of `zero` acting on leg s of k.  Rational entries are stored as
+    `rationals.demote` gives them; an entry that is neither a rational nor an
+    algebra element or carrier (a float) raises TypeError."""
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError(f"matrix must be square, got rows of lengths {[len(row) for row in M]}")
+    M = [[v if isinstance(v, (AlgebraElement, SparseCoeffs)) else demote(v) for v in row]
+         for row in M]
     pow_s = n ** (k - s)
     rows = {}
     for col in range(n ** k):

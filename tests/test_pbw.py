@@ -19,13 +19,15 @@ from yangsym.pbw import (
     encode_e,
     encode_t,
 )
-from yangsym.series import USeries
+from yangsym.series import SparseCoeffs, USeries
 from yangsym.suites import (
+    SUITES,
     SuiteConfig,
     _check_termination,
     _one_step_results,
     _proportionality,
     run_suite,
+    run_suites,
 )
 from yangsym.symfun import BetheTwist, bethe_b
 from yangsym.tensor import (
@@ -398,6 +400,40 @@ def test_coefficients_are_int_or_proper_fraction(name, data):
     assert type(ctx.one().as_scalar()) is Q
 
 
+def _stored_scalars(x):
+    """Every rational inside a family-cache value, at any depth."""
+    if isinstance(x, SparseCoeffs):
+        for c in x.coeffs.values():
+            yield from _stored_scalars(c)
+    elif isinstance(x, AlgebraElement):
+        yield from x.terms.values()
+    elif isinstance(x, TensorMatrix):
+        for row in x.rows.values():
+            for v in row.values():
+                yield from _stored_scalars(v)
+    else:
+        yield x
+
+
+def test_every_suite_leaves_only_stored_forms_in_caches_and_memos():
+    # the fast products skip `demote`, so a stray integral Fraction or a
+    # float would surface in what a whole run keeps
+    with _fresh_engine():
+        records = run_suites(list(SUITES), SuiteConfig(n=2, order=3))
+        assert {r.status for r in records} == {"pass"}
+        assert symfun._CACHE
+        for value in symfun._CACHE.values():
+            _assert_stored_form(_stored_scalars(value))
+        assert {("yangian", 2), ("gl", 2)} <= pbw._SHARED.keys()
+        for rs in pbw._SHARED.values():
+            for nf in rs.nf_memo.values():
+                _assert_stored_form(nf.values())
+            for terms in rs.comm_memo.values():
+                _assert_stored_form(c for _, c in terms)
+            for exp in rs.table.values():
+                _assert_stored_form(c for c, _ in exp)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_tensor_twist_and_weight_rationals_are_int_or_proper_fraction(n):
     mats = [TensorMatrix.identity(n, 2), permutation_sum(3, n, True), permutation_sum(3, n, False),
@@ -426,6 +462,25 @@ def test_products_with_rational_coefficients(name, data):
     assert (x.scale(Q(1, 2)) * y).scale(2) == x * y
     assert (x * y) * z == x * (y * z)
     _assert_engine_stored_form(ctx, x * y)
+
+
+@pytest.mark.parametrize("name", sorted(_FORMAT_CONTEXTS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mul_terms_with_a_scalar_operand_matches_straightening(name, data):
+    ctx, gens = _FORMAT_CONTEXTS[name]
+    x, z = data.draw(_elements(ctx, gens)), data.draw(_elements(ctx, gens))
+    q = ctx.scalar(data.draw(_coefficients)).terms
+    for A, B in ((q, x.terms), (x.terms, q)):
+        # the general route: straighten every concatenated pair of words
+        want = ctx.normal_form([(ca * cb, wa + wb) for wa, ca in A.items()
+                                for wb, cb in B.items()])
+        got = ctx.mul_terms(A, B)
+        assert got == want.terms
+        _assert_stored_form(got.values())
+        out = dict(z.terms)
+        assert ctx.mul_terms(A, B, out) is out
+        assert AlgebraElement(ctx, ctx._apply_cap(out)) == z + want
 
 
 @settings(max_examples=30, deadline=None)

@@ -13,6 +13,7 @@ from yangsym.series import (
     factorial_power,
 )
 from yangsym.tau import TauOperator
+from yangsym.tensor import matrix_on_leg
 from yangsym.pbw import AlgebraElement, gl_context, yangian_context
 from yangsym.cli import _compute_value, build_parser
 
@@ -216,6 +217,40 @@ def test_stored_form_is_int_or_fraction_and_refuses_the_rest():
                 lambda: series(2, (0, 1)).scale(0.5)):
         with pytest.raises(TypeError, match="not a rational scalar"):
             bad()
+
+
+def test_constructor_drops_zeros_and_out_of_order_powers_in_one_pass():
+    ctx = yangian_context(2)
+    x = ctx.t(1, 1, 2)
+    s = USeries(2, {0: x - x, 1: Q(4, 2), 2: x, 3: 5})
+    assert s.coeffs == {1: 2, 2: x} and type(s.coeffs[1]) is int
+    op = TauOperator({0: USeries.zero(3), 1: USeries.const(Q(6, 3), 3)})
+    assert list(op.coeffs) == [1] and type(op.coeffs[1].coeffs[0]) is int
+    assert UPolynomial({0: x - x, 2: Q(3, 3)}).coeffs == {2: 1}
+    with pytest.raises(ValueError, match="negative"):
+        USeries(2, {-1: 1})
+    with pytest.raises(ValueError, match="negative"):
+        USeries(2, {-1: 0, 5: 1})
+
+
+_FLOAT_CARRIERS = {
+    "USeries": lambda v: USeries(2, {0: 1, 1: v}),
+    "UPolynomial": lambda v: UPolynomial({1: v}),
+    "ShiftedPolynomial": lambda v: ShiftedPolynomial(1, {(0, 1): v}),
+    "matrix_on_leg": lambda v: matrix_on_leg([[1, v], [0, 1]], 1, 1, 0),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(_FLOAT_CARRIERS))
+def test_carriers_refuse_floats(carrier):
+    build = _FLOAT_CARRIERS[carrier]
+    for bad in (0.5, 0.0, "1/2"):
+        with pytest.raises(TypeError, match="not a rational scalar"):
+            build(bad)
+    value = build(Q(2, 2))
+    stored = (list(_stored_scalars(value)) if isinstance(value, SparseCoeffs)
+              else [v for row in value.rows.values() for v in row.values()])
+    assert Q(1) in stored and all(type(v) is int for v in stored)
 
 
 @pytest.mark.parametrize("kind", sorted(_CARRIERS))

@@ -16,6 +16,7 @@ from yangsym.suites import (
     run_suite,
 )
 from yangsym.tau import TauOperator
+from yangsym.tensor import TensorMatrix, symmetrizer
 
 
 @pytest.mark.parametrize("field", ["n", "order", "max_m", "max_k", "tau_order"])
@@ -271,3 +272,45 @@ def test_a_failing_engine_check_names_its_witness(monkeypatch, name):
     assert check() in (True, (True, None))
     patch(monkeypatch)
     assert check() == (False, failure)
+
+
+def _bump_entry_22(real):
+    return lambda z: [[c + (i == j == 1) for j, c in enumerate(row)]
+                      for i, row in enumerate(real(z))]
+
+
+_LOCATED_MATRIX_FAILURES = {
+    # with the identity for each projector, only k = 1 still intertwines
+    "intertwining": (
+        lambda mp: mp.setattr(suites, "cached_projector",
+                              lambda kind, k, n: TensorMatrix.identity(n, k)),
+        "intertwining", SuiteConfig(n=2, order=2, max_k=2), ("antisym_intertwine", 2),
+        {"row": 0, "column": 1, "u_power": 2, "monomial": "t[1,1,2]", "lhs": "1", "rhs": "0"}),
+    # the third method of A_2 returns S_2
+    "method_agreement": (
+        lambda mp: mp.setattr(suites, "antisymmetrizer",
+                              lambda k, n, method="group_sum", real=suites.antisymmetrizer:
+                              symmetrizer(k, n) if method == "b_product" else real(k, n, method)),
+        "symmetrizers", SuiteConfig(n=2, max_k=2), ("method_agreement_A", 2),
+        {"method": "b_product", "row": 0, "column": 0, "monomial": "1", "lhs": "0", "rhs": "1"}),
+    # the image of tr E^2 gains 1 at entry (2, 2)
+    "defining_rep_value": (
+        lambda mp: mp.setattr(suites, "defining_rep_value",
+                              _bump_entry_22(suites.defining_rep_value)),
+        "perelomov-popov", SuiteConfig(n=2), ("defining_rep_value_n2_k2", 2),
+        {"row": 1, "column": 1, "monomial": "1", "lhs": "3", "rhs": "2"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOCATED_MATRIX_FAILURES))
+def test_a_failing_matrix_check_names_its_first_differing_entry(monkeypatch, name):
+    patch, suite, cfg, (check, k), failure = _LOCATED_MATRIX_FAILURES[name]
+
+    def record():
+        return next(r for r in run_suite(suite, cfg)
+                    if r.name == check and r.params.get("k") == k)
+
+    rec = record()
+    assert rec.status == "pass" and rec.failure is None
+    patch(monkeypatch)
+    assert record().failure == failure

@@ -81,6 +81,10 @@ def _assert_same(got, want):
     assert {m: type(c) for m, c in got.coeffs.items()} == \
         {m: type(c) for m, c in want.coeffs.items()}
     assert to_jsonable(got) == to_jsonable(want)
+    # the kernel puts each term dict in stored form once, at the end
+    for c in got.coeffs.values():
+        for q in (c.terms.values() if type(c) is AlgebraElement else (c,)):
+            assert type(q) is int or (type(q) is Q and q.denominator > 1), repr(q)
 
 
 @settings(max_examples=80, deadline=None)
@@ -91,14 +95,19 @@ def test_series_pairs_match_the_separate_products(data):
     _assert_same(sum_of_products(pairs), _sum(pairs))
 
 
-@settings(max_examples=40, deadline=None)
+# zero, ints, integral and proper Fractions
+rational_factors = st.one_of(st.just(0), st.just(Q(4, 2)), scalars)
+
+
+@settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_scalar_and_series_pairs_match_the_separate_products(data):
+    # _sum builds each q * s and s * q on its own, by `scale`
     ctx = CONTEXTS[data.draw(st.sampled_from(sorted(CONTEXTS)))]
     pair = st.one_of(st.tuples(series(ctx), series(ctx)),
-                     st.tuples(scalars.filter(bool), series(ctx)),
-                     st.tuples(series(ctx), scalars.filter(bool)))
-    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+                     st.tuples(rational_factors, series(ctx)),
+                     st.tuples(series(ctx), rational_factors))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=5))
     _assert_same(sum_of_products(pairs), _sum(pairs))
 
 
