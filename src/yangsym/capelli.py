@@ -250,20 +250,6 @@ def defining_rep_value(z):
     return out
 
 
-def is_scalar_matrix(M):
-    """(True, scalar) if M = scalar * Id, else (False, None)."""
-    n = len(M)
-    s = M[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if M[i][j] != s:
-                    return (False, None)
-            elif M[i][j]:
-                return (False, None)
-    return (True, s)
-
-
 # ---------------------------------------------------------------------------
 # identity verification
 

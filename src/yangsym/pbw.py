@@ -37,8 +37,8 @@ but add none.  Every commutator is a bracket: `AlgebraContext.bracket(B)`
 is the linear map A -> [A, B], which forms [w, B] from `comm_memo` once per
 word w of its arguments and keeps its nonzero terms, so one map applied to
 many elements brackets each of their words against B once.  That store
-belongs to the map and is freed with it; `commutator_terms` makes a map for
-one argument.
+belongs to the map and is freed with it; `AlgebraElement.commutator` makes
+a map for one argument.
 
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
@@ -491,10 +491,6 @@ class AlgebraContext:
                         del acc[w]
         return self._apply_cap(acc) if out is None else acc
 
-    def commutator_terms(self, A, B):
-        """Terms of AB - BA."""
-        return self.bracket(B)(A)
-
     def bracket(self, B):
         """The linear map A -> terms of [A, B], for term dicts A and B.
 
@@ -671,7 +667,7 @@ class AlgebraElement:
             return self.ctx.zero()
         if not self._compatible(other):
             raise ValueError("algebra instance mismatch")
-        return AlgebraElement(self.ctx, self.ctx.commutator_terms(self.terms, other.terms))
+        return AlgebraElement(self.ctx, self.ctx.bracket(other.terms)(self.terms))
 
     def gen_name(self, gid):
         rs = self.ctx.rs

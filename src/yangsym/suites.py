@@ -3,8 +3,10 @@
 Each suite runs a fixed battery of exact checks (tolerance zero throughout)
 and returns a list of CheckRecords.  Records carry the parameters, the
 status (pass / fail / skipped), the series order up to which the truncation
-fully determines the identity, the wall time, and on failure the first
-differing coefficient or, for a check that locates none, a reason.
+fully determines the identity (the check's "order" parameter), the wall
+time, and on failure the first differing coefficient or, for a check that
+locates none, a reason.  A failure in a matrix names its row and column;
+the Gelfand-invariant checks add the failing value or u_exponent.
 A check returns ok or (ok, info), info being the detail of a pass and the
 failure of a fail.  The identities of `symfun` and `capelli` return their
 two sides, and `compare` alone judges them, for every carrier.
@@ -77,7 +79,6 @@ from .capelli import (
     ev_hom,
     ev_p_bridge,
     hw_eigenvalue,
-    is_scalar_matrix,
     pp_eigen_trEk,
     tr_E_power,
 )
@@ -121,9 +122,10 @@ class Reporter:
         self.suite = suite
         self.records = []
 
-    def run(self, name, anchor, params, fn, determined_order=None):
-        """Run one check: fn returns ok or (ok, info), where info is the
-        detail of a pass and the failure of a fail."""
+    def run(self, name, anchor, params, fn):
+        """Run one check now: fn returns ok or (ok, info), where info is the
+        detail of a pass and the failure of a fail.  The record's
+        determined_order is the check's "order" parameter, if it has one."""
         t0 = time.perf_counter()
         try:
             res = fn()
@@ -135,7 +137,7 @@ class Reporter:
         rec = CheckRecord(
             suite=self.suite, name=name, anchor=anchor, params=params,
             status="pass" if ok else "fail",
-            determined_order=determined_order,
+            determined_order=params.get("order"),
             wall_time=time.perf_counter() - t0,
             failure=None if ok else info, detail=info if ok else None,
         )
@@ -234,26 +236,26 @@ def suite_symmetrizers(cfg):
             for name, P in (("A", A), ("S", S)):
                 rep.run(f"method_agreement_{name}", "projector_triple_agreement",
                         {"n": n, "k": k},
-                        lambda P=P: _first_failure("method", (
+                        lambda: _first_failure("method", (
                             (m, (P["group_sum"], P[m])) for m in ("fusion", "b_product"))))
             rep.run("idempotent", "projector_idempotent", {"n": n, "k": k},
-                    lambda A=A, S=S: _first_failure("projector", (
+                    lambda: _first_failure("projector", (
                         (name, (tm_mul(P["group_sum"], P["group_sum"]), P["group_sum"]))
                         for name, P in (("A", A), ("S", S)))))
             rep.run("trace_dimensions", "projector_trace", {"n": n, "k": k},
-                    lambda A=A, S=S, n=n, k=k: _first_failure("projector", (
+                    lambda: _first_failure("projector", (
                         ("A", (trace_full(A["group_sum"]), binomial(n, k))),
                         ("S", (trace_full(S["group_sum"]), binomial(n + k - 1, k))))))
             if k >= 2:
                 rep.run("fusion_recursion", "projector_fusion_step", {"n": n, "k": k},
-                        lambda n=n, k=k: _first_failure("projector", (
+                        lambda: _first_failure("projector", (
                             (name, (fusion_step(proj(k - 1, n), name), proj(k, n)))
                             for name, proj in (("A", antisymmetrizer), ("S", symmetrizer)))))
         # the explicit three-leg factorizations, both presentations
         rep.run("three_leg_factorizations", "projector_r_factorization", {"n": n},
-                lambda n=n: _first_failure("presentation", _a3_factorizations(n)))
+                lambda: _first_failure("presentation", _a3_factorizations(n)))
         rep.run("top_degree_vanishing", "projector_top_degree", {"n": n},
-                lambda n=n: compare(antisymmetrizer(n + 1, n), TensorMatrix(n, n + 1)))
+                lambda: compare(antisymmetrizer(n + 1, n), TensorMatrix(n, n + 1)))
     return rep.records
 
 
@@ -277,10 +279,8 @@ def suite_intertwining(cfg):
                 P = cached_projector(proj, k, n)
                 rep.run(f"{name}_intertwine", "projector_intertwining",
                         {"n": n, "k": k, "order": N},
-                        lambda P=P, step=step, k=k, ctx=ctx:
-                        _intertwines(P, [t_leg(s, step * (s - 1), k, N, ctx)
-                                         for s in range(1, k + 1)]),
-                        determined_order=N)
+                        lambda: _intertwines(P, [t_leg(s, step * (s - 1), k, N, ctx)
+                                                 for s in range(1, k + 1)]))
     return rep.records
 
 
@@ -298,17 +298,15 @@ def suite_eb_traces(cfg):
         for k in range(1, kmax + 1):
             # built inside the checks, which are charged for the family builds
             targets = {
-                1: lambda k=k, n=n: elem_e(k, n, N),
-                2: lambda k=k, n=n: homog_h(k, n, N),
-                3: lambda k=k, n=n: elem_e(k, n, N).shift(k - 1),
-                4: lambda k=k, n=n: homog_h(k, n, N).shift(-(k - 1)),
+                1: lambda: elem_e(k, n, N),
+                2: lambda: homog_h(k, n, N),
+                3: lambda: elem_e(k, n, N).shift(k - 1),
+                4: lambda: homog_h(k, n, N).shift(-(k - 1)),
             }
             for variant in (1, 2, 3, 4):
                 rep.run(f"trace_variant_{variant}", "alt_trace_presentations",
                         {"n": n, "k": k, "variant": variant, "order": N},
-                        lambda k=k, variant=variant, n=n, target=targets[variant]:
-                        compare(prop_eB_traces(k, variant, n, N), target()),
-                        determined_order=N)
+                        lambda: compare(prop_eB_traces(k, variant, n, N), targets[variant]()))
     return rep.records
 
 
@@ -324,9 +322,7 @@ def suite_newton(cfg):
             for kind in ("e", "h"):
                 rep.run(f"newton_{kind}_m{m}", f"newton_{kind}",
                         {"n": n, "order": N, "m": m},
-                        lambda m=m, kind=kind, n=n, N=N:
-                        compare(*newton_check(m, kind, n, N)),
-                        determined_order=N)
+                        lambda: compare(*newton_check(m, kind, n, N)))
     return rep.records
 
 
@@ -339,9 +335,7 @@ def suite_composition(cfg):
         for kind in ("e", "h"):
             rep.run(f"composition_{kind}_k{k}", f"power_sum_composition_{kind}",
                     {"n": n, "order": N, "k": k},
-                    lambda k=k, kind=kind:
-                    compare(composition_sum(k, kind, n, N), tau_form(kind, k, n, N)),
-                    determined_order=N)
+                    lambda: compare(composition_sum(k, kind, n, N), tau_form(kind, k, n, N)))
     return rep.records
 
 
@@ -352,17 +346,15 @@ def suite_determinants(cfg):
     m_max = cfg.max_m or 3
     for m in range(1, m_max + 1):
         targets = {
-            "e_from_p": lambda m=m: elem_e(m, n, N),
-            "h_from_p": lambda m=m: homog_h(m, n, N),
-            "p_from_e": lambda m=m: power_p(m, -1, n, N),
-            "p_from_h": lambda m=m: power_p(m, +1, n, N),
+            "e_from_p": lambda: elem_e(m, n, N),
+            "h_from_p": lambda: homog_h(m, n, N),
+            "p_from_e": lambda: power_p(m, -1, n, N),
+            "p_from_h": lambda: power_p(m, +1, n, N),
         }
         for which, target in targets.items():
             rep.run(f"{which}_m{m}", f"determinant_{which}",
                     {"n": n, "order": N, "m": m},
-                    lambda which=which, m=m, target=target:
-                    compare(det_formulas(m, which, n, N), target()),
-                    determined_order=N)
+                    lambda: compare(det_formulas(m, which, n, N), target()))
     return rep.records
 
 
@@ -376,8 +368,7 @@ def suite_inverse_op(cfg):
     H = gen_Hminus(L, n, N)
     prod = E * H.shift(1)
     rep.run("unit_term", "inverse_identity_unit", {"n": n, "order": N, "tau_order": L},
-            lambda: compare(prod.coeff(0), unit_series(n, N)),
-            determined_order=N)
+            lambda: compare(prod.coeff(0), unit_series(n, N)))
     for d in range(1, max(required_depth, L) + 1):
         if d > L:
             rep.skip(f"vanishing_tau_minus_{d}", "inverse_identity_vanishing",
@@ -386,20 +377,15 @@ def suite_inverse_op(cfg):
             continue
         rep.run(f"vanishing_tau_minus_{d}", "inverse_identity_vanishing",
                 {"n": n, "order": N, "tau": -d},
-                lambda d=d: compare(prod.coeff(-d), USeries.zero(N)),
-                determined_order=N)
+                lambda: compare(prod.coeff(-d), USeries.zero(N)))
     for k in range(1, 3):
         rep.run(f"e_from_h_minus_k{k}", "elementary_from_inverse_family",
                 {"n": n, "order": N, "k": k},
-                lambda k=k: compare(schur_s((1,) * k, "h", n, N),
-                                    elem_e(k, n, N)),
-                determined_order=N)
+                lambda: compare(schur_s((1,) * k, "h", n, N), elem_e(k, n, N)))
     for m in range(1, 5):
         rep.run(f"h_minus_det_vs_recursion_m{m}", "inverse_family_two_routes",
                 {"n": n, "order": N, "m": m},
-                lambda m=m: compare(h_minus(m, n, N),
-                                    h_minus_from_inverse(m, n, N)),
-                determined_order=N)
+                lambda: compare(h_minus(m, n, N), h_minus_from_inverse(m, n, N)))
     return rep.records
 
 
@@ -411,9 +397,7 @@ def suite_schur(cfg):
     for lam in lams:
         rep.run(f"schur_duality_{'_'.join(map(str, lam))}", "schur_two_routes",
                 {"n": n, "order": N, "lambda": list(lam)},
-                lambda lam=lam: compare(schur_s(lam, "h", n, N),
-                                        schur_s(lam, "e", n, N)),
-                determined_order=N)
+                lambda: compare(schur_s(lam, "h", n, N), schur_s(lam, "e", n, N)))
     return rep.records
 
 
@@ -437,8 +421,7 @@ def suite_commutativity(cfg):
         if n == 2:
             rep.run("top_elementary_central", "top_elementary_centrality",
                     {"n": n, "order": N, "max_level": N - n + 1},
-                    lambda n=n: _check_top_e_central(n, N),
-                    determined_order=N)
+                    lambda: _check_top_e_central(n, N))
     return rep.records
 
 
@@ -484,8 +467,7 @@ def _pairwise_commute(rep, label, n, N, family, extra=None):
             if extra:
                 params.update(extra)
             rep.run(f"{label}_{name_a}_vs_{name_b}", f"commuting_{label}", params,
-                    lambda sa=sa, sb=sb, br=brackets[b]: _series_coeffs_commute(sa, sb, br),
-                    determined_order=N)
+                    lambda: _series_coeffs_commute(sa, sb, brackets[b]))
             if b == a:
                 brackets[a] = None
 
@@ -512,7 +494,7 @@ def suite_lemma_constant(cfg):
     for n in _ns(cfg):
         Z = BetheTwist.identity(n)
         for k in range(1, n + 1):
-            def check(k=k, n=n):
+            def check():
                 e = elem_e(k, n, N)
                 b = bethe_b(k, Z, n, N)
                 ratio, ok = _proportionality(e, b)
@@ -522,9 +504,9 @@ def suite_lemma_constant(cfg):
                              "printed_ratio": rational_str(printed),
                              "matches_printed": ratio == printed})
             rep.run(f"bethe_ratio_n{n}_k{k}", "bethe_identity_twist_ratio",
-                    {"n": n, "k": k, "order": N}, check, determined_order=N)
+                    {"n": n, "k": k, "order": N}, check)
         for m in range(1, n):
-            def check_tr(m=m, n=n):
+            def check_tr():
                 big = antisymmetrizer(m + 1, n)
                 small = antisymmetrizer(m, n)
                 tr = trace_partial(big, [m + 1])
@@ -549,21 +531,18 @@ def suite_capelli_bridge(cfg):
             for kind in ("e", "h"):
                 rep.run(f"ev_{kind}_bridge_k{k}", f"evaluation_{kind}_bridge",
                         {"n": n, "order": N, "k": k, "weights": len(weights)},
-                        lambda k=k, n=n, kind=kind, weights=weights: _first_failure(
-                            "mu", ((list(mu.mu), ev_bridge(kind, k, n, N, mu)) for mu in weights)),
-                        determined_order=N)
+                        lambda: _first_failure("mu", (
+                            (list(mu.mu), ev_bridge(kind, k, n, N, mu)) for mu in weights)))
         for m in (1, 2):
             rep.run(f"ev_hminus_bridge_m{m}", "evaluation_inverse_family",
                     {"n": n, "order": N, "m": m},
-                    lambda m=m, n=n: compare(*ev_hminus_bridge(m, n, N)),
-                    determined_order=N)
+                    lambda: compare(*ev_hminus_bridge(m, n, N)))
             rep.run(f"ev_p_bridge_m{m}", "evaluation_power_bridge",
                     {"n": n, "order": N, "m": m},
-                    lambda m=m, n=n: _first_failure("pair", enumerate(ev_p_bridge(m, n, N))),
-                    determined_order=N)
+                    lambda: _first_failure("pair", enumerate(ev_p_bridge(m, n, N))))
         rep.run("ev_algebra_map", "evaluation_multiplicative",
                 {"n": n, "pairs": 5},
-                lambda n=n, rng=rng: _first_failure("pair", _ev_multiplicative_sides(n, rng)))
+                lambda: _first_failure("pair", _ev_multiplicative_sides(n, rng)))
     return rep.records
 
 
@@ -601,43 +580,43 @@ def suite_perelomov_popov(cfg):
     kmax = cfg.max_k or 4
     for n in _ns(cfg):
         weights = default_weight_grid(n, 8)
+        defining = HighestWeight((1,) + (0,) * (n - 1))  # of the defining representation
         for k in range(1, kmax + 1):
             trEk = tr_E_power(k, n)
             rep.run(f"pp_vs_hw_k{k}", "gelfand_invariant_eigenvalue",
                     {"n": n, "k": k, "weights": len(weights)},
-                    lambda trEk=trEk, k=k, weights=weights: _first_failure("mu", (
+                    lambda: _first_failure("mu", (
                         (list(mu.mu), (pp_eigen_trEk(k, mu), hw_eigenvalue(trEk, mu)))
                         for mu in weights)))
-            def check_rep(trEk=trEk, k=k, n=n):
-                M = defining_rep_value(trEk)
-                ok, scalar = is_scalar_matrix(M)
-                if not ok:
-                    return (False, {"reason": "not scalar in the defining representation"})
-                mu = HighestWeight((1,) + (0,) * (n - 1))
-                return (scalar == pp_eigen_trEk(k, mu) == hw_eigenvalue(trEk, mu),
-                        {"scalar": rational_str(scalar)})
+
+            def check_rep():
+                scalar = pp_eigen_trEk(k, defining)
+                ok, failure = _first_failure("value", (
+                    ("defining_rep", _defining_rep_sides(trEk, scalar)),
+                    ("hw_eigenvalue", (hw_eigenvalue(trEk, defining), scalar))))
+                return (ok, failure or {"scalar": rational_str(scalar)})
             rep.run(f"defining_rep_scalar_k{k}", "gelfand_invariant_defining_rep",
                     {"n": n, "k": k}, check_rep)
         for m in range(1, 4):
-            def check_central(m=m, n=n):
-                p = capelli_p(m, n)
-                mu = HighestWeight((1,) + (0,) * (n - 1))
-                for e, z in sorted(p.coeffs.items()):
-                    if isinstance(z, AlgebraElement):
-                        M = defining_rep_value(z)
-                        ok, scalar = is_scalar_matrix(M)
-                        if not ok or scalar != hw_eigenvalue(z, mu):
-                            return (False, {"u_exponent": e})
-                return True
             rep.run(f"capelli_coeffs_central_m{m}", "capelli_polynomial_centrality",
-                    {"n": n, "m": m}, check_central)
+                    {"n": n, "m": m},
+                    lambda: _first_failure("u_exponent", (
+                        (e, _defining_rep_sides(z, hw_eigenvalue(z, defining)))
+                        for e, z in sorted(capelli_p(m, n).coeffs.items())
+                        if isinstance(z, AlgebraElement))))
     # the classical sanity value: n=2, k=2 in the defining representation
     if cfg.n in (None, 2):
         rep.run("defining_rep_value_n2_k2", "gelfand_invariant_defining_rep",
                 {"n": 2, "k": 2},
-                lambda: compare(matrix_on_leg(defining_rep_value(tr_E_power(2, 2)), 1, 1, 0),
-                                TensorMatrix.identity(2, 1).scale(2)))
+                lambda: compare(*_defining_rep_sides(tr_E_power(2, 2), 2)))
     return rep.records
+
+
+def _defining_rep_sides(z, scalar):
+    """(the image of the U(gl_n) element z in the defining representation,
+    scalar times the identity), as one-leg matrices."""
+    M = matrix_on_leg(defining_rep_value(z), 1, 1, 0)
+    return (M, TensorMatrix.identity(M.n, 1).scale(scalar))
 
 
 def suite_shifted_identities(cfg):
@@ -648,14 +627,13 @@ def suite_shifted_identities(cfg):
         for m in range(m_max + 1):
             rep.run(f"eh_star_m{m}", "shifted_eh_orthogonality",
                     {"n": n, "m": m},
-                    lambda m=m, n=n: compare(*check_eh_star(m, n)))
+                    lambda: compare(*check_eh_star(m, n)))
         for k in range(1, m_max + 1):
             for kind in ("e", "h"):
                 rep.run(f"{kind}_star_composition_k{k}", f"shifted_composition_{kind}",
                         {"n": n, "k": k, "weights": len(weights)},
-                        lambda k=k, kind=kind, weights=weights: _first_failure(
-                            "mu", ((list(mu.mu), check_star_composition(kind, k, mu))
-                                   for mu in weights)))
+                        lambda: _first_failure("mu", (
+                            (list(mu.mu), check_star_composition(kind, k, mu)) for mu in weights)))
     return rep.records
 
 
@@ -663,21 +641,20 @@ def suite_engine_selfcheck(cfg):
     rep = Reporter("engine-selfcheck")
     for n in _ns(cfg, default=(2, 3)):
         rep.run(f"yangian_confluence_n{n}", "rewrite_confluence", {"n": n},
-                lambda n=n: _check_confluence(yangian_context(n)))
+                lambda: _check_confluence(yangian_context(n)))
         rep.run(f"gl_confluence_n{n}", "rewrite_confluence", {"n": n},
-                lambda n=n: _check_confluence(gl_context(n)))
+                lambda: _check_confluence(gl_context(n)))
         rep.run(f"jacobi_n{n}", "extracted_bracket_jacobi", {"n": n},
-                lambda n=n: _check_jacobi(n))
+                lambda: _check_jacobi(n))
         rep.run(f"termination_measure_n{n}", "rewrite_termination_measure", {"n": n},
-                lambda n=n: _check_termination(n))
+                lambda: _check_termination(n))
         rep.run(f"trace_lemma_n{n}", "cyclic_trace_lemma", {"n": n},
-                lambda n=n: _first_failure("k", _trace_lemma_sides(n)))
+                lambda: _first_failure("k", _trace_lemma_sides(n)))
     shapes = [(cfg.n, cfg.order)] if cfg.n and cfg.order else [(2, 6), (3, 5)]
     for n, N in shapes:
         rep.run(f"truncation_drops_n{n}_N{N}", "truncation_soundness",
                 {"n": n, "order": N},
-                lambda n=n, N=N: _check_truncation_instrumentation(n, N),
-                determined_order=N)
+                lambda: _check_truncation_instrumentation(n, N))
     return rep.records
 
 

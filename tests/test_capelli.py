@@ -22,7 +22,6 @@ from yangsym.capelli import (
     ev_p_bridge,
     gl_matrix,
     hw_eigenvalue,
-    is_scalar_matrix,
     pp_eigen_trEk,
     shifted_e_star,
     shifted_h_star,
@@ -144,9 +143,7 @@ def test_pp_trivial_weight():
 
 def test_pp_defining_weight_matches_matrix_oracle():
     trE2 = tr_E_power(2, 2)
-    M = defining_rep_value(trE2)
-    ok, scalar = is_scalar_matrix(M)
-    assert ok and scalar == 2
+    assert defining_rep_value(trE2) == [[2, 0], [0, 2]]
     assert pp_eigen_trEk(2, (1, 0)) == 2
     assert hw_eigenvalue(trE2, (1, 0)) == 2
 
@@ -171,7 +168,7 @@ def test_defining_rep_examples(gl2):
     M = defining_rep_value(gl2.e(1, 2) * gl2.e(2, 1))
     assert M == [[Q(1), Q(0)], [Q(0), Q(0)]]
     trace_mat = defining_rep_value(gl2.e(1, 1) + gl2.e(2, 2))
-    assert is_scalar_matrix(trace_mat) == (True, Q(1))
+    assert trace_mat == [[1, 0], [0, 1]]
 
 
 def test_defining_rep_value_is_n_by_n():

@@ -192,6 +192,12 @@ def test_every_failing_record_names_a_failure():
               rep.run("detail", "a", {}, lambda: (True, {"scalar": "2"}))]
     assert [(r.status, r.failure) for r in passed] == [("pass", None)] * 3
     assert [r.detail for r in passed] == [None, None, {"scalar": "2"}]
+    # the determined order is the check's order parameter, and the check has
+    # run by the time its record is returned
+    calls = []
+    ordered = rep.run("ordered", "a", {"n": 2, "order": 3}, lambda: calls.append(1) or True)
+    assert calls == [1] and ordered.determined_order == 3
+    assert [r.determined_order for r in failed + passed] == [None] * 7
 
 
 def test_a_failing_identity_record_locates_the_difference(monkeypatch):
@@ -274,9 +280,12 @@ def test_a_failing_engine_check_names_its_witness(monkeypatch, name):
     assert check() == (False, failure)
 
 
-def _bump_entry_22(real):
-    return lambda z: [[c + (i == j == 1) for j, c in enumerate(row)]
-                      for i, row in enumerate(real(z))]
+def _bump_defining_rep(mp):
+    """The image of every U(gl_n) element gains 1 at entry (2, 2)."""
+    real = suites.defining_rep_value
+    mp.setattr(suites, "defining_rep_value",
+               lambda z: [[c + (i == j == 1) for j, c in enumerate(row)]
+                          for i, row in enumerate(real(z))])
 
 
 _LOCATED_MATRIX_FAILURES = {
@@ -293,12 +302,23 @@ _LOCATED_MATRIX_FAILURES = {
                               symmetrizer(k, n) if method == "b_product" else real(k, n, method)),
         "symmetrizers", SuiteConfig(n=2, max_k=2), ("method_agreement_A", 2),
         {"method": "b_product", "row": 0, "column": 0, "monomial": "1", "lhs": "0", "rhs": "1"}),
-    # the image of tr E^2 gains 1 at entry (2, 2)
+    # the image of tr E^2 against 2 Id
     "defining_rep_value": (
-        lambda mp: mp.setattr(suites, "defining_rep_value",
-                              _bump_entry_22(suites.defining_rep_value)),
+        _bump_defining_rep,
         "perelomov-popov", SuiteConfig(n=2), ("defining_rep_value_n2_k2", 2),
         {"row": 1, "column": 1, "monomial": "1", "lhs": "3", "rhs": "2"}),
+    # the image of tr E^2 against its closed-form eigenvalue times Id
+    "defining_rep_scalar": (
+        _bump_defining_rep,
+        "perelomov-popov", SuiteConfig(n=2), ("defining_rep_scalar_k2", 2),
+        {"value": "defining_rep", "row": 1, "column": 1, "monomial": "1",
+         "lhs": "3", "rhs": "2"}),
+    # the image of the u^0 coefficient of the Capelli polynomial against its
+    # highest-weight value times Id (the check has no k)
+    "capelli_coeffs_central": (
+        _bump_defining_rep,
+        "perelomov-popov", SuiteConfig(n=2), ("capelli_coeffs_central_m3", None),
+        {"u_exponent": 0, "row": 1, "column": 1, "monomial": "1", "lhs": "13", "rhs": "12"}),
 }
 
 
