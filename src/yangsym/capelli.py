@@ -24,6 +24,7 @@ per run, as entries of the family cache of `symfun`.
 """
 
 from itertools import accumulate, combinations, combinations_with_replacement, islice
+from math import factorial
 
 from .rationals import Q, RATIONAL_TYPES, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
@@ -273,7 +274,9 @@ def check_star_composition(kind, k, mu):
     expansion at a weight, over the compositions (l_1, ..., l_m) of k with prefix sums
     a_1 < ... < a_m and the weights of `composition_weights`:
     e*_k(u-k) == sum (-1)^{k-m}/(a_1...a_m) p*_{l_1}(u-a_1)...p*_{l_m}(u-a_m),
-    h*_k(u+k-1) == sum 1/(a_1...a_m) p*_{l_1}(u) p*_{l_2}(u+a_1)...p*_{l_m}(u+a_{m-1})."""
+    h*_k(u+k-1) == sum 1/(a_1...a_m) p*_{l_1}(u) p*_{l_2}(u+a_1)...p*_{l_m}(u+a_{m-1}).
+    The products are summed with the integer numerators of the weights, and
+    the sum is divided by k! once."""
     step = kind_step(kind)
     mu = _weight(mu)
     star = shifted_e_star if step < 0 else shifted_h_star
@@ -290,8 +293,8 @@ def check_star_composition(kind, k, mu):
                 f = shifted[key] = shifted_p_star(part, mu).shift(key[1])
             prod = f if prod is None else prod * f
             prev_a = a
-        rhs = rhs + prod * weight
-    return lhs, rhs
+        rhs = rhs + (prod if weight == 1 else prod * weight)
+    return lhs, rhs if k == 1 else rhs.scale(Q(1, factorial(k)))
 
 
 def ev_bridge(kind, k, n, N, mu):

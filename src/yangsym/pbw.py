@@ -62,9 +62,7 @@ commutators run on machine-sized ints.  `coeff` and `as_scalar` alone
 return Fractions, whatever the stored form.
 """
 
-from math import lcm
-
-from .rationals import Q, RATIONAL_TYPES, demote
+from .rationals import Q, RATIONAL_TYPES, cleared, demote
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +496,11 @@ class AlgebraContext:
         denominators, so the map runs on ints and divides its output once.
         [w, B] is formed once per word w of an argument, from the word
         commutators, and kept for every later argument while the map lives."""
-        B, db = _cleared(B)
+        B, db = cleared(B)
         by_word, word_bracket = {}, self.rs.word_bracket
 
         def apply(A):
-            A, da = _cleared(A)
+            A, da = cleared(A)
             out = {}
             for wa, ca in A.items():
                 terms = by_word.get(wa)
@@ -518,14 +516,6 @@ class AlgebraContext:
             return out if d == 1 else {w: demote(Q(c, d)) for w, c in out.items()}
 
         return apply
-
-
-def _cleared(terms):
-    """(d * terms, d) for the lcm d of the denominators of the coefficients."""
-    if all(type(c) is int for c in terms.values()):
-        return terms, 1
-    d = lcm(*(c.denominator for c in terms.values()))
-    return {w: c.numerator * (d // c.denominator) for w, c in terms.items()}, d
 
 
 _CONTEXTS = {}

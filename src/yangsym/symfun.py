@@ -8,8 +8,8 @@ operator; and Jacobi-Trudi style Schur series.
 Each e/h pair is one body that takes the kind "e" or "h" and reads the
 differences as data from `kind_step`: the u-shift step (-1 or +1), strict or
 weak index sets, and signed minors or permanents.  `composition_weights`
-gives the power-sum weights of both kinds, and `tau_form` attaches e_k or
-h_k to its tau degree.
+gives the power-sum weights of both kinds as integer numerators over k!,
+and `tau_form` attaches e_k or h_k to its tau degree.
 
 Everything is computed in the exact engine: series coefficients are
 AlgebraElements of the Yangian (one context per n, see `pbw`), and
@@ -330,17 +330,21 @@ def prop_eB_traces(k, variant, n, N):
 # composition sums and Newton identities
 
 def composition_weights(k, kind):
-    """Each composition lam = (l_1, ..., l_m) of k with its weight in the
-    power-sum expansion of e_k (kind "e") or h_k (kind "h"):
-    (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m), a_1 < ... < a_m = k the prefix
-    sums of lam.  At p_i = 1 the weights sum to e_k = delta_{k,1} and h_k = 1."""
-    step = kind_step(kind)
-    return ((lam, Q(step ** (k - len(lam)), prod(accumulate(lam))))
+    """Each composition lam = (l_1, ..., l_m) of k with the integer numerator
+    over k! of its weight in the power-sum expansion of e_k (kind "e") or h_k
+    (kind "h"): the weight is (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m),
+    a_1 < ... < a_m = k the prefix sums of lam, distinct parts of k!, so
+    their product divides k!.  At p_i = 1 the weights sum to
+    e_k = delta_{k,1} and h_k = 1: the numerators to k! delta_{k,1} and k!."""
+    step, top = kind_step(kind), factorial(k)
+    return ((lam, step ** (k - len(lam)) * (top // prod(accumulate(lam))))
             for lam in compositions(k))
 
 
 def composition_sum(k, kind, n, N):
-    """Sum over compositions of k of weighted products of power sums (tau form)."""
+    """Sum over compositions of k of weighted products of power sums (tau
+    form): the products are summed with the integer numerators of
+    `composition_weights`, and the sum is divided by k! once."""
     step = kind_step(kind)
     total = None
     for lam, weight in composition_weights(k, kind):
@@ -348,9 +352,10 @@ def composition_sum(k, kind, n, N):
         for part in lam:
             f = p_tau(part, step, n, N)
             term = f if term is None else term * f
-        term = term.scale(weight)
+        if weight != 1:
+            term = term.scale(weight)
         total = term if total is None else total + term
-    return total
+    return total if k == 1 else total.scale(Q(1, factorial(k)))
 
 
 def newton_check(m, kind, n, N):

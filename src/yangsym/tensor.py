@@ -20,7 +20,10 @@ polynomials): it multiplies all but the last matrix with `tm_mul` and
 forms only the diagonal pairs of the last product.  Each entry of a product
 is one `series.sum_of_products` over its pairs of entries, so series
 entries accumulate their coefficients in place instead of building a
-series per pair.
+series per pair.  A product of two rational matrices follows the clearing
+rule of `rationals`: its rows are cleared of their denominators, the
+entries accumulate in ints and each is divided once, so no Fraction is
+built inside the loop (and a float entry raises TypeError).
 
 The trace oracles multiply legs by the integral k!*A_k, k!*S_k
 (`permutation_sum`) and k!*B_k (`r_chain`), so no 1/k! enters the leg
@@ -30,10 +33,10 @@ and `b_factor` are the normalized projectors.
 
 from functools import reduce
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from .pbw import AlgebraElement
-from .rationals import Q, RATIONAL_TYPES, demote
+from .rationals import Q, RATIONAL_TYPES, cleared, demote
 from .series import SparseCoeffs, USeries, sum_of_products
 
 
@@ -336,8 +339,11 @@ def matrix_on_leg(M, s, k, zero):
 
 def tm_mul(a, b):
     """Matrix product; entry order is preserved (left entry first).  Each
-    output entry is one `sum_of_products` over its pairs of entries."""
+    output entry is one `sum_of_products` over its pairs of entries, except
+    in a product of two rational matrices (`_rational_mul`)."""
     _check_shape(a, b)
+    if type(a.zero) in RATIONAL_TYPES and type(b.zero) in RATIONAL_TYPES:
+        return _rational_mul(a, b)
     rows_out = {}
     brows = b.rows
     for r, row_a in a.rows.items():
@@ -353,6 +359,34 @@ def tm_mul(a, b):
         if acc:
             rows_out[r] = acc
     return TensorMatrix(a.n, a.k, rows_out, _product_zero(a, b))
+
+
+def _rational_mul(a, b):
+    """The product of two rational matrices on ints: every row of a and of b
+    is cleared of its denominators (`rationals.cleared`), an entry of a row
+    of a is raised to the lcm db of the row denominators of b before it
+    meets its row of b, so each row of the product accumulates in ints over
+    one denominator, and each entry is divided by it once."""
+    brows = {mid: cleared(row) for mid, row in b.rows.items()}
+    db = lcm(*(d for _, d in brows.values()))
+    rows_out = {}
+    for r, row_a in a.rows.items():
+        row_a, d = cleared(row_a)
+        acc = {}
+        for mid, va in row_a.items():
+            got = brows.get(mid)
+            if got is None:
+                continue
+            row_b, d_mid = got
+            if d_mid != db:
+                va *= db // d_mid
+            for c, vb in row_b.items():
+                acc[c] = acc.get(c, 0) + va * vb
+        d *= db
+        acc = {c: v if d == 1 else demote(Q(v, d)) for c, v in acc.items() if v}
+        if acc:
+            rows_out[r] = acc
+    return TensorMatrix(a.n, a.k, rows_out, b.zero)
 
 
 def trace_of_product(mats):

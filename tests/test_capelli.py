@@ -1,4 +1,6 @@
 import random
+from itertools import accumulate
+from math import prod
 
 import pytest
 
@@ -7,8 +9,8 @@ from yangsym.series import ShiftedPolynomial, USeries, UPolynomial, factorial_po
 from yangsym import capelli, pbw, symfun
 from yangsym.pbw import gl_context, yangian_context
 from yangsym.suites import SuiteConfig, run_suites
-from yangsym.symfun import (composition_sum, composition_weights, elem_e, homog_h,
-                            newton_check, power_p, tau_direct)
+from yangsym.symfun import (composition_sum, composition_weights, compositions, elem_e,
+                            homog_h, newton_check, power_p, tau_direct)
 from yangsym.capelli import (
     HighestWeight,
     capelli_p,
@@ -252,6 +254,26 @@ def test_star_compositions_at_sample_weight():
                         ("e", 3, (3, 1, 0))]:
         lhs, rhs = check_star_composition(kind, k, mu)
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("mu", [(2, 1), (3, 1, 0)])
+@pytest.mark.parametrize("kind,step", [("e", -1), ("h", 1)])
+def test_star_composition_matches_the_fraction_weights(kind, step, mu):
+    # the reference scales each product of shifted power sums by its Fraction
+    # weight (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m), a_i the prefix sums
+    weight = HighestWeight(mu)
+    for k in range(1, 5):
+        ref = UPolynomial()
+        for lam in compositions(k):
+            term, prev_a = UPolynomial.const(1), 0
+            for part, a in zip(lam, accumulate(lam)):
+                term = term * shifted_p_star(part, weight).shift(-a if step < 0 else prev_a)
+                prev_a = a
+            ref = ref + term.scale(Q(step ** (k - len(lam)), prod(accumulate(lam))))
+        lhs, rhs = check_star_composition(kind, k, mu)
+        assert rhs == ref == lhs
+        assert all(type(c) is int or (type(c) is Q and c.denominator > 1)
+                   for c in rhs.coeffs.values())
 
 
 @pytest.mark.parametrize("kind", ["x", "E", None])

@@ -1,14 +1,14 @@
 import random
 from functools import reduce
-from itertools import permutations
-from math import factorial
+from itertools import accumulate, permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangsym.rationals import Q, binomial
-from yangsym.series import USeries
-from yangsym.pbw import free_context, yangian_context
+from yangsym.series import SparseCoeffs, USeries
+from yangsym.pbw import AlgebraElement, free_context, yangian_context
 from yangsym import symfun, tensor
 from yangsym.tensor import (
     antisymmetrizer,
@@ -318,12 +318,14 @@ def test_composition_count_and_prefix_sums():
 @pytest.mark.parametrize("k", range(1, 7))
 def test_composition_weights_are_e_and_h_at_unit_power_sums(k):
     # at p_i = 1: sum h_k t^k = exp(sum t^i/i) = 1/(1-t), and
-    # sum e_k t^k = exp(sum (-1)^{i-1} t^i/i) = 1+t
+    # sum e_k t^k = exp(sum (-1)^{i-1} t^i/i) = 1+t; the weights are integer
+    # numerators over k!
     h = list(composition_weights(k, "h"))
     e = list(composition_weights(k, "e"))
     assert [lam for lam, _ in h] == [lam for lam, _ in e] == compositions(k)
-    assert sum(w for _, w in h) == 1
-    assert sum(w for _, w in e) == (1 if k == 1 else 0)
+    assert all(type(w) is int for _, w in h + e)
+    assert sum(w for _, w in h) == factorial(k)
+    assert sum(w for _, w in e) == (factorial(k) if k == 1 else 0)
 
 
 def test_composition_sum_k1():
@@ -337,6 +339,31 @@ def test_composition_sum_k2_explicit():
     assert composition_sum(2, "e", 2, N2) == expected
     assert composition_sum(2, "e", 2, N2) == tau_form("e", 2, 2, N2)
     assert composition_sum(2, "h", 2, N2) == tau_form("h", 2, 2, N2)
+
+
+def _stored_scalars(x):
+    """Every scalar stored inside a carrier or algebra element, at any depth."""
+    if isinstance(x, (SparseCoeffs, AlgebraElement)):
+        for c in (x.coeffs if isinstance(x, SparseCoeffs) else x.terms).values():
+            yield from _stored_scalars(c)
+    else:
+        yield x
+
+
+@pytest.mark.parametrize("kind,step", [("e", -1), ("h", 1)])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_composition_sum_matches_the_fraction_weights(k, kind, step):
+    # the reference scales each product by its Fraction weight
+    # (-1)^{k-m}/(a_1...a_m) or 1/(a_1...a_m), a_i the prefix sums
+    ref = None
+    for lam in compositions(k):
+        term = reduce(lambda x, y: x * y, (p_tau(part, step, 2, 4) for part in lam))
+        term = term.scale(Q(step ** (k - len(lam)), prod(accumulate(lam))))
+        ref = term if ref is None else ref + term
+    got = composition_sum(k, kind, 2, 4)
+    assert got == ref
+    assert all(type(c) is int or (type(c) is Q and c.denominator > 1)
+               for c in _stored_scalars(got))
 
 
 def test_newton_m1_is_trivial():

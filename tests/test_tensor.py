@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from yangsym.rationals import Q, binomial
 from yangsym.series import USeries, sum_of_products
 from yangsym.tau import TauOperator
-from yangsym.pbw import free_context, yangian_context
+from yangsym.pbw import AlgebraElement, free_context, gl_context, yangian_context
 from yangsym.suites import _matrix_proportionality
 from yangsym.symfun import BetheTwist
 from yangsym.tensor import (
@@ -313,6 +313,38 @@ def test_operations_keep_the_stored_form(pair, data):
         _assert_pruned(m)
     assert (a - a).is_zero() and (a - a).equal(TensorMatrix(n, k))
     assert a.equal(b) == _entrywise_equal(a, b) == (a - b).is_zero()
+
+
+_RATIONALS = st.one_of(st.just(0), st.integers(-3, 3),
+                       st.fractions(-3, 3, max_denominator=6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rational_tm_mul_matches_a_fraction_reference(data):
+    # raw rows may hold integral Fractions; rows of mixed denominators
+    # meet in one product
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 2 if n == 3 else 3))
+    a, b = (_from_entries(n, k, lambda r, c: data.draw(_RATIONALS)) for _ in range(2))
+    got, dim = tm_mul(a, b), n ** k
+    for r in range(dim):
+        for c in range(dim):
+            assert got.entry(r, c) == sum((Q(a.entry(r, m)) * Q(b.entry(m, c))
+                                           for m in range(dim)), Q(0))
+    _assert_pruned(got)
+    assert all(type(v) is int or (type(v) is Q and v.denominator > 1)
+               for row in got.rows.values() for v in row.values())
+
+
+def test_cleared_products_refuse_floats():
+    # the raw constructors store a float as given; the cleared products name it
+    M = TensorMatrix(2, 1, {0: {0: 0.5}, 1: {1: 1}})
+    gl = gl_context(2)
+    x = AlgebraElement(gl, {(0,): 0.5})
+    for bad in (lambda: tm_mul(M, M), lambda: x.commutator(gl.e(1, 2))):
+        with pytest.raises(TypeError, match="not a rational scalar: 0.5"):
+            bad()
 
 
 # -- the trace of a product from its diagonal pairs -------------------------------
