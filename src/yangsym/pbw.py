@@ -33,12 +33,16 @@ Commutators have a second memo, `comm_memo`, shared per (kind, n) like
 the normal form of wa*wb - wb*wa as a tuple of (word, int) terms, `()` if
 they commute, and the reversed pair reads the same entry with sign -1.
 Entries are filled by insertion; they read whole-word `nf_memo` entries
-but add none.  Every commutator is a bracket: `AlgebraContext.bracket(B)`
-is the linear map A -> [A, B], which forms [w, B] from `comm_memo` once per
-word w of its arguments and keeps its nonzero terms, so one map applied to
-many elements brackets each of their words against B once.  That store
-belongs to the map and is freed with it; `AlgebraElement.commutator` makes
-a map for one argument.
+but add none.  The brackets fill it with letter-word pairs only.  Every
+commutator is a bracket: `AlgebraContext.bracket(B)` is the linear map
+A -> [A, B], a derivation.  It forms [w, B] once per word w of its
+arguments by the Leibniz rule on the first letter,
+[x*v, B] = x*[v, B] + [x, B]*v, suffix by suffix from the longest suffix
+it holds (`RewriteSystem.suffix_bracket`); a letter's [x, B] is summed
+from `comm_memo`.  It keeps the nonzero terms of every suffix bracket, so
+one map applied to many elements brackets each of their suffixes against B
+once.  That store belongs to the map and is freed with it, by reference
+counting alone; `AlgebraElement.commutator` makes a map for one argument.
 
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
@@ -285,6 +289,57 @@ class RewriteSystem:
                     del out[w]
         return tuple(out.items())
 
+    def suffix_bracket(self, word, B, store):
+        """Nonzero terms of [word, B], as a tuple of (word, int) terms, for a
+        normal word and a term dict B with int coefficients, by the Leibniz
+        rule on the first letter: [x*v, B] = x*[v, B] + [x, B]*v.
+
+        `store` maps words to their brackets with B, the empty word to (),
+        and holds every suffix of each word it holds.  The longest suffix of
+        `word` in it is the start; each longer suffix is formed from the one
+        before it and the bracket of its first letter (`word_bracket`), and
+        stored.  This is a loop, so the stack stays flat and no recursive
+        closure keeps a bracket map alive past its last reference."""
+        i = 1
+        while word[i:] not in store:
+            i += 1
+        terms = store[word[i:]]
+        free = self.kind == "free"
+        for j in range(i - 1, -1, -1):
+            x, v = word[j], word[j + 1:]
+            xb = store.get((x,))
+            if xb is None:
+                xb = store[x,] = self.word_bracket((x,), B)
+            if not v:
+                terms = xb
+                continue
+            out = {}
+            # x*[v, B]: x goes in front of a word that does not start below x
+            # (the free algebra has no exchange rules), else is inserted
+            for u, c in terms:
+                if free or not u or x <= u[0]:
+                    w = (x,) + u
+                    s = out.get(w, 0) + c
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
+                else:
+                    self._extend({(x,): c}, u, out)
+            # [x, B]*v
+            if free:
+                for u, c in xb:
+                    w = u + v
+                    s = out.get(w, 0) + c
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
+            else:
+                self._extend(dict(xb), v, out)
+            terms = store[word[j:]] = tuple(out.items())
+        return terms
+
     def _extend(self, terms, letters, out):
         """Add the normal form of sum c*v*letters over the normal words
         v -> c of `terms` into `out`, inserting the letters one at a time,
@@ -494,10 +549,11 @@ class AlgebraContext:
 
         An operand with a Fraction coefficient is multiplied by the lcm of its
         denominators, so the map runs on ints and divides its output once.
-        [w, B] is formed once per word w of an argument, from the word
-        commutators, and kept for every later argument while the map lives."""
+        The map is a derivation: [w, B] is formed once per word w of an
+        argument, suffix by suffix (`RewriteSystem.suffix_bracket`), and kept
+        with every suffix for every later argument while the map lives."""
         B, db = cleared(B)
-        by_word, word_bracket = {}, self.rs.word_bracket
+        by_word, suffix_bracket = {(): ()}, self.rs.suffix_bracket
 
         def apply(A):
             A, da = cleared(A)
@@ -505,7 +561,7 @@ class AlgebraContext:
             for wa, ca in A.items():
                 terms = by_word.get(wa)
                 if terms is None:
-                    terms = by_word[wa] = word_bracket(wa, B)
+                    terms = suffix_bracket(wa, B, by_word)
                 for w, q in terms:
                     s = out.get(w, 0) + ca * q
                     if s:

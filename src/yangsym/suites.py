@@ -230,6 +230,7 @@ def suite_symmetrizers(cfg):
     rep = Reporter("symmetrizers")
     kmax = cfg.max_k or 4
     for n in _ns(cfg):
+        prev = None
         for k in range(1, kmax + 1):
             A = {m: antisymmetrizer(k, n, m) for m in ("group_sum", "fusion", "b_product")}
             S = {m: symmetrizer(k, n, m) for m in ("group_sum", "fusion", "b_product")}
@@ -247,10 +248,12 @@ def suite_symmetrizers(cfg):
                         ("A", (trace_full(A["group_sum"]), binomial(n, k))),
                         ("S", (trace_full(S["group_sum"]), binomial(n + k - 1, k))))))
             if k >= 2:
+                # the group-sum projectors of this k and of the k - 1 before it
                 rep.run("fusion_recursion", "projector_fusion_step", {"n": n, "k": k},
                         lambda: _first_failure("projector", (
-                            (name, (fusion_step(proj(k - 1, n), name), proj(k, n)))
-                            for name, proj in (("A", antisymmetrizer), ("S", symmetrizer)))))
+                            (name, (fusion_step(prev[name]["group_sum"], name), P["group_sum"]))
+                            for name, P in (("A", A), ("S", S)))))
+            prev = {"A": A, "S": S}
         # the explicit three-leg factorizations, both presentations
         rep.run("three_leg_factorizations", "projector_r_factorization", {"n": n},
                 lambda: _first_failure("presentation", _a3_factorizations(n)))
@@ -260,10 +263,16 @@ def suite_symmetrizers(cfg):
 
 
 def _a3_factorizations(n):
-    """(presentation, (A_3, its product of R-matrices)) for both presentations."""
+    """(presentation, (A_3, its product of R-matrices)) for both presentations.
+
+    Every factor is integral, so the products run on ints and the scale is
+    each entry's one division: R_23(1) R_13(2) R_12(1)/6 is written with
+    2*R_13(2) = 2 - P_13 over 12, and R_12(1) R_23(1/2) R_12(1)/12 has
+    integral factors as it stands."""
     A3 = antisymmetrizer(3, n)
-    yield "fusion", (A3, tm_mul(tm_mul(r_matrix(2, 3, 1, 3, n), r_matrix(1, 3, 2, 3, n)),
-                                r_matrix(1, 2, 1, 3, n)).scale(Q(1, 6)))
+    two_r13 = TensorMatrix.identity(n, 3).scale(2) - perm_op(1, 3, 3, n)
+    yield "fusion", (A3, tm_mul(tm_mul(r_matrix(2, 3, 1, 3, n), two_r13),
+                                r_matrix(1, 2, 1, 3, n)).scale(Q(1, 12)))
     yield "b_product", (A3, tm_mul(tm_mul(r_matrix(1, 2, 1, 3, n), r_matrix(2, 3, Q(1, 2), 3, n)),
                                    r_matrix(1, 2, 1, 3, n)).scale(Q(1, 12)))
 

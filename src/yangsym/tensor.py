@@ -209,13 +209,12 @@ def permutation_sum(k, n, signed):
 
 def _projector_fusion(k, n, signed):
     # product over i = k-1..1 of the groups (R_{i,k} R_{i,k-1} ... R_{i,i+1})
-    # at arguments v_i - v_j where v_j walks down (up) by one per leg
-    acc = TensorMatrix.identity(n, k)
-    for i in range(k - 1, 0, -1):
-        for j in range(k, i, -1):
-            arg = j - i if signed else i - j
-            acc = tm_mul(acc, r_matrix(i, j, arg, k, n))
-    return acc.scale(Q(1, factorial(k)))
+    # at arguments v_i - v_j where v_j walks down (up) by one per leg; the
+    # 1/k! is folded into the last product's one division
+    factors = [r_matrix(i, j, j - i if signed else i - j, k, n)
+               for i in range(k - 1, 0, -1) for j in range(k, i, -1)]
+    return _rational_mul(reduce(tm_mul, factors[:-1], TensorMatrix.identity(n, k)),
+                         factors[-1], factorial(k))
 
 
 def r_chain(l, sign, k, n):
@@ -271,9 +270,10 @@ def symmetrizer(k, n, method="group_sum"):
 
 
 def fusion_step(proj, direction):
-    """One fusion step: from the projector on k legs to the one on k+1.
-
-    direction "A" uses R_{k,k+1}(1/k), direction "S" uses R_{k,k+1}(-1/k).
+    """One fusion step: from the rational projector P on k legs to the one
+    on k+1, (P x 1) R_{k,k+1}(1/k) (P x 1)/(k+1) for direction "A" and the
+    same with R_{k,k+1}(-1/k) for "S"; the 1/(k+1) is folded into the last
+    product's one division.
     """
     if direction not in ("A", "S"):
         raise ValueError("direction must be 'A' or 'S'")
@@ -281,7 +281,7 @@ def fusion_step(proj, direction):
     ext = proj.embed()
     arg = Q(1, k) if direction == "A" else Q(-1, k)
     r = r_matrix(k, k + 1, arg, k + 1, n)
-    return tm_mul(tm_mul(ext, r), ext).scale(Q(1, k + 1))
+    return _rational_mul(tm_mul(ext, r), ext, k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +361,13 @@ def tm_mul(a, b):
     return TensorMatrix(a.n, a.k, rows_out, _product_zero(a, b))
 
 
-def _rational_mul(a, b):
-    """The product of two rational matrices on ints: every row of a and of b
-    is cleared of its denominators (`rationals.cleared`), an entry of a row
-    of a is raised to the lcm db of the row denominators of b before it
-    meets its row of b, so each row of the product accumulates in ints over
-    one denominator, and each entry is divided by it once."""
+def _rational_mul(a, b, div=1):
+    """The product of two rational matrices, divided by the int div, on
+    ints: every row of a and of b is cleared of its denominators
+    (`rationals.cleared`), an entry of a row of a is raised to the lcm db of
+    the row denominators of b before it meets its row of b, so each row of
+    the product accumulates in ints over one denominator, and each entry is
+    divided by it (times div) once."""
     brows = {mid: cleared(row) for mid, row in b.rows.items()}
     db = lcm(*(d for _, d in brows.values()))
     rows_out = {}
@@ -382,7 +383,7 @@ def _rational_mul(a, b):
                 va *= db // d_mid
             for c, vb in row_b.items():
                 acc[c] = acc.get(c, 0) + va * vb
-        d *= db
+        d *= db * div
         acc = {c: v if d == 1 else demote(Q(v, d)) for c, v in acc.items() if v}
         if acc:
             rows_out[r] = acc

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from contextlib import contextmanager
 from unittest.mock import patch
 
@@ -362,8 +364,8 @@ _FORMAT_CONTEXTS = {
 _coefficients = st.builds(Q, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
 
 
-def _elements(ctx, gens):
-    word = st.lists(st.sampled_from(gens), max_size=2).map(tuple)
+def _elements(ctx, gens, max_len=2):
+    word = st.lists(st.sampled_from(gens), max_size=max_len).map(tuple)
     return st.lists(st.tuples(_coefficients, word), max_size=3).map(ctx.normal_form)
 
 
@@ -560,15 +562,39 @@ _BRACKET_ALGEBRAS = {
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_one_bracket_serves_every_argument_in_any_order(name, data):
+    # words of up to four letters, so that arguments share suffixes
     ctx, gens = _BRACKET_ALGEBRAS[name]
     b = data.draw(_elements(ctx, gens))
-    xs = data.draw(st.lists(_elements(ctx, gens), min_size=2, max_size=4))
+    xs = data.draw(st.lists(_elements(ctx, gens, 4), min_size=2, max_size=4))
     order = data.draw(st.permutations(range(len(xs))))
     bracket = ctx.bracket(b.terms)
     for i in order + order[:1]:  # the first again, from the words it kept
         terms = bracket(xs[i].terms)
         _assert_stored_form(terms.values())
         assert AlgebraElement(ctx, terms) == xs[i] * b - b * xs[i]
+
+
+@pytest.mark.parametrize("name", sorted(_BRACKET_ALGEBRAS))
+def test_a_bracket_map_is_freed_by_reference_counting(name):
+    # the map and its store of word brackets form no reference cycle (a
+    # recursive closure would), so they are freed at once, not at the next
+    # cyclic collection
+    ctx, gens = _BRACKET_ALGEBRAS[name]
+    b = ctx.normal_form([(1, gens[-1:]), (2, gens[:2])])
+    x = ctx.normal_form([(1, gens[:3]), (Q(1, 2), gens[2:0:-1] + gens[:2])])
+    assert max(map(len, x.terms)) >= 3
+    gc.collect()
+    gc.disable()
+    try:
+        bracket = ctx.bracket(b.terms)
+        terms = bracket(x.terms)
+        ref = weakref.ref(bracket)
+        del bracket
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert AlgebraElement(ctx, terms) == x * b - b * x
 
 
 def test_word_commutator_reads_one_entry_for_both_orders():

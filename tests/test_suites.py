@@ -109,6 +109,8 @@ def test_self_pair_finds_two_coefficients_that_do_not_commute():
 
 
 def test_commutativity_forms_each_word_bracket_once(monkeypatch):
+    # a bracket map is a derivation: it forms [x, B] for letters x alone and
+    # builds every longer word from its suffixes
     formed, kept = [], []
     word_bracket = RewriteSystem.word_bracket
 
@@ -121,7 +123,22 @@ def test_commutativity_forms_each_word_bracket_once(monkeypatch):
     records = run_suite("commutativity", SuiteConfig(n=2, order=4))
     bethe = [r for r in records if r.name.startswith("bethe_family")]
     assert len(bethe) == 36 and all(r.status == "pass" for r in records)
-    assert formed and len(set(formed)) == len(formed)
+    assert formed and all(len(wa) == 1 for wa, _ in formed)
+    assert len(set(formed)) == len(formed)
+
+
+def test_commutativity_memos_stay_small(fresh_python):
+    # the word-pair route filled 21,640 nf_memo and 19,602 comm_memo entries
+    # here; the derivation stores only letter-word commutators and the
+    # insertions they need
+    entries, = fresh_python(
+        "from yangsym import pbw\n"
+        "from yangsym.suites import SuiteConfig, run_suite\n"
+        "records = run_suite('commutativity', SuiteConfig(n=3, order=4))\n"
+        "assert all(r.status == 'pass' for r in records)\n"
+        "rs = pbw.yangian_context(3).rs\n"
+        "print(len(rs.nf_memo) + len(rs.comm_memo))")
+    assert int(entries) < 20000
 
 
 def test_a_failing_top_elementary_check_names_power_generator_and_monomial(monkeypatch):
@@ -359,13 +376,19 @@ suites.Reporter.run = attributed
 records = suites.run_suites(list(suites.SUITES), suites.SuiteConfig(n=2, order=4))
 assert all(r.status != "fail" for r in records)
 print(*(counts[key] for key in [("composition_h_k4", 4), ("e_star_composition_k4", 4),
-                                ("idempotent", 4)]))
+                                ("idempotent", 4), ("fusion_recursion", 4),
+                                ("three_leg_factorizations", None)]))
 """
 
 
 def test_weighted_sums_and_rational_products_build_few_fractions(fresh_python):
     # the weights and rational matrix products run on cleared integers and
-    # divide once per result; at the Fraction route these checks built
-    # 1102, 861 and 620 Fractions
-    h_k4, e_star_k4, idempotent_k4 = map(int, fresh_python(_FRACTION_COUNTS))
+    # divide once per result; at the Fraction route the first three checks
+    # built 1102, 861 and 620 Fractions.  The fusion steps reuse the suite's
+    # projectors and fold 1/(k+1) into their last product, and the three-leg
+    # products run on integral factors: they built 294 and 34 when each
+    # rebuilt its projectors or divided every entry twice
+    h_k4, e_star_k4, idempotent_k4, fusion_k4, three_leg = map(
+        int, fresh_python(_FRACTION_COUNTS))
     assert h_k4 <= 1102 // 2 and e_star_k4 <= 861 // 2 and idempotent_k4 <= 620 // 2
+    assert fusion_k4 <= 294 // 2 and three_leg <= 34 // 2
