@@ -29,20 +29,19 @@ word to its normal form either way.  Normal words and slides are not
 memoized.
 
 Commutators have a second memo, `comm_memo`, shared per (kind, n) like
-`nf_memo`: it maps an ordered pair (wa, wb) of normal words, wa < wb, to
-the normal form of wa*wb - wb*wa as a tuple of (word, int) terms, `()` if
-they commute, and the reversed pair reads the same entry with sign -1.
-Entries are filled by insertion; they read whole-word `nf_memo` entries
-but add none.  The brackets fill it with letter-word pairs only.  Every
-commutator is a bracket: `AlgebraContext.bracket(B)` is the linear map
-A -> [A, B], a derivation.  It forms [w, B] once per word w of its
-arguments by the Leibniz rule on the first letter,
-[x*v, B] = x*[v, B] + [x, B]*v, suffix by suffix from the longest suffix
-it holds (`RewriteSystem.suffix_bracket`); a letter's [x, B] is summed
-from `comm_memo`.  It keeps the nonzero terms of every suffix bracket, so
-one map applied to many elements brackets each of their suffixes against B
-once.  That store belongs to the map and is freed with it, by reference
-counting alone; `AlgebraElement.commutator` makes a map for one argument.
+`nf_memo`: it maps a letter x and a normal word w, keyed (x, w), to the
+normal form of x*w - w*x as a tuple of (word, int) terms, `()` if they
+commute.  `RewriteSystem.word_bracket(x, B)` fills it by insertion and sums
+[x, B] from it for a term dict B.  Every commutator is a bracket:
+`AlgebraContext.bracket(B)` is the linear map A -> [A, B], a derivation.
+It forms [w, B] once per word w of its arguments by the Leibniz rule on
+the first letter, [x*v, B] = x*[v, B] + [x, B]*v, suffix by suffix from
+the longest suffix it holds (`RewriteSystem.suffix_bracket`), with each
+letter's [x, B] from `word_bracket`.  It keeps the nonzero terms of every
+suffix bracket, so one map applied to many elements brackets each of their
+suffixes against B once.  That store belongs to the map and is freed with
+it, by reference counting alone; `AlgebraElement.commutator` makes a map
+for one argument.
 
 The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
@@ -67,6 +66,22 @@ return Fractions, whatever the stored form.
 """
 
 from .rationals import Q, RATIONAL_TYPES, cleared, demote
+
+
+def add_terms(out, terms, c=1):
+    """Add c*q into the term dict `out` for each (word, q) pair of `terms`,
+    and return `out`.
+
+    The one zero-dropping rule of every term dict: a sum that is zero is
+    removed at once, so `out` never holds a zero and ends with the terms of
+    summing everything first and dropping the zeros after."""
+    for w, q in terms:
+        s = out.get(w, 0) + c * q
+        if s:
+            out[w] = s
+        elif w in out:
+            del out[w]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +136,16 @@ def _gen_factor(n, r, x, y):
     return (1, (encode_t(n, r, x, y),))
 
 
-def _ordered_product(n, first, second):
-    """Free word for a product of two generating-matrix coefficients."""
-    c1, w1 = _gen_factor(n, *first)
-    if not c1:
-        return None
-    c2, w2 = _gen_factor(n, *second)
-    if not c2:
-        return None
-    return (c1 * c2, w1 + w2)
-
-
-def _acc(out, term, sign):
-    if term is None:
-        return
-    c, w = term
-    if not c:
-        return
-    s = out.get(w, 0) + sign * c
-    if s:
-        out[w] = s
-    elif w in out:
-        del out[w]
-
-
 def _exchange_rhs(n, i, j, k, l, a, b):
     """Free element Q(a,b) with
     [t^(a+1)_ij, t^(b)_kl] - [t^(a)_ij, t^(b+1)_kl] = Q(a,b),
     read off from the u^{-a} v^{-b} coefficient of the cleared relation."""
     out = {}
-    # P T1(u) T2(v): the permutation swaps the two row indices
-    _acc(out, _ordered_product(n, (a, k, j), (b, i, l)), 1)
-    # T2(v) T1(u) P: the permutation swaps the two column indices
-    _acc(out, _ordered_product(n, (b, k, j), (a, i, l)), -1)
+    # P T1(u) T2(v) swaps the two row indices, T2(v) T1(u) P the two columns
+    for first, second, sign in (((a, k, j), (b, i, l), 1), ((b, k, j), (a, i, l), -1)):
+        c1, w1 = _gen_factor(n, *first)
+        c2, w2 = _gen_factor(n, *second)
+        add_terms(out, ((w1 + w2, c1 * c2),), sign)
     return out
 
 
@@ -167,20 +159,19 @@ def yangian_commutator_words(n, r, i, j, s, k, l):
     out = {}
     a, b = r, s
     while a >= 1:
-        for w, c in _exchange_rhs(n, i, j, k, l, a - 1, b).items():
-            _acc(out, (c, w), 1)
+        add_terms(out, _exchange_rhs(n, i, j, k, l, a - 1, b).items())
         a, b = a - 1, b + 1
     return out
 
 
 def gl_commutator_words(n, i, j, k, l):
     """[e[i,j], e[k,l]] = delta_jk e[i,l] - delta_li e[k,j]."""
-    out = {}
+    terms = []
     if j == k:
-        _acc(out, (1, (encode_e(n, i, l),)), 1)
+        terms.append(((encode_e(n, i, l),), 1))
     if l == i:
-        _acc(out, (1, (encode_e(n, k, j),)), -1)
-    return out
+        terms.append(((encode_e(n, k, j),), -1))
+    return add_terms({}, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +187,8 @@ class RewriteSystem:
     def __init__(self, kind, n):
         if kind not in ("yangian", "gl", "free"):
             raise ValueError(f"unknown algebra kind {kind!r}")
+        if n < 1:
+            raise ValueError("need n >= 1")
         self.kind = kind
         self.n = n
         self.table = {}
@@ -253,40 +246,22 @@ class RewriteSystem:
         res = memo[word] = self._extend({word[:p]: 1}, word[p:], {})
         return res
 
-    def word_commutator(self, wa, wb):
-        """Normal form of wa*wb - wb*wa for two normal words, as a tuple of
-        (word, int) terms; see `comm_memo` in the module docstring."""
-        if wb < wa:
-            return tuple((w, -c) for w, c in self.word_commutator(wb, wa))
-        res = self.comm_memo.get((wa, wb))
-        if res is None:
-            out = {}
-            for x, y, c in ((wa, wb, 1), (wb, wa, -1)):
-                nf = {x + y: 1} if self.kind == "free" else self.nf_memo.get(x + y)
-                if nf is None:
-                    self._extend({x: c}, y, out)
-                else:
-                    self._extend({v: c * q for v, q in nf.items()}, (), out)
-            res = self.comm_memo[wa, wb] = tuple(out.items())
-        return res
-
-    def word_bracket(self, wa, B):
-        """Nonzero terms of [wa, B], as a tuple of (word, int) terms, for a
-        normal word wa and a term dict B with int coefficients."""
+    def word_bracket(self, x, B):
+        """Nonzero terms of [x, B], as a tuple of (word, int) terms, for a
+        letter x and a term dict B with int coefficients.  Each [x, w] is
+        memoized in `comm_memo` under (x, w): the normal form of x*w minus
+        that of w*x, or their concatenations on the free instance."""
         memo, out = self.comm_memo, {}
-        for wb, cb in B.items():
-            fwd = wa < wb
-            key = (wa, wb) if fwd else (wb, wa)
-            terms = memo.get(key)
+        for w, c in B.items():
+            terms = memo.get((x, w))
             if terms is None:
-                terms = self.word_commutator(*key)
-            c = cb if fwd else -cb
-            for w, q in terms:
-                s = out.get(w, 0) + c * q
-                if s:
-                    out[w] = s
-                elif w in out:
-                    del out[w]
+                if self.kind == "free":
+                    comm = add_terms({}, (((x,) + w, 1), (w + (x,), -1)))
+                else:
+                    comm = self._extend({(x,): 1}, w, {})
+                    self._extend({w: -1}, (x,), comm)
+                terms = memo[x, w] = tuple(comm.items())
+            add_terms(out, terms, c)
         return tuple(out.items())
 
     def suffix_bracket(self, word, B, store):
@@ -309,7 +284,7 @@ class RewriteSystem:
             x, v = word[j], word[j + 1:]
             xb = store.get((x,))
             if xb is None:
-                xb = store[x,] = self.word_bracket((x,), B)
+                xb = store[x,] = self.word_bracket(x, B)
             if not v:
                 terms = xb
                 continue
@@ -328,13 +303,7 @@ class RewriteSystem:
                     self._extend({(x,): c}, u, out)
             # [x, B]*v
             if free:
-                for u, c in xb:
-                    w = u + v
-                    s = out.get(w, 0) + c
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                add_terms(out, ((u + v, c) for u, c in xb))
             else:
                 self._extend(dict(xb), v, out)
             terms = store[word[j:]] = tuple(out.items())
@@ -489,12 +458,7 @@ class AlgebraContext:
             c = demote(c)
             if not c:
                 continue
-            for w2, q in nw(tuple(w)).items():
-                s = out.get(w2, 0) + c * q
-                if s:
-                    out[w2] = s
-                elif w2 in out:
-                    del out[w2]
+            add_terms(out, nw(tuple(w)).items(), c)
         return AlgebraElement(self, self._apply_cap(out))
 
     def _apply_cap(self, terms):
@@ -514,13 +478,7 @@ class AlgebraContext:
         acc = {} if out is None else out
         scalar = A if len(A) == 1 and () in A else B if len(B) == 1 and () in B else None
         if scalar is not None:
-            q = scalar[()]
-            for w, c in (B if scalar is A else A).items():
-                s = acc.get(w, 0) + q * c
-                if s:
-                    acc[w] = s
-                elif w in acc:
-                    del acc[w]
+            add_terms(acc, (B if scalar is A else A).items(), scalar[()])
             return self._apply_cap(acc) if out is None else acc
         nw = self.rs.normal_word
         for wa, ca in A.items():
@@ -529,12 +487,7 @@ class AlgebraContext:
                 if wa and wb and wa[-1] > wb[0]:
                     # the concatenation of two normal words needs
                     # straightening only across the seam
-                    for w, q in nw(wa + wb).items():
-                        s = acc.get(w, 0) + c * q
-                        if s:
-                            acc[w] = s
-                        elif w in acc:
-                            del acc[w]
+                    add_terms(acc, nw(wa + wb).items(), c)
                 else:
                     w = wa + wb
                     s = acc.get(w, 0) + c
@@ -562,12 +515,7 @@ class AlgebraContext:
                 terms = by_word.get(wa)
                 if terms is None:
                     terms = suffix_bracket(wa, B, by_word)
-                for w, q in terms:
-                    s = out.get(w, 0) + ca * q
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                add_terms(out, terms, ca)
             d = da * db
             return out if d == 1 else {w: demote(Q(c, d)) for w, c in out.items()}
 
@@ -578,8 +526,6 @@ _CONTEXTS = {}
 
 
 def _interned_context(kind, n):
-    if n < 1:
-        raise ValueError("need n >= 1")
     ctx = _CONTEXTS.get((kind, n))
     if ctx is None:
         ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
@@ -703,10 +649,6 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.ctx.rs is other.ctx.rs and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ctx.rs.kind, self.ctx.rs.n,
-                     frozenset(self.terms.items())))
 
     def commutator(self, other):
         if type(other) is not AlgebraElement and isinstance(other, RATIONAL_TYPES):

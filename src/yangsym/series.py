@@ -30,7 +30,7 @@ and a series (the integer projectors of the trace oracles) adds q times each
 coefficient into the same dicts without building the scaled series.
 """
 
-from .pbw import AlgebraElement
+from .pbw import AlgebraElement, add_terms
 from .rationals import RATIONAL_TYPES, binomial, demote
 
 
@@ -239,11 +239,9 @@ class USeries(SparseCoeffs):
                 if type(c) is not AlgebraElement:
                     out[m + j] = out[m + j] + q * c if m + j in out else q * c
                     continue
-                t = terms.setdefault((m + j, c.ctx), {})
-                for w, x in c.terms.items():
-                    t[w] = t.get(w, 0) + q * x
+                add_terms(terms.setdefault((m + j, c.ctx), {}), c.terms.items(), q)
         for (m, ctx), t in terms.items():
-            v = AlgebraElement(ctx, ctx._apply_cap({w: x for w, x in t.items() if x}))
+            v = AlgebraElement(ctx, ctx._apply_cap(t))
             out[m] = out[m] + v if m in out else v
         return USeries(self.order, out)
 
@@ -285,15 +283,7 @@ def sum_of_products(pairs):
             ctx, rs = v.ctx, v.ctx.rs
         elif v.ctx.rs is not rs:
             raise ValueError("algebra instance mismatch")
-        t = terms.get(m)
-        if t is None:
-            t = terms[m] = {}
-        for w, c in v.terms.items():
-            s = t.get(w, 0) + q * c
-            if s:
-                t[w] = s
-            elif w in t:
-                del t[w]
+        add_terms(terms.setdefault(m, {}), v.terms.items(), q)
 
     for a, b in pairs:
         if type(a) is USeries and type(b) is USeries:

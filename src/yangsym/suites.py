@@ -29,6 +29,7 @@ from .series import ShiftedPolynomial, SparseCoeffs, UPolynomial, USeries
 from .tau import TauOperator
 from .pbw import (
     AlgebraElement,
+    add_terms,
     free_context,
     gl_context,
     yangian_context,
@@ -675,12 +676,7 @@ def _one_step_results(rs, word):
             out = {}
             head, tail = word[:p], word[p + 2:]
             for c, mid in rs.expansion(word[p], word[p + 1]):
-                for w, q in rs.normal_word(head + mid + tail).items():
-                    s = out.get(w, 0) + c * q
-                    if s:
-                        out[w] = s
-                    elif w in out:
-                        del out[w]
+                add_terms(out, rs.normal_word(head + mid + tail).items(), c)
             results.append(out)
     return results
 

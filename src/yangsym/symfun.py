@@ -66,12 +66,16 @@ def compositions(k):
 
 
 class Partition:
-    """Weakly decreasing non-negative parts; trailing zeros are dropped."""
+    """Weakly decreasing non-negative integer parts; trailing zeros are
+    dropped."""
 
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        parts = [int(p) for p in parts]
+        given = tuple(parts)
+        if any(not isinstance(p, int) for p in given):
+            raise ValueError(f"partition parts must be integers, got {given!r}")
+        parts = [int(p) for p in given]  # a bool counts as its int
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
         if any(p < 0 for p in parts):

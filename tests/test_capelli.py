@@ -219,14 +219,16 @@ def test_highest_weight_refuses_non_integral_and_empty_weights(gl2):
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("build", [gl_context, yangian_context, gl_matrix,
                                    lambda n: tr_E_power(2, n),
-                                   lambda n: capelli_p(2, n)],
+                                   lambda n: capelli_p(2, n),
+                                   lambda n: pbw.AlgebraContext("gl", n),
+                                   pbw.free_context],
                          ids=["gl_context", "yangian_context", "gl_matrix",
-                              "tr_E_power", "capelli_p"])
+                              "tr_E_power", "capelli_p", "AlgebraContext", "free_context"])
 def test_contexts_and_gl_builders_refuse_n_below_one(build, n):
-    contexts = set(pbw._CONTEXTS)
+    contexts, systems = set(pbw._CONTEXTS), set(pbw._SHARED)
     with pytest.raises(ValueError, match="need n >= 1"):
         build(n)
-    assert set(pbw._CONTEXTS) == contexts
+    assert set(pbw._CONTEXTS) == contexts and set(pbw._SHARED) == systems
 
 
 # -- shifted identities ---------------------------------------------------------------

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from yangsym import pbw, symfun
 from yangsym.capelli import default_weight_grid
@@ -597,14 +597,41 @@ def test_a_bracket_map_is_freed_by_reference_counting(name):
     assert AlgebraElement(ctx, terms) == x * b - b * x
 
 
-def test_word_commutator_reads_one_entry_for_both_orders():
+def test_word_bracket_memoizes_each_letter_word_pair():
     rs = RewriteSystem("gl", 2)
-    e12, e21 = encode_e(2, 1, 2), encode_e(2, 2, 1)
-    comm = rs.word_commutator((e12,), (e21,))
-    assert dict(comm) == {(encode_e(2, 1, 1),): 1, (encode_e(2, 2, 2),): -1}
-    assert rs.word_commutator((e21,), (e12,)) == tuple((w, -c) for w, c in comm)
-    assert rs.word_commutator((e12,), (e12, e12)) == ()
-    assert list(rs.comm_memo) == [((e21,), (e12,)), ((e12,), (e12, e12))]
+    e11, e12, e21, e22 = (encode_e(2, i, j) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    # [e12, e21] = e11 - e22
+    assert dict(rs.word_bracket(e12, {(e21,): 1})) == {(e11,): 1, (e22,): -1}
+    assert rs.word_bracket(e12, {(e12, e12): 1}) == ()
+    assert dict(rs.word_bracket(e12, {(e21,): 3, (e12, e12): 5})) == {(e11,): 3, (e22,): -3}
+    assert list(rs.comm_memo) == [(e12, (e21,)), (e12, (e12, e12))]
+
+
+_WORDS = st.sampled_from([(), (0,), (1,), (0, 1)])
+_COEFFS = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(out=st.dictionaries(_WORDS, _COEFFS.filter(bool), max_size=4),
+       batch=st.lists(st.tuples(_WORDS, _COEFFS), max_size=8), c=_COEFFS)
+@example(out={(0,): 1}, batch=[], c=2)
+@example(out={(0,): 1}, batch=[((0,), 1), ((1,), Q(1, 2))], c=0)
+def test_add_terms_sums_first_and_drops_zeros_after(out, batch, c):
+    sums = dict(out)
+    for w, q in batch:
+        sums[w] = sums.get(w, 0) + c * q
+    expected = {w: v for w, v in sums.items() if v}
+    result = pbw.add_terms(out, batch, c)
+    assert result is out
+    assert result == expected
+    assert all(result.values())
+
+
+def test_an_element_is_unhashable():
+    ctx = yangian_context(2)
+    assert ctx.scalar(2) == 2
+    with pytest.raises(TypeError):
+        hash(ctx.one())
 
 
 def test_free_and_scalar_commutators():

@@ -562,6 +562,18 @@ def test_partition_basics():
     assert Partition((2, 2, 0)).parts == (2, 2)
     with pytest.raises(ValueError):
         Partition((1, 2))
+    assert Partition((True, 0)).parts == (1,)
+
+
+@pytest.mark.parametrize("parts", [(2.7, 1.2), ("3", "1"), (2, Q(1, 2))])
+def test_partition_refuses_parts_that_are_not_ints(parts):
+    with pytest.raises(ValueError, match="partition parts must be integers"):
+        Partition(parts)
+
+
+def test_schur_refuses_a_float_part():
+    with pytest.raises(ValueError, match=r"got \(1\.9,\)"):
+        schur_s((1.9,), "h", 2, 2)
 
 
 def test_schur_single_box():
