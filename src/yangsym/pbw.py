@@ -22,11 +22,15 @@ whose exchange entry is the bare swap it slides with no further work, and
 at any other letter x it applies x g -> g x + corrections and continues
 into the prefix before x in a loop, so the Python stack does not grow with
 the length of a word or its number of inversions, only when a correction
-term itself needs straightening.  Straightening has one memo, `nf_memo`,
-keyed by plain words: it holds each non-trivial insertion under the word
-w + (g,) and each whole word that `normal_word` was asked for, and maps a
-word to its normal form either way.  Normal words and slides are not
-memoized.
+term itself needs straightening.  Climbing back, a correction that is
+already normal across its two seams is added whole, and `_extend`, which
+appends letters to a batch of normal words, writes the products of its last
+letter straight into the sum it was given.  Straightening has one memo,
+`nf_memo`, keyed by plain words: it holds each non-trivial insertion under
+the word w + (g,) and each whole word that `normal_word` was asked for, and
+maps a word to its normal form either way.  Normal words and slides are not
+memoized; `AlgebraContext.normal_form` of a single raw term copies or scales
+the memoized normal form.
 
 Commutators have a second memo, `comm_memo`, shared per (kind, n) like
 `nf_memo`: it maps a letter x and a normal word w, keyed (x, w), to the
@@ -47,7 +51,8 @@ The Yangian exchange table is not transcribed from anywhere: it is derived
 mechanically from the defining exchange relation of the generating matrix
 by clearing the (u-v) denominator of the Yang matrix, expanding both sides
 as double series in u^{-1}, v^{-1} with free-word coefficients, and
-eliminating along decreasing first level.
+eliminating along decreasing first level, in one loop over integer
+generator ids with the level-0 entries as Kronecker deltas.
 
 A free instance (no relations) is also provided; it is handy as a
 relation-free oracle ring in tests.
@@ -126,42 +131,33 @@ def decode_e(n, gid):
 # ---------------------------------------------------------------------------
 # mechanical extraction of the Yangian exchange table
 
-def _gen_factor(n, r, x, y):
-    """u^{-r} coefficient of entry (x,y) of the generating matrix.
-
-    Returns (scalar, word); the level-0 coefficient is the scalar delta_xy.
-    """
-    if r == 0:
-        return (1, ()) if x == y else (0, ())
-    return (1, (encode_t(n, r, x, y),))
-
-
-def _exchange_rhs(n, i, j, k, l, a, b):
-    """Free element Q(a,b) with
-    [t^(a+1)_ij, t^(b)_kl] - [t^(a)_ij, t^(b+1)_kl] = Q(a,b),
-    read off from the u^{-a} v^{-b} coefficient of the cleared relation."""
-    out = {}
-    # P T1(u) T2(v) swaps the two row indices, T2(v) T1(u) P the two columns
-    for first, second, sign in (((a, k, j), (b, i, l), 1), ((b, k, j), (a, i, l), -1)):
-        c1, w1 = _gen_factor(n, *first)
-        c2, w2 = _gen_factor(n, *second)
-        add_terms(out, ((w1 + w2, c1 * c2),), sign)
-    return out
-
-
 def yangian_commutator_words(n, r, i, j, s, k, l):
     """[t[r,i,j], t[s,k,l]] as a map word -> coefficient.
 
-    Triangular elimination of the coefficient equations: the relation at
-    powers (r-1, s) expresses this commutator through the one with first
-    level r-1, and level-0 entries are scalars, so the recursion grounds out.
+    Triangular elimination: the u^{-a} v^{-b} coefficient of the relation,
+    cleared of the (u-v) denominator of the Yang matrix, reads
+      [t^(a+1)_ij, t^(b)_kl] - [t^(a)_ij, t^(b+1)_kl] = t^(a)_kj t^(b)_il - t^(b)_kj t^(a)_il
+    (P T1(u) T2(v) swaps the row indices, T2(v) T1(u) P the columns), so the
+    sum of its right sides over a = r-1, ..., 0 at b = s+r-1-a grounds out at
+    the scalars t^(0)_xy = delta_xy.  Words are formed on ids as `encode_t`
+    forms them.
     """
-    out = {}
-    a, b = r, s
-    while a >= 1:
-        add_terms(out, _exchange_rhs(n, i, j, k, l, a - 1, b).items())
-        a, b = a - 1, b + 1
-    return out
+    if not (r >= 1 and s >= 1 and all(1 <= x <= n for x in (i, j, k, l))):
+        raise ValueError(f"bad yangian commutator [t[{r},{i},{j}], t[{s},{k},{l}]] for n={n}")
+    nn = n * n
+    kj, il = (k - 1) * n + j - 1, (i - 1) * n + l - 1
+    terms = []
+    for a in range(r - 1, -1, -1):
+        b = s + r - 1 - a
+        if a:
+            terms.append((((a - 1) * nn + kj, (b - 1) * nn + il), 1))
+            terms.append((((b - 1) * nn + kj, (a - 1) * nn + il), -1))
+            continue
+        if k == j:
+            terms.append((((b - 1) * nn + il,), 1))
+        if i == l:
+            terms.append((((b - 1) * nn + kj,), -1))
+    return add_terms({}, terms)
 
 
 def gl_commutator_words(n, i, j, k, l):
@@ -177,6 +173,14 @@ def gl_commutator_words(n, i, j, k, l):
 # ---------------------------------------------------------------------------
 # rewrite systems
 
+def _rank(n):
+    """n as an int, refused unless it is an int >= 1 (a bool counts as its
+    int)."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"need n >= 1 and an int, got {n!r}")
+    return int(n)
+
+
 class RewriteSystem:
     """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b.
 
@@ -187,10 +191,8 @@ class RewriteSystem:
     def __init__(self, kind, n):
         if kind not in ("yangian", "gl", "free"):
             raise ValueError(f"unknown algebra kind {kind!r}")
-        if n < 1:
-            raise ValueError("need n >= 1")
         self.kind = kind
-        self.n = n
+        self.n = _rank(n)
         self.table = {}
         self.nf_memo = {}
         self.comm_memo = {}
@@ -312,14 +314,17 @@ class RewriteSystem:
     def _extend(self, terms, letters, out):
         """Add the normal form of sum c*v*letters over the normal words
         v -> c of `terms` into `out`, inserting the letters one at a time,
-        and return `out`."""
+        and return `out`.  The products of the last letter go straight into
+        `out`."""
+        if not letters:
+            return add_terms(out, terms.items())
         # from `tail` on, the letters are weakly increasing, so a word whose
         # last generator does not exceed the next letter takes the rest whole
-        tail = len(letters) - 1
+        last = tail = len(letters) - 1
         while tail > 0 and letters[tail - 1] <= letters[tail]:
             tail -= 1
         for i, g in enumerate(letters):
-            nxt = {}
+            nxt = out if i == last else {}
             for v, c in terms.items():
                 if v and v[-1] > g:
                     for w, q in self._insert(v, g).items():
@@ -338,15 +343,9 @@ class RewriteSystem:
                     dest[w] = s
                 elif w in dest:
                     del dest[w]
-            terms = nxt
-            if not terms:
+            if not nxt:
                 return out
-        for v, c in terms.items():
-            s = out.get(v, 0) + c
-            if s:
-                out[v] = s
-            elif v in out:
-                del out[v]
+            terms = nxt
         return out
 
     def _insert(self, word, g):
@@ -381,12 +380,23 @@ class RewriteSystem:
                 res = {word + (g,): 1}
                 break
         # res is the normal form of word*g for the deepest word reached;
-        # climb back, appending x and the slid letters after it
+        # climb back, appending x and the slid letters after it.  A
+        # correction has one or two letters (the relations are quadratic); one
+        # that is normal across both seams is added whole
         for key, word, k, exp in reversed(pending):
             out = self._extend(res, word[k:], {})
             pre, post = word[:k], word[k + 1:]
             for c, mid in exp[1:]:
-                self._extend({pre: c}, mid + post, out)
+                if ((not pre or pre[-1] <= mid[0]) and mid[0] <= mid[-1]
+                        and (not post or mid[-1] <= post[0])):
+                    w = pre + mid + post
+                    s = out.get(w, 0) + c
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
+                else:
+                    self._extend({pre: c}, mid + post, out)
             res = memo[key] = out
         return res
 
@@ -395,10 +405,10 @@ _SHARED = {}
 
 
 def _shared_system(kind, n):
-    key = (kind, n)
+    key = (kind, _rank(n))
     rs = _SHARED.get(key)
     if rs is None:
-        rs = _SHARED[key] = RewriteSystem(kind, n)
+        rs = _SHARED[key] = RewriteSystem(*key)
     return rs
 
 
@@ -451,13 +461,18 @@ class AlgebraContext:
         return AlgebraElement(self, {(gid,): 1})
 
     def normal_form(self, raw):
-        """Normal-ordered element from raw (coeff, word) data."""
-        out = {}
+        """Normal-ordered element from raw (coeff, word) data.  A single
+        term copies or scales the memoized normal form of its word."""
+        raw = [(c, w) for c, w in ((demote(c), w) for c, w in raw) if c]
         nw = self.rs.normal_word
+        if len(raw) == 1:
+            (c, w), = raw
+            nf = nw(tuple(w))
+            if c == 1:
+                return AlgebraElement(self, dict(nf))
+            return AlgebraElement(self, self._apply_cap({v: c * q for v, q in nf.items()}))
+        out = {}
         for c, w in raw:
-            c = demote(c)
-            if not c:
-                continue
             add_terms(out, nw(tuple(w)).items(), c)
         return AlgebraElement(self, self._apply_cap(out))
 
@@ -526,6 +541,7 @@ _CONTEXTS = {}
 
 
 def _interned_context(kind, n):
+    n = _rank(n)
     ctx = _CONTEXTS.get((kind, n))
     if ctx is None:
         ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)

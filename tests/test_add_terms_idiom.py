@@ -8,10 +8,15 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "yangsym"
 
 # `_extend` and the single-term concatenations of `suffix_bracket` and
 # `mul_terms` are the straightening kernels; the other three reconcile
-# elements or matrix entries, not a batch of terms
+# elements or matrix entries, not a batch of terms.  `_insert` adds each
+# exchange correction that is already normal whole, as it climbs back: one
+# `add_terms` batch per climb step ran the `straighten` benchmark 4.7% slower
+# on op_p50_ms and 3.3% on op_tail_ms (median of 6 alternating pairs, slower
+# in 6 of 6)
 ALLOWED = {
     "pbw.add_terms",
     "pbw.RewriteSystem._extend",
+    "pbw.RewriteSystem._insert",
     "pbw.RewriteSystem.suffix_bracket",
     "pbw.AlgebraContext.mul_terms",
     "pbw.AlgebraElement.__add__",

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import accumulate
 from math import prod
 
@@ -216,7 +217,7 @@ def test_highest_weight_refuses_non_integral_and_empty_weights(gl2):
         hw_eigenvalue(gl2.e(1, 1), (Q(3, 2), 0))
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, "2", Q(5, 2), Q(2)])
 @pytest.mark.parametrize("build", [gl_context, yangian_context, gl_matrix,
                                    lambda n: tr_E_power(2, n),
                                    lambda n: capelli_p(2, n),
@@ -225,10 +226,20 @@ def test_highest_weight_refuses_non_integral_and_empty_weights(gl2):
                          ids=["gl_context", "yangian_context", "gl_matrix",
                               "tr_E_power", "capelli_p", "AlgebraContext", "free_context"])
 def test_contexts_and_gl_builders_refuse_n_below_one(build, n):
+    # an n that equals a built one (2.0, Q(2)) must not reach it through the caches
+    gl_context(2), yangian_context(2)
     contexts, systems = set(pbw._CONTEXTS), set(pbw._SHARED)
-    with pytest.raises(ValueError, match="need n >= 1"):
+    with pytest.raises(ValueError, match=f"need n >= 1 and an int, got {re.escape(repr(n))}"):
         build(n)
     assert set(pbw._CONTEXTS) == contexts and set(pbw._SHARED) == systems
+
+
+def test_a_bool_n_is_stored_as_its_int():
+    y = yangian_context(True)
+    assert type(y.n) is int and y.n == 1 and y is yangian_context(1)
+    assert pbw.AlgebraContext("gl", True).rs is gl_context(1).rs
+    assert type(pbw.free_context(True).n) is int
+    assert repr(gl_context(True).e(1, 1)) == "(1)*e[1,1]"
 
 
 # -- shifted identities ---------------------------------------------------------------

@@ -115,6 +115,41 @@ def test_commutator_with_itself_vanishes():
     assert x * x - x * x == ctx.zero()
 
 
+def _closed_form_commutator(n, r, i, j, s, k, l):
+    """[t^(r)_ij, t^(s)_kl] as free words, by Molev's closed form
+    sum_{a=1}^{min(r,s)} (t^(a-1)_kj t^(r+s-a)_il - t^(r+s-a)_kj t^(a-1)_il),
+    where t^(0) is the Kronecker delta; ids are (level-1, row-1, col-1) in
+    base n, so they sort by (level, i, j)."""
+    def factor(m, x, y):
+        if m == 0:
+            return (1, ()) if x == y else (0, ())
+        return (1, ((((m - 1) * n + x - 1) * n + y - 1),))
+
+    out = {}
+    for a in range(1, min(r, s) + 1):
+        for first, second, sign in (((a - 1, k, j), (r + s - a, i, l), 1),
+                                    ((r + s - a, k, j), (a - 1, i, l), -1)):
+            (c1, w1), (c2, w2) = factor(*first), factor(*second)
+            out[w1 + w2] = out.get(w1 + w2, 0) + sign * c1 * c2
+    return {w: c for w, c in out.items() if c}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exchange_table_matches_the_closed_form(n):
+    idx = range(1, n + 1)
+    for r in range(1, 7):
+        for s in range(1, 7):
+            for i in idx:
+                for j in idx:
+                    for k in idx:
+                        for l in idx:
+                            assert yangian_commutator_words(n, r, i, j, s, k, l) == \
+                                _closed_form_commutator(n, r, i, j, s, k, l), (r, i, j, s, k, l)
+    for bad in [(0, 1, 1, 1, 1, 1), (1, 1, 1, 0, 1, 1), (1, n + 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 0)]:
+        with pytest.raises(ValueError, match="bad yangian commutator"):
+            yangian_commutator_words(n, *bad)
+
+
 def test_extracted_words_match_engine():
     n, ctx = 2, yangian_context(2)
     words = yangian_commutator_words(n, 2, 1, 1, 1, 2, 2)
@@ -343,12 +378,78 @@ def test_normal_word_matches_random_inversion_reference_y2(word, rng):
     assert rs.normal_word(word) == _reference_normal_form(rs, word, rng)
 
 
+def _leftmost_normal_form(rs, raw):
+    """Normal form of the raw (coeff, word) terms by rewriting the leftmost
+    adjacent inversion of some unfinished word, with no memo, until every
+    word is normal; a sum that is zero is dropped at the end."""
+    done, todo = {}, []
+    for c, w in raw:
+        todo.append((tuple(w), Q(c)))
+    while todo:
+        w, c = todo.pop()
+        p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
+        if p is None:
+            done[w] = done.get(w, 0) + c
+            continue
+        todo.extend((w[:p] + mid + w[p + 2:], c * q) for q, mid in rs.expansion(w[p], w[p + 1]))
+    return {w: c for w, c in done.items() if c}
+
+
+_Y3_GENS = [encode_t(3, r, i, j) for r in (1, 2) for i in (1, 2, 3) for j in (1, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind_gens=st.sampled_from([("gl", _GL3_GENS), ("yangian", _Y3_GENS)]), data=st.data())
+@example(kind_gens=("gl", _GL3_GENS), data=None)
+def test_normal_form_matches_leftmost_inversion_straightening(kind_gens, data):
+    kind, gens = kind_gens
+    ctx = AlgebraContext(kind, 3)
+    if data is None:
+        # the empty word, a repeated letter and a cancelling pair
+        g = gens[-1]
+        raws = [[], [(1, ())], [(3, (g, g, g))], [(Q(1, 2), (g, gens[0])), (Q(-1, 2), (g, gens[0]))]]
+        letters = gens[:1]
+    else:
+        words = st.lists(st.sampled_from(gens[:4]) | st.sampled_from(gens), max_size=6).map(tuple)
+        coeffs = st.sampled_from([1, -1, 2, 0, Q(1, 2), Q(-3, 4)])
+        raws = [data.draw(st.lists(st.tuples(coeffs, words), max_size=3))]
+        letters = [data.draw(st.sampled_from(gens))]
+    for raw in raws:
+        x = ctx.normal_form(raw)
+        assert x.terms == _leftmost_normal_form(ctx.rs, raw)
+        assert all(type(c) is int or c.denominator > 1 for c in x.terms.values())
+    for g in letters:
+        assert ctx.rs.word_bracket(g, {(): 1}) == ()
+
+
 def test_insertion_memo_stays_small():
     # one entry per insertion into a normal word, plus the whole word
     rs = RewriteSystem("gl", 2)
     word = (encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10
     assert len(rs.normal_word(word)) == 285
     assert len(rs.nf_memo) <= 4000
+
+
+def test_straightening_makes_few_extend_passes(fresh_python):
+    # e12^6 e21^6 on gl2: the products of each inserted letter went through a
+    # scratch dict and every exchange correction through `_extend`, 1,249
+    # passes; writing straight into the sum and adding corrections that are
+    # already normal whole leaves 882
+    calls, memo, terms = fresh_python(
+        "from yangsym import pbw\n"
+        "calls = 0\n"
+        "extend = pbw.RewriteSystem._extend\n"
+        "def counted(self, *args):\n"
+        "    global calls\n"
+        "    calls += 1\n"
+        "    return extend(self, *args)\n"
+        "pbw.RewriteSystem._extend = counted\n"
+        "ctx = pbw.gl_context(2)\n"
+        "e12, e21 = pbw.encode_e(2, 1, 2), pbw.encode_e(2, 2, 1)\n"
+        "x = ctx.normal_form([(1, (e12,) * 6 + (e21,) * 6)])\n"
+        "print(calls, len(ctx.rs.nf_memo), len(x.terms))")
+    assert int(calls) <= 900
+    assert (int(memo), int(terms)) == (527, 83)
 
 
 # -- coefficient format: an int when integral, a Fraction otherwise ----------
