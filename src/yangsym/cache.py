@@ -11,7 +11,6 @@ at once leave one whole entry.  `canonical_dumps` lives here, not in
 `serialize`, so that a cache hit loads no engine layer.
 """
 
-import hashlib
 import json
 import os
 import sys
@@ -31,6 +30,9 @@ def canonical_dumps(obj):
 
 
 def cache_key(obj_name, params):
+    # imported here: hashlib loads OpenSSL, which verify and list-suites never use
+    import hashlib
+
     payload = canonical_dumps({
         "object": obj_name,
         "params": params,

@@ -166,7 +166,7 @@ def ev_hom(x):
             image.append(encode_e(n, i, j))
         if dead:
             continue
-        raw.append((c, tuple(image)))
+        raw.append((c, bytes(image)))
     return gl.normal_form(raw)
 
 

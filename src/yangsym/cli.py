@@ -30,6 +30,11 @@ OPTIONS_READ = {
 }
 COMPUTE_OBJECTS = tuple(OPTIONS_READ)
 
+# A PBW word holds generator ids below pbw.ALPHABET, so a series of Y(gl_n)
+# reaches order 256 // n^2 and capelli_p's U(gl_n), with 3 n^2 ids, n = 9.
+# Checked before the cache without loading pbw; a test ties the two.
+_ALPHABET = 256
+
 
 def _positive_int(text):
     try:
@@ -110,6 +115,14 @@ def _params(args, parser):
         need(value is None or obj == reader, f"compute {obj} does not take {flag}")
     need(args.seed is None or args.z == "random",
          f"compute {obj} takes --seed only with --z random")
+
+    if N is not None:
+        need(N * n * n <= _ALPHABET,
+             f"compute {obj} --n {n} takes --order up to {_ALPHABET // (n * n)}: "
+             f"a PBW word holds generator ids below {_ALPHABET}")
+    need(obj != "capelli_p" or 3 * n * n <= _ALPHABET,
+         f"compute capelli_p takes --n up to 9: a PBW word holds generator ids "
+         f"below {_ALPHABET}, and U(gl_n) has 3 n^2 of them")
 
     params = {"n": n}
     if deg is not None:
@@ -226,8 +239,11 @@ def cmd_verify(args, parser):
     if args.suite != "all" and args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; see 'yangsym list-suites'")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    cfg = SuiteConfig(n=args.n, order=args.order, max_m=args.max_m,
-                      max_k=args.max_k, tau_order=args.tau_order, seed=args.seed)
+    try:
+        cfg = SuiteConfig(n=args.n, order=args.order, max_m=args.max_m,
+                          max_k=args.max_k, tau_order=args.tau_order, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     records = run_suites(names, cfg)
     report = [r.jsonable() for r in records]
     failed = [r for r in records if r.status == "fail"]

@@ -9,11 +9,18 @@ Two instances are used throughout the package:
   generators come first, then diagonal, then strictly upper-triangular
   (raising generators rightmost), lexicographic in (i,j) within each block.
 
-A monomial is a tuple of integer generator ids whose natural order is the
-PBW order, so a monomial is normal-ordered iff the tuple is weakly
-increasing.  The exchange rule for an out-of-order adjacent pair x_a x_b
-(a > b) is x_b x_a plus correction terms of strictly smaller total level,
-which guarantees straightening terminates.
+A monomial is a word: a `bytes` object of integer generator ids whose
+natural order is the PBW order, so a monomial is normal-ordered iff its
+bytes are weakly increasing.  Bytes compare, sort and iterate as the tuples
+of their ids do, hash once (the object keeps its hash) and hold no
+references, so the garbage collector tracks no word and no memo dict of
+words and int coefficients.  A word holds ids below `ALPHABET` = 256:
+Y(gl_n) up to level 256 // n^2 (64, 28, 16 for n = 2, 3, 4), U(gl_n) for
+n <= 9 and free algebras of at most 256 generators; the encoders,
+`free_context` and `as_word` refuse anything beyond.  `_L[g]` is the
+one-letter word of g and b'' the word of a scalar.  The exchange rule for an
+out-of-order adjacent pair x_a x_b (a > b) is x_b x_a plus correction terms
+of strictly smaller total level, which guarantees straightening terminates.
 
 Straightening works by insertion.  `RewriteSystem.normal_word` keeps the
 longest normal prefix of a word and inserts the remaining generators one at
@@ -27,21 +34,21 @@ already normal across its two seams is added whole, and `_extend`, which
 appends letters to a batch of normal words, writes the products of its last
 letter straight into the sum it was given.  Straightening has one memo,
 `nf_memo`, keyed by plain words: it holds each non-trivial insertion under
-the word w + (g,) and each whole word that `normal_word` was asked for, and
+the word w + _L[g] and each whole word that `normal_word` was asked for, and
 maps a word to its normal form either way.  Normal words and slides are not
 memoized; `AlgebraContext.normal_form` of a single raw term copies or scales
 the memoized normal form.
 
 Commutators have a second memo, `comm_memo`, shared per (kind, n) like
-`nf_memo`: it maps a letter x and a normal word w, keyed (x, w), to the
-normal form of x*w - w*x as a tuple of (word, int) terms, `()` if they
-commute.  `RewriteSystem.word_bracket(x, B)` fills it by insertion and sums
-[x, B] from it for a term dict B.  Every commutator is a bracket:
-`AlgebraContext.bracket(B)` is the linear map A -> [A, B], a derivation.
-It forms [w, B] once per word w of its arguments by the Leibniz rule on
-the first letter, [x*v, B] = x*[v, B] + [x, B]*v, suffix by suffix from
-the longest suffix it holds (`RewriteSystem.suffix_bracket`), with each
-letter's [x, B] from `word_bracket`.  It keeps the nonzero terms of every
+`nf_memo`: it maps a letter x and a normal word w, keyed by the word
+_L[x] + w, to the normal form of x*w - w*x as a tuple of (word, int) terms,
+`()` if they commute.  `RewriteSystem.word_bracket(x, B)` fills it by
+insertion and sums [x, B] from it for a term dict B.  Every commutator is a
+bracket: `AlgebraContext.bracket(B)` is the linear map A -> [A, B], a
+derivation.  It forms [w, B] once per word w of its arguments by the
+Leibniz rule on the first letter, [x*v, B] = x*[v, B] + [x, B]*v, suffix by
+suffix from the longest suffix it holds (`RewriteSystem.suffix_bracket`),
+with each letter's [x, B] from `word_bracket`.  It keeps the nonzero terms of every
 suffix bracket, so one map applied to many elements brackets each of their
 suffixes against B once.  That store belongs to the map and is freed with
 it, by reference counting alone; `AlgebraElement.commutator` makes a map
@@ -90,12 +97,38 @@ def add_terms(out, terms, c=1):
 
 
 # ---------------------------------------------------------------------------
-# generator ids
+# generator ids and words
+
+# A word is bytes, so its generator ids lie below ALPHABET.
+ALPHABET = 256
+_L = tuple(bytes((g,)) for g in range(ALPHABET))  # the one-letter words
+
+
+def as_word(ids):
+    """The word of a sequence of generator ids, as bytes (a word as itself)."""
+    if type(ids) is bytes:
+        return ids
+    if isinstance(ids, int):  # bytes(k) would be k zero ids
+        raise TypeError(f"a word is a sequence of generator ids, got {ids!r}")
+    try:
+        return bytes(ids)
+    except ValueError:
+        raise ValueError(f"word {ids!r} has an id outside 0..{ALPHABET - 1}: "
+                         f"a word holds generator ids below {ALPHABET}") from None
+
+
+def max_level(n):
+    """The highest level of a Y(gl_n) generator that a word can hold."""
+    return ALPHABET // (n * n)
+
 
 def encode_t(n, r, i, j):
     """Id of the Yangian generator t[r,i,j]; ids sort by (level, i, j)."""
     if not (r >= 1 and 1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad yangian generator t[{r},{i},{j}] for n={n}")
+    if r > max_level(n):
+        raise ValueError(f"t[{r},{i},{j}] is beyond the word alphabet: Y(gl_{n}) words "
+                         f"hold levels up to {max_level(n)} (ids below {ALPHABET})")
     return ((r - 1) * n + (i - 1)) * n + (j - 1)
 
 
@@ -115,10 +148,17 @@ def _gl_block(i, j):
     return 1 if i == j else 2
 
 
+# the largest n whose 3 n^2 ids of U(gl_n) lie below ALPHABET
+MAX_GL_N = 9
+
+
 def encode_e(n, i, j):
     """Id of the gl_n generator e[i,j]; lowering < diagonal < raising."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"bad gl generator e[{i},{j}] for n={n}")
+    if n > MAX_GL_N:
+        raise ValueError(f"U(gl_{n}) is beyond the word alphabet: words hold U(gl_n) "
+                         f"for n <= {MAX_GL_N} (ids below {ALPHABET})")
     return _gl_block(i, j) * n * n + (i - 1) * n + (j - 1)
 
 
@@ -132,7 +172,8 @@ def decode_e(n, gid):
 # mechanical extraction of the Yangian exchange table
 
 def yangian_commutator_words(n, r, i, j, s, k, l):
-    """[t[r,i,j], t[s,k,l]] as a map word -> coefficient.
+    """[t[r,i,j], t[s,k,l]] as a map from free words, tuples of ids, to
+    coefficients; `RewriteSystem.expansion` stores them as words.
 
     Triangular elimination: the u^{-a} v^{-b} coefficient of the relation,
     cleared of the (u-v) denominator of the Yang matrix, reads
@@ -144,6 +185,9 @@ def yangian_commutator_words(n, r, i, j, s, k, l):
     """
     if not (r >= 1 and s >= 1 and all(1 <= x <= n for x in (i, j, k, l))):
         raise ValueError(f"bad yangian commutator [t[{r},{i},{j}], t[{s},{k},{l}]] for n={n}")
+    if r + s - 1 > max_level(n):
+        raise ValueError(f"[t[{r},{i},{j}], t[{s},{k},{l}]] reaches level {r + s - 1}, beyond "
+                         f"the word alphabet: Y(gl_{n}) words hold levels up to {max_level(n)}")
     nn = n * n
     kj, il = (k - 1) * n + j - 1, (i - 1) * n + l - 1
     terms = []
@@ -224,7 +268,7 @@ class RewriteSystem:
                 comm = gl_commutator_words(n, i, j, k, l)
             else:
                 raise AssertionError("free algebra has no exchange rules")
-            exp = ((1, (b, a)),) + tuple((c, w) for w, c in comm.items())
+            exp = ((1, _L[b] + _L[a]),) + tuple((c, bytes(w)) for w, c in comm.items())
             self.table[key] = exp
         return exp
 
@@ -251,18 +295,20 @@ class RewriteSystem:
     def word_bracket(self, x, B):
         """Nonzero terms of [x, B], as a tuple of (word, int) terms, for a
         letter x and a term dict B with int coefficients.  Each [x, w] is
-        memoized in `comm_memo` under (x, w): the normal form of x*w minus
-        that of w*x, or their concatenations on the free instance."""
-        memo, out = self.comm_memo, {}
+        memoized in `comm_memo` under the word _L[x] + w: the normal form
+        of x*w minus that of w*x, or their concatenations on the free
+        instance."""
+        memo, out, xl = self.comm_memo, {}, _L[x]
         for w, c in B.items():
-            terms = memo.get((x, w))
+            key = xl + w
+            terms = memo.get(key)
             if terms is None:
                 if self.kind == "free":
-                    comm = add_terms({}, (((x,) + w, 1), (w + (x,), -1)))
+                    comm = add_terms({}, ((key, 1), (w + xl, -1)))
                 else:
-                    comm = self._extend({(x,): 1}, w, {})
-                    self._extend({w: -1}, (x,), comm)
-                terms = memo[x, w] = tuple(comm.items())
+                    comm = self._extend({xl: 1}, w, {})
+                    self._extend({w: -1}, xl, comm)
+                terms = memo[key] = tuple(comm.items())
             add_terms(out, terms, c)
         return tuple(out.items())
 
@@ -271,7 +317,7 @@ class RewriteSystem:
         normal word and a term dict B with int coefficients, by the Leibniz
         rule on the first letter: [x*v, B] = x*[v, B] + [x, B]*v.
 
-        `store` maps words to their brackets with B, the empty word to (),
+        `store` maps words to their brackets with B, the empty word b'' to (),
         and holds every suffix of each word it holds.  The longest suffix of
         `word` in it is the start; each longer suffix is formed from the one
         before it and the bracket of its first letter (`word_bracket`), and
@@ -284,9 +330,10 @@ class RewriteSystem:
         free = self.kind == "free"
         for j in range(i - 1, -1, -1):
             x, v = word[j], word[j + 1:]
-            xb = store.get((x,))
+            xl = _L[x]
+            xb = store.get(xl)
             if xb is None:
-                xb = store[x,] = self.word_bracket(x, B)
+                xb = store[xl] = self.word_bracket(x, B)
             if not v:
                 terms = xb
                 continue
@@ -295,14 +342,14 @@ class RewriteSystem:
             # (the free algebra has no exchange rules), else is inserted
             for u, c in terms:
                 if free or not u or x <= u[0]:
-                    w = (x,) + u
+                    w = xl + u
                     s = out.get(w, 0) + c
                     if s:
                         out[w] = s
                     elif w in out:
                         del out[w]
                 else:
-                    self._extend({(x,): c}, u, out)
+                    self._extend({xl: c}, u, out)
             # [x, B]*v
             if free:
                 add_terms(out, ((u + v, c) for u, c in xb))
@@ -337,7 +384,7 @@ class RewriteSystem:
                 if i >= tail:
                     w, dest = v + letters[i:], out
                 else:
-                    w, dest = v + (g,), nxt
+                    w, dest = v + _L[g], nxt
                 s = dest.get(w, 0) + c
                 if s:
                     dest[w] = s
@@ -356,12 +403,13 @@ class RewriteSystem:
         x g -> g x + corrections leaves the insertion of g into the prefix
         before x, which the loop below follows down, so the depth of the
         Python stack does not grow with the word.  Each such insertion is
-        memoized under its plain word prefix + (g,); slides are not."""
+        memoized under its plain word prefix + _L[g]; slides are not."""
         memo = self.nf_memo
         table = self.table
+        gw = _L[g]
         pending = []
         while True:
-            key = word + (g,)
+            key = word + gw
             res = memo.get(key)
             if res is not None:
                 break
@@ -372,12 +420,12 @@ class RewriteSystem:
                     break
                 k -= 1
             else:
-                res = {word[:k + 1] + (g,) + word[k + 1:]: 1}
+                res = {word[:k + 1] + gw + word[k + 1:]: 1}
                 break
             pending.append((key, word, k, exp))
             word = word[:k]
             if not word or word[-1] <= g:
-                res = {word + (g,): 1}
+                res = {word + gw: 1}
                 break
         # res is the normal form of word*g for the deepest word reached;
         # climb back, appending x and the slid letters after it.  A
@@ -441,39 +489,40 @@ class AlgebraContext:
         return AlgebraElement(self, {})
 
     def one(self):
-        return AlgebraElement(self, {(): 1})
+        return AlgebraElement(self, {b"": 1})
 
     def scalar(self, q):
         q = demote(q)
-        return AlgebraElement(self, {(): q} if q else {})
+        return AlgebraElement(self, {b"": q} if q else {})
 
     def t(self, r, i, j):
         if self.kind != "yangian":
             raise ValueError("t generators live in the yangian instance")
-        return AlgebraElement(self, {(encode_t(self.n, r, i, j),): 1})
+        return AlgebraElement(self, {_L[encode_t(self.n, r, i, j)]: 1})
 
     def e(self, i, j):
         if self.kind != "gl":
             raise ValueError("e generators live in the gl instance")
-        return AlgebraElement(self, {(encode_e(self.n, i, j),): 1})
+        return AlgebraElement(self, {_L[encode_e(self.n, i, j)]: 1})
 
     def gen(self, gid):
-        return AlgebraElement(self, {(gid,): 1})
+        return AlgebraElement(self, {as_word((gid,)): 1})
 
     def normal_form(self, raw):
-        """Normal-ordered element from raw (coeff, word) data.  A single
-        term copies or scales the memoized normal form of its word."""
+        """Normal-ordered element from raw (coeff, word) data, a word being
+        any sequence of generator ids.  A single term copies or scales the
+        memoized normal form of its word."""
         raw = [(c, w) for c, w in ((demote(c), w) for c, w in raw) if c]
         nw = self.rs.normal_word
         if len(raw) == 1:
             (c, w), = raw
-            nf = nw(tuple(w))
+            nf = nw(as_word(w))
             if c == 1:
                 return AlgebraElement(self, dict(nf))
             return AlgebraElement(self, self._apply_cap({v: c * q for v, q in nf.items()}))
         out = {}
         for c, w in raw:
-            add_terms(out, nw(tuple(w)).items(), c)
+            add_terms(out, nw(as_word(w)).items(), c)
         return AlgebraElement(self, self._apply_cap(out))
 
     def _apply_cap(self, terms):
@@ -488,12 +537,12 @@ class AlgebraContext:
     def mul_terms(self, A, B, out=None):
         """Terms of A*B in stored form.  Given a term dict `out`, adds A*B into
         it instead and returns it; whoever finishes that sum applies
-        `_apply_cap` once.  When one operand is a bare scalar {(): q}, the
+        `_apply_cap` once.  When one operand is a bare scalar {b'': q}, the
         other's terms are multiplied by q, with no word products."""
         acc = {} if out is None else out
-        scalar = A if len(A) == 1 and () in A else B if len(B) == 1 and () in B else None
+        scalar = A if len(A) == 1 and b"" in A else B if len(B) == 1 and b"" in B else None
         if scalar is not None:
-            add_terms(acc, (B if scalar is A else A).items(), scalar[()])
+            add_terms(acc, (B if scalar is A else A).items(), scalar[b""])
             return self._apply_cap(acc) if out is None else acc
         nw = self.rs.normal_word
         for wa, ca in A.items():
@@ -521,7 +570,7 @@ class AlgebraContext:
         argument, suffix by suffix (`RewriteSystem.suffix_bracket`), and kept
         with every suffix for every later argument while the map lives."""
         B, db = cleared(B)
-        by_word, suffix_bracket = {(): ()}, self.rs.suffix_bracket
+        by_word, suffix_bracket = {b"": ()}, self.rs.suffix_bracket
 
         def apply(A):
             A, da = cleared(A)
@@ -559,6 +608,11 @@ def gl_context(n):
 
 
 def free_context(num_gens):
+    """A free algebra on generators 0 .. num_gens - 1; a word holds at most
+    ALPHABET of them."""
+    if _rank(num_gens) > ALPHABET:
+        raise ValueError(f"a free algebra on {num_gens} generators is beyond the word "
+                         f"alphabet: words hold at most {ALPHABET} generators")
     return AlgebraContext("free", num_gens)
 
 
@@ -577,8 +631,8 @@ class AlgebraElement:
         """The rational q if self == q * 1, else None."""
         if not self.terms:
             return Q(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return Q(self.terms[()])
+        if len(self.terms) == 1 and b"" in self.terms:
+            return Q(self.terms[b""])
         return None
 
     # -- basic structure -----------------------------------------------------
@@ -595,7 +649,8 @@ class AlgebraElement:
         return max((wl(w) for w in self.terms), default=0)
 
     def coeff(self, word):
-        return Q(self.terms.get(tuple(word), 0))
+        """The coefficient of a word, any sequence of generator ids."""
+        return Q(self.terms.get(as_word(word), 0))
 
     def _compatible(self, other):
         return self.ctx.rs is other.ctx.rs
@@ -661,7 +716,7 @@ class AlgebraElement:
             q = demote(other)
             if not q:
                 return not self.terms
-            return self.terms == {(): q}
+            return self.terms == {b"": q}
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         return self.ctx.rs is other.ctx.rs and self.terms == other.terms

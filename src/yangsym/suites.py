@@ -35,6 +35,7 @@ from .pbw import (
     yangian_context,
     encode_t,
     encode_e,
+    max_level,
 )
 from .tensor import (
     TensorMatrix,
@@ -87,8 +88,15 @@ from .capelli import (
 
 # plain classes: `dataclasses` imports inspect, ast and tokenize (about 10 ms)
 
+# The ranks the suites run when no n is given, the highest default order
+# among them and the level the engine self-checks reach whatever the order.
+_DEFAULT_NS = (1, 2, 3)
+_DEFAULT_ORDER, _SELFCHECK_LEVEL = 6, 4
+
+
 class SuiteConfig:
-    """Suite sizes; None means each suite's default."""
+    """Suite sizes; None means each suite's default.  The Yangian levels the
+    suites reach must fit in a PBW word (`pbw.max_level`)."""
 
     __slots__ = ("n", "order", "max_m", "max_k", "tau_order", "seed")
 
@@ -100,6 +108,12 @@ class SuiteConfig:
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"SuiteConfig.{name} must be a positive integer, got {value}")
+        level = max(order or _DEFAULT_ORDER, _SELFCHECK_LEVEL)
+        for m in _ns(self):
+            if level > max_level(m):
+                raise ValueError(f"the suites at n={m} reach level {level} of Y(gl_{m}), "
+                                 f"beyond a PBW word, which holds levels up to "
+                                 f"{max_level(m)}: lower n or the order")
 
 
 class CheckRecord:
@@ -184,7 +198,7 @@ def compare(lhs, rhs):
     for k in keys:  # one level down, on whichever side holds the key
         failure[_KEY_NAMES[type(lhs)]] = k
         lhs, rhs = lhs.coeffs.get(k) or rhs.coeffs[k], rhs.coeffs.get(k) or lhs.coeffs[k]
-    ta, tb = (x.terms if isinstance(x, AlgebraElement) else {(): x} if x else {} for x in (a, b))
+    ta, tb = (x.terms if isinstance(x, AlgebraElement) else {b"": x} if x else {} for x in (a, b))
     w = min(w for w in ta.keys() | tb.keys() if ta.get(w, 0) != tb.get(w, 0))
     element = a if isinstance(a, AlgebraElement) else b
     failure["monomial"] = "*".join(element.gen_name(g) for g in w) or "1"
@@ -220,7 +234,7 @@ def _matrix_proportionality(target, base):
     return (None, target.is_zero())
 
 
-def _ns(cfg, default=(1, 2, 3)):
+def _ns(cfg, default=_DEFAULT_NS):
     return (cfg.n,) if cfg.n else default
 
 
@@ -572,7 +586,7 @@ def _random_yangian_element(ctx, rng):
                 break
         coeff = rng.randint(-3, 3)
         if coeff:
-            out = out + ctx.normal_form([(coeff, tuple(word))])
+            out = out + ctx.normal_form([(coeff, bytes(word))])
     return out
 
 
@@ -700,9 +714,10 @@ def _check_confluence(ctx):
         for b in ids:
             for c in ids:
                 if level(a) + level(b) + level(c) <= 4:
-                    results = _one_step_results(rs, (a, b, c))
+                    word = bytes((a, b, c))
+                    results = _one_step_results(rs, word)
                     if any(r != results[0] for r in results[1:]):
-                        return (False, {"word": _first_monomial(ctx, {(a, b, c): 1})})
+                        return (False, {"word": _first_monomial(ctx, {word: 1})})
     return True
 
 
@@ -742,8 +757,9 @@ def _check_termination(n):
                     continue
                 for _, w in rs.expansion(a, b):
                     wl = rs.word_level(w)
-                    if not (wl == level if w == (b, a) else wl < level):
-                        return (False, {"pair": [_first_monomial(ctx, {(g,): 1}) for g in (a, b)],
+                    if not (wl == level if w == bytes((b, a)) else wl < level):
+                        return (False, {"pair": [_first_monomial(ctx, {bytes((g,)): 1})
+                                                 for g in (a, b)],
                                         "word": _first_monomial(ctx, {w: 1})})
     return True
 

@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+from yangsym import cli, pbw
 from yangsym.cli import main
 from yangsym.suites import SUITES, CheckRecord
 from yangsym import cache
@@ -305,6 +309,53 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a positive integer" in captured.err or "expects an integer" in captured.err
+
+
+def test_verify_report_is_independent_of_the_hash_seed():
+    # words are bytes, whose hashes are seeded; the report must not notice
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    reports = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-m", "yangsym.cli", "verify", "all", "--n", "2",
+                              "--order", "4", "--format", "json"],
+                             env=env, check=True, capture_output=True, text=True).stdout
+        records = json.loads(out)
+        for r in records:
+            del r["wall_time"]
+        reports.append(records)
+    assert len(reports[0]) > 100 and reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["compute", "e", "--k", "1", "--n", "3", "--order", "29"],
+     "compute e --n 3 takes --order up to 28"),
+    (["compute", "h", "--k", "1", "--n", "2", "--order", "65"],
+     "compute h --n 2 takes --order up to 64"),
+    (["compute", "schur", "--lambda", "1", "--n", "4", "--order", "17"],
+     "compute schur --n 4 takes --order up to 16"),
+    (["compute", "capelli_p", "--m", "2", "--n", "10"], "compute capelli_p takes --n up to 9"),
+    (["verify", "schur", "--n", "9"], "levels up to 3"),
+    (["verify", "newton", "--n", "3", "--order", "29"], "levels up to 28"),
+    (["verify", "all", "--order", "29"], "levels up to 28"),
+])
+def test_sizes_beyond_the_word_alphabet_are_usage_errors(tmp_path, capsys, argv, message):
+    # refused before the cache is read or written
+    with pytest.raises(SystemExit) as exc:
+        main(argv + (["--cache-dir", str(tmp_path)] if argv[0] == "compute" else []))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_cli_alphabet_is_the_word_alphabet(capsys):
+    assert cli._ALPHABET == pbw.ALPHABET
+    # the largest sizes the checks let through do build
+    for argv in (["e", "--k", "1", "--n", "3", "--order", "28"],
+                 ["capelli_p", "--m", "1", "--n", "9"]):
+        assert run_cli(capsys, "compute", *argv)[0] == 0
 
 
 @pytest.mark.parametrize("argv,message", [

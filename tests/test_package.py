@@ -36,6 +36,11 @@ def _loaded(fresh_python, code):
     return set(fresh_python(code + "; import sys; print(*sys.modules)"))
 
 
+def test_cli_import_leaves_hashlib_unloaded(fresh_python):
+    # hashlib loads OpenSSL; only a cache key needs it
+    assert not _loaded(fresh_python, "import yangsym.cli") & {"hashlib", "_hashlib"}
+
+
 def test_commands_load_only_the_layers_they_use(fresh_python, tmp_path):
     assert not _loaded(fresh_python, "import yangsym.cli") & ENGINE
 

@@ -20,6 +20,7 @@ from yangsym.pbw import (
     yangian_commutator_words,
     encode_e,
     encode_t,
+    max_level,
 )
 from yangsym.series import SparseCoeffs, USeries
 from yangsym.suites import (
@@ -189,7 +190,7 @@ def test_normal_form_idempotent_and_linear():
 def test_already_ordered_monomial_unchanged():
     ctx = yangian_context(2)
     x = ctx.normal_form([(Q(1), (encode_t(2, 1, 1, 1), encode_t(2, 2, 1, 1)))])
-    assert list(x.terms) == [(encode_t(2, 1, 1, 1), encode_t(2, 2, 1, 1))]
+    assert list(x.terms) == [bytes((encode_t(2, 1, 1, 1), encode_t(2, 2, 1, 1)))]
 
 
 def test_yangian_two_level_word_difference():
@@ -309,7 +310,7 @@ def test_one_step_confluence_on_small_words():
     for a in gens:
         for b in gens:
             for c in gens:
-                results = _one_step_results(rs, (a, b, c))
+                results = _one_step_results(rs, bytes((a, b, c)))
                 if len(results) == 2:
                     assert results[0] == results[1]
 
@@ -358,13 +359,13 @@ def _y2_words(max_level):
     def word(levels):
         return st.tuples(*(st.tuples(st.just(r), st.integers(1, 2), st.integers(1, 2))
                            for r in levels)).map(
-            lambda gs: tuple(encode_t(2, *g) for g in gs))
+            lambda gs: bytes(encode_t(2, *g) for g in gs))
 
     return st.lists(st.integers(1, max_level), max_size=max_level).map(capped).flatmap(word)
 
 
 @settings(max_examples=100, deadline=None)
-@given(word=st.lists(st.sampled_from(_GL3_GENS), max_size=8).map(tuple),
+@given(word=st.lists(st.sampled_from(_GL3_GENS), max_size=8).map(bytes),
        rng=st.randoms(use_true_random=False))
 def test_normal_word_matches_random_inversion_reference_gl3(word, rng):
     rs = gl_context(3).rs
@@ -384,7 +385,7 @@ def _leftmost_normal_form(rs, raw):
     word is normal; a sum that is zero is dropped at the end."""
     done, todo = {}, []
     for c, w in raw:
-        todo.append((tuple(w), Q(c)))
+        todo.append((bytes(w), Q(c)))
     while todo:
         w, c = todo.pop()
         p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
@@ -419,13 +420,13 @@ def test_normal_form_matches_leftmost_inversion_straightening(kind_gens, data):
         assert x.terms == _leftmost_normal_form(ctx.rs, raw)
         assert all(type(c) is int or c.denominator > 1 for c in x.terms.values())
     for g in letters:
-        assert ctx.rs.word_bracket(g, {(): 1}) == ()
+        assert ctx.rs.word_bracket(g, {b"": 1}) == ()
 
 
 def test_insertion_memo_stays_small():
     # one entry per insertion into a normal word, plus the whole word
     rs = RewriteSystem("gl", 2)
-    word = (encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10
+    word = bytes((encode_e(2, 1, 2),) * 10 + (encode_e(2, 2, 1),) * 10)
     assert len(rs.normal_word(word)) == 285
     assert len(rs.nf_memo) <= 4000
 
@@ -702,10 +703,12 @@ def test_word_bracket_memoizes_each_letter_word_pair():
     rs = RewriteSystem("gl", 2)
     e11, e12, e21, e22 = (encode_e(2, i, j) for i, j in ((1, 1), (1, 2), (2, 1), (2, 2)))
     # [e12, e21] = e11 - e22
-    assert dict(rs.word_bracket(e12, {(e21,): 1})) == {(e11,): 1, (e22,): -1}
-    assert rs.word_bracket(e12, {(e12, e12): 1}) == ()
-    assert dict(rs.word_bracket(e12, {(e21,): 3, (e12, e12): 5})) == {(e11,): 3, (e22,): -3}
-    assert list(rs.comm_memo) == [(e12, (e21,)), (e12, (e12, e12))]
+    assert dict(rs.word_bracket(e12, {bytes((e21,)): 1})) == {bytes((e11,)): 1, bytes((e22,)): -1}
+    assert rs.word_bracket(e12, {bytes((e12, e12)): 1}) == ()
+    assert dict(rs.word_bracket(e12, {bytes((e21,)): 3, bytes((e12, e12)): 5})) == \
+        {bytes((e11,)): 3, bytes((e22,)): -3}
+    # each pair (x, w) under the word x + w
+    assert list(rs.comm_memo) == [bytes((e12, e21)), bytes((e12, e12, e12))]
 
 
 _WORDS = st.sampled_from([(), (0,), (1,), (0, 1)])
@@ -764,3 +767,62 @@ def test_deep_word_straightens_under_the_default_limit(fresh_python):
     assert int(limit) <= 1000
     assert int(commuting) == 1
     assert int(mixed) == 454
+
+
+# -- words are bytes -----------------------------------------------------------
+
+def _straightened_and_bracketed():
+    """e12^6 e21^6 in U(gl_2), one Y(gl_3) word and a bracket of each, in a
+    fresh engine: (elements, rewrite systems)."""
+    gl, y3 = gl_context(2), yangian_context(3)
+    x = gl.normal_form([(1, (encode_e(2, 1, 2),) * 6 + (encode_e(2, 2, 1),) * 6)])
+    y = y3.normal_form([(1, [encode_t(3, 2, 3, 1), encode_t(3, 1, 2, 2), encode_t(3, 1, 1, 3)])])
+    elements = [x, y, x.commutator(gl.e(2, 1)), y.commutator(y3.t(1, 1, 2))]
+    return elements, (gl.rs, y3.rs)
+
+
+def test_terms_and_memo_keys_are_bytes():
+    with _fresh_engine():
+        elements, systems = _straightened_and_bracketed()
+        assert all(type(w) is bytes for x in elements for w in x.terms)
+        for rs in systems:
+            assert rs.nf_memo and rs.comm_memo
+            assert all(type(w) is bytes for w in rs.nf_memo)
+            assert all(type(w) is bytes for nf in rs.nf_memo.values() for w in nf)
+            assert all(type(w) is bytes for w in rs.comm_memo)
+            assert all(type(w) is bytes for exp in rs.table.values() for _, w in exp)
+
+
+def test_the_garbage_collector_tracks_no_nf_memo_entry():
+    with _fresh_engine():
+        _, systems = _straightened_and_bracketed()
+        for rs in systems:
+            for w, nf in rs.nf_memo.items():
+                assert gc.is_tracked(w) is False and gc.is_tracked(nf) is False, w
+
+
+def test_words_beyond_the_alphabet_are_refused():
+    assert pbw.ALPHABET == 256
+    for n, top in ((2, 64), (3, 28), (4, 16)):
+        assert max_level(n) == top
+        assert encode_t(n, top, n, n) < 256
+        with pytest.raises(ValueError, match=f"Y\\(gl_{n}\\) words hold levels up to {top}"):
+            encode_t(n, top + 1, 1, 1)
+    assert encode_e(9, 8, 9) < 256
+    with pytest.raises(ValueError, match="n <= 9"):
+        encode_e(10, 2, 1)
+    assert free_context(256).gen(255).coeff((255,)) == 1
+    with pytest.raises(ValueError, match="at most 256 generators"):
+        free_context(257)
+    gl = gl_context(2)
+    for word in ((0, 256), (-1,)):
+        with pytest.raises(ValueError, match="a word holds generator ids below 256"):
+            gl.normal_form([(1, word)])
+        with pytest.raises(ValueError, match="a word holds generator ids below 256"):
+            gl.one().coeff(word)
+    with pytest.raises(TypeError, match="sequence of generator ids"):
+        gl.normal_form([(1, 3)])
+    # a correction of level 31 cannot be written in Y(gl_4)
+    y4 = yangian_context(4)
+    with pytest.raises(ValueError, match="levels up to 16"):
+        y4.t(16, 2, 1) * y4.t(16, 1, 2)
