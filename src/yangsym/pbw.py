@@ -16,11 +16,13 @@ of their ids do, hash once (the object keeps its hash) and hold no
 references, so the garbage collector tracks no word and no memo dict of
 words and int coefficients.  A word holds ids below `ALPHABET` = 256:
 Y(gl_n) up to level 256 // n^2 (64, 28, 16 for n = 2, 3, 4), U(gl_n) for
-n <= 9 and free algebras of at most 256 generators; the encoders,
-`free_context` and `as_word` refuse anything beyond.  `_L[g]` is the
-one-letter word of g and b'' the word of a scalar.  The exchange rule for an
-out-of-order adjacent pair x_a x_b (a > b) is x_b x_a plus correction terms
-of strictly smaller total level, which guarantees straightening terminates.
+n <= 9 and free algebras of at most 256 generators; the encoders and
+`free_context` refuse anything beyond, and `AlgebraContext.word` refuses,
+once per raw word, an id that is no generator of its algebra
+(`RewriteSystem.gens`).  `_L[g]` is the one-letter word of g and b'' the
+word of a scalar.  The exchange rule for an out-of-order adjacent pair
+x_a x_b (a > b) is x_b x_a plus correction terms of strictly smaller total
+level, which guarantees straightening terminates.
 
 Straightening works by insertion.  `RewriteSystem.normal_word` keeps the
 longest normal prefix of a word and inserts the remaining generators one at
@@ -29,15 +31,19 @@ whose exchange entry is the bare swap it slides with no further work, and
 at any other letter x it applies x g -> g x + corrections and continues
 into the prefix before x in a loop, so the Python stack does not grow with
 the length of a word or its number of inversions, only when a correction
-term itself needs straightening.  Climbing back, a correction that is
-already normal across its two seams is added whole, and `_extend`, which
-appends letters to a batch of normal words, writes the products of its last
-letter straight into the sum it was given.  Straightening has one memo,
-`nf_memo`, keyed by plain words: it holds each non-trivial insertion under
-the word w + _L[g] and each whole word that `normal_word` was asked for, and
-maps a word to its normal form either way.  Normal words and slides are not
-memoized; `AlgebraContext.normal_form` of a single raw term copies or scales
-the memoized normal form.
+term itself needs straightening.  The exchange entry of a pair a > b is
+kept in `table` under the int a * ALPHABET + b, so the walk builds no
+tuple key.  Climbing back, a term that does not end above x takes x and
+the letters slid past whole (they are weakly increasing) and only the
+others go through `_extend`; a correction that is already normal across
+its two seams is added whole.  `_extend`, which appends letters to a batch
+of normal words, writes the products of its last letter straight into the
+sum it was given, and appends a single letter in one pass.  Straightening
+has one memo, `nf_memo`, keyed by plain words: it holds each non-trivial
+insertion under the word w + _L[g] and each whole word that `normal_word`
+was asked for, and maps a word to its normal form either way.  Normal
+words and slides are not memoized; `AlgebraContext.normal_form` of a single
+raw term copies or scales the memoized normal form.
 
 Commutators have a second memo, `comm_memo`, shared per (kind, n) like
 `nf_memo`: it maps a letter x and a normal word w, keyed by the word
@@ -102,19 +108,6 @@ def add_terms(out, terms, c=1):
 # A word is bytes, so its generator ids lie below ALPHABET.
 ALPHABET = 256
 _L = tuple(bytes((g,)) for g in range(ALPHABET))  # the one-letter words
-
-
-def as_word(ids):
-    """The word of a sequence of generator ids, as bytes (a word as itself)."""
-    if type(ids) is bytes:
-        return ids
-    if isinstance(ids, int):  # bytes(k) would be k zero ids
-        raise TypeError(f"a word is a sequence of generator ids, got {ids!r}")
-    try:
-        return bytes(ids)
-    except ValueError:
-        raise ValueError(f"word {ids!r} has an id outside 0..{ALPHABET - 1}: "
-                         f"a word holds generator ids below {ALPHABET}") from None
 
 
 def max_level(n):
@@ -228,15 +221,26 @@ def _rank(n):
 class RewriteSystem:
     """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b.
 
-    Entries are derived on demand (`expansion`) and cached.  The table and
-    both memos are shared between all contexts over the same algebra.
+    Entries are derived on demand (`expansion`) and cached in `table` under
+    the int a * ALPHABET + b.  The table and both memos are shared between
+    all contexts over the same algebra.  `gens` holds the ids of the
+    algebra's generators as a word, and `name` names the algebra.
     """
 
     def __init__(self, kind, n):
         if kind not in ("yangian", "gl", "free"):
             raise ValueError(f"unknown algebra kind {kind!r}")
         self.kind = kind
-        self.n = _rank(n)
+        self.n = n = _rank(n)
+        if kind == "yangian":
+            ids, self.name = range(max_level(n) * n * n), f"Y(gl_{n})"
+        elif kind == "gl":
+            ids = () if n > MAX_GL_N else (
+                encode_e(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
+            self.name = f"U(gl_{n})"
+        else:
+            ids, self.name = range(min(n, ALPHABET)), f"the free algebra on {n} generators"
+        self.gens = bytes(ids)
         self.table = {}
         self.nf_memo = {}
         self.comm_memo = {}
@@ -254,7 +258,7 @@ class RewriteSystem:
 
     def expansion(self, a, b):
         """Terms of x_a x_b for an out-of-order pair a > b."""
-        key = (a, b)
+        key = a * ALPHABET + b
         exp = self.table.get(key)
         if exp is None:
             n = self.n
@@ -350,10 +354,10 @@ class RewriteSystem:
                         del out[w]
                 else:
                     self._extend({xl: c}, u, out)
-            # [x, B]*v
+            # [x, B]*v, nothing when x commutes with B
             if free:
                 add_terms(out, ((u + v, c) for u, c in xb))
-            else:
+            elif xb:
                 self._extend(dict(xb), v, out)
             terms = store[word[j:]] = tuple(out.items())
         return terms
@@ -362,37 +366,56 @@ class RewriteSystem:
         """Add the normal form of sum c*v*letters over the normal words
         v -> c of `terms` into `out`, inserting the letters one at a time,
         and return `out`.  The products of the last letter go straight into
-        `out`."""
-        if not letters:
+        `out`, so one letter takes a single pass over `terms`."""
+        if len(letters) > 1:
+            # from `tail` on, the letters are weakly increasing, so a word
+            # whose last generator does not exceed the next letter takes the
+            # rest whole
+            last = tail = len(letters) - 1
+            while tail > 0 and letters[tail - 1] <= letters[tail]:
+                tail -= 1
+            for i in range(last):
+                g, nxt = letters[i], {}
+                for v, c in terms.items():
+                    if v and v[-1] > g:
+                        for w, q in self._insert(v, g).items():
+                            s = nxt.get(w, 0) + c * q
+                            if s:
+                                nxt[w] = s
+                            elif w in nxt:
+                                del nxt[w]
+                        continue
+                    if i >= tail:
+                        w, dest = v + letters[i:], out
+                    else:
+                        w, dest = v + _L[g], nxt
+                    s = dest.get(w, 0) + c
+                    if s:
+                        dest[w] = s
+                    elif w in dest:
+                        del dest[w]
+                if not nxt:
+                    return out
+                terms = nxt
+            letters = letters[last:]
+        elif not letters:
             return add_terms(out, terms.items())
-        # from `tail` on, the letters are weakly increasing, so a word whose
-        # last generator does not exceed the next letter takes the rest whole
-        last = tail = len(letters) - 1
-        while tail > 0 and letters[tail - 1] <= letters[tail]:
-            tail -= 1
-        for i, g in enumerate(letters):
-            nxt = out if i == last else {}
-            for v, c in terms.items():
-                if v and v[-1] > g:
-                    for w, q in self._insert(v, g).items():
-                        s = nxt.get(w, 0) + c * q
-                        if s:
-                            nxt[w] = s
-                        elif w in nxt:
-                            del nxt[w]
-                    continue
-                if i >= tail:
-                    w, dest = v + letters[i:], out
-                else:
-                    w, dest = v + _L[g], nxt
-                s = dest.get(w, 0) + c
-                if s:
-                    dest[w] = s
-                elif w in dest:
-                    del dest[w]
-            if not nxt:
-                return out
-            terms = nxt
+        g = letters[0]
+        for v, c in terms.items():
+            if v and v[-1] > g:
+                for w, q in self._insert(v, g).items():
+                    s = out.get(w, 0) + c * q
+                    if s:
+                        out[w] = s
+                    elif w in out:
+                        del out[w]
+                continue
+            w = v + letters
+            s = out.get(w, 0) + c
+            if s:
+                out[w] = s
+            elif w in out:
+                del out[w]
         return out
 
     def _insert(self, word, g):
@@ -407,6 +430,7 @@ class RewriteSystem:
         memo = self.nf_memo
         table = self.table
         gw = _L[g]
+        base = ALPHABET
         pending = []
         while True:
             key = word + gw
@@ -415,7 +439,7 @@ class RewriteSystem:
                 break
             k = len(word) - 1
             while k >= 0 and word[k] > g:
-                exp = table.get((word[k], g)) or self.expansion(word[k], g)
+                exp = table.get(word[k] * base + g) or self.expansion(word[k], g)
                 if len(exp) > 1:
                     break
                 k -= 1
@@ -428,11 +452,21 @@ class RewriteSystem:
                 res = {word + gw: 1}
                 break
         # res is the normal form of word*g for the deepest word reached;
-        # climb back, appending x and the slid letters after it.  A
-        # correction has one or two letters (the relations are quadratic); one
-        # that is normal across both seams is added whole
+        # climb back, appending x and the slid letters after it.  They are
+        # weakly increasing, so a term of res that does not end above x takes
+        # them whole, and only the others go through `_extend`.  A correction
+        # has one or two letters (the relations are quadratic); one that is
+        # normal across both seams is added whole
         for key, word, k, exp in reversed(pending):
-            out = self._extend(res, word[k:], {})
+            x, tail = word[k], word[k:]
+            out, rest = {}, {}
+            for v, c in res.items():
+                if v and v[-1] > x:
+                    rest[v] = c
+                else:
+                    out[v + tail] = c
+            if rest:
+                self._extend(rest, tail, out)
             pre, post = word[:k], word[k + 1:]
             for c, mid in exp[1:]:
                 if ((not pre or pre[-1] <= mid[0]) and mid[0] <= mid[-1]
@@ -506,23 +540,41 @@ class AlgebraContext:
         return AlgebraElement(self, {_L[encode_e(self.n, i, j)]: 1})
 
     def gen(self, gid):
-        return AlgebraElement(self, {as_word((gid,)): 1})
+        return AlgebraElement(self, {self.word((gid,)): 1})
+
+    def word(self, ids):
+        """The word of a sequence of generator ids, as bytes (a word as
+        itself), refused unless each id is a generator of this algebra."""
+        if type(ids) is bytes:
+            w = ids
+        elif isinstance(ids, int):  # bytes(k) would be k zero ids
+            raise TypeError(f"a word is a sequence of generator ids, got {ids!r}")
+        else:
+            try:
+                w = bytes(ids)
+            except ValueError:
+                raise ValueError(f"word {ids!r} has an id outside 0..{ALPHABET - 1}: "
+                                 f"a word holds generator ids below {ALPHABET}") from None
+        bad = w.translate(None, self.rs.gens)
+        if bad:
+            raise ValueError(f"id {bad[0]} is no generator of {self.rs.name}")
+        return w
 
     def normal_form(self, raw):
         """Normal-ordered element from raw (coeff, word) data, a word being
-        any sequence of generator ids.  A single term copies or scales the
-        memoized normal form of its word."""
+        any sequence of generator ids of this algebra.  A single term copies
+        or scales the memoized normal form of its word."""
         raw = [(c, w) for c, w in ((demote(c), w) for c, w in raw) if c]
         nw = self.rs.normal_word
         if len(raw) == 1:
             (c, w), = raw
-            nf = nw(as_word(w))
+            nf = nw(self.word(w))
             if c == 1:
                 return AlgebraElement(self, dict(nf))
             return AlgebraElement(self, self._apply_cap({v: c * q for v, q in nf.items()}))
         out = {}
         for c, w in raw:
-            add_terms(out, nw(as_word(w)).items(), c)
+            add_terms(out, nw(self.word(w)).items(), c)
         return AlgebraElement(self, self._apply_cap(out))
 
     def _apply_cap(self, terms):
@@ -649,8 +701,9 @@ class AlgebraElement:
         return max((wl(w) for w in self.terms), default=0)
 
     def coeff(self, word):
-        """The coefficient of a word, any sequence of generator ids."""
-        return Q(self.terms.get(as_word(word), 0))
+        """The coefficient of a word, any sequence of generator ids of the
+        algebra."""
+        return Q(self.terms.get(self.ctx.word(word), 0))
 
     def _compatible(self, other):
         return self.ctx.rs is other.ctx.rs

@@ -39,6 +39,13 @@ class SparseCoeffs:
 
     A subclass builds results with `_build`; keys that carry a power of u
     say so through `_u_power` and `_with_u_power`.
+
+    A coefficient where an element meets a rational in + is an element, and
+    one that sums to zero is dropped, whatever its form.  So over a chain of
+    +, the form of a power depends on the order of the summands: an element
+    whose terms cancel is dropped, and a rational added later stays a
+    rational.  `sum_of_products` does not depend on the order: there a
+    power that meets an element is an element.
     """
 
     __slots__ = ("coeffs",)
@@ -263,7 +270,9 @@ def sum_of_products(pairs):
     series (on either side) adds q times each coefficient straight into its
     power, element terms into the same term dicts, which are put in stored
     form once at the end; any other coefficients or pair add a*b.  A power
-    that meets an element is an element.  The order is the least among the
+    that meets an element is an element: one pair with a series that puts
+    an element there keeps it an element, even if its element terms cancel,
+    whatever the order of the pairs.  The order is the least among the
     nonzero series products, or among all if every one is zero; coefficient
     rings are domains, so a product is zero exactly when no two coefficients
     meet within its order.

@@ -247,7 +247,7 @@ def test_termination_measure_on_tables():
         # a correction at the level of its pair breaks the measure
         rs = yangian_context(2).rs
         a, b = encode_t(2, 2, 1, 1), encode_t(2, 1, 2, 2)
-        rs.table[a, b] = rs.expansion(a, b) + ((1, (a, b)),)
+        rs.table[a * pbw.ALPHABET + b] = rs.expansion(a, b) + ((1, (a, b)),)
         assert _check_termination(2) == (False, {"pair": ["t[2,1,1]", "t[1,2,2]"],
                                                  "word": "t[2,1,1]*t[1,2,2]"})
 
@@ -397,21 +397,35 @@ def _leftmost_normal_form(rs, raw):
 
 
 _Y3_GENS = [encode_t(3, r, i, j) for r in (1, 2) for i in (1, 2, 3) for j in (1, 2, 3)]
+_GL4_GENS = [encode_e(4, i, j) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
+_Y4_GENS = [encode_t(4, r, i, j) for r in (1, 2) for i in (1, 2, 3, 4) for j in (1, 2, 3, 4)]
 
 
-@settings(max_examples=60, deadline=None)
-@given(kind_gens=st.sampled_from([("gl", _GL3_GENS), ("yangian", _Y3_GENS)]), data=st.data())
-@example(kind_gens=("gl", _GL3_GENS), data=None)
-def test_normal_form_matches_leftmost_inversion_straightening(kind_gens, data):
-    kind, gens = kind_gens
-    ctx = AlgebraContext(kind, 3)
+def _runs(gens, max_size):
+    """Words made of runs of one letter, at most max_size letters long."""
+    return st.lists(st.tuples(st.sampled_from(gens), st.integers(1, 3)), max_size=3).map(
+        lambda runs: tuple(g for g, k in runs for _ in range(k))[:max_size])
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind_n_gens=st.sampled_from([("gl", 3, _GL3_GENS), ("yangian", 3, _Y3_GENS),
+                                    ("gl", 4, _GL4_GENS), ("yangian", 4, _Y4_GENS)]),
+       data=st.data())
+@example(kind_n_gens=("gl", 3, _GL3_GENS), data=None)
+def test_normal_form_matches_leftmost_inversion_straightening(kind_n_gens, data):
+    kind, n, gens = kind_n_gens
+    ctx = AlgebraContext(kind, n)
     if data is None:
         # the empty word, a repeated letter and a cancelling pair
         g = gens[-1]
         raws = [[], [(1, ())], [(3, (g, g, g))], [(Q(1, 2), (g, gens[0])), (Q(-1, 2), (g, gens[0]))]]
         letters = gens[:1]
     else:
-        words = st.lists(st.sampled_from(gens[:4]) | st.sampled_from(gens), max_size=6).map(tuple)
+        # runs of one letter meet corrections that end above the letter
+        # exchanged, where the climb-back of an insertion branches
+        size = 6 if n == 3 else 5
+        words = (st.lists(st.sampled_from(gens[:4]) | st.sampled_from(gens),
+                          max_size=size).map(tuple) | _runs(gens, size))
         coeffs = st.sampled_from([1, -1, 2, 0, Q(1, 2), Q(-3, 4)])
         raws = [data.draw(st.lists(st.tuples(coeffs, words), max_size=3))]
         letters = [data.draw(st.sampled_from(gens))]
@@ -435,7 +449,9 @@ def test_straightening_makes_few_extend_passes(fresh_python):
     # e12^6 e21^6 on gl2: the products of each inserted letter went through a
     # scratch dict and every exchange correction through `_extend`, 1,249
     # passes; writing straight into the sum and adding corrections that are
-    # already normal whole leaves 882
+    # already normal whole leaves 882; climbing back with every term that
+    # does not end above the exchanged letter taken whole, and one letter
+    # appended in a single pass, leaves 356
     calls, memo, terms = fresh_python(
         "from yangsym import pbw\n"
         "calls = 0\n"
@@ -449,7 +465,7 @@ def test_straightening_makes_few_extend_passes(fresh_python):
         "e12, e21 = pbw.encode_e(2, 1, 2), pbw.encode_e(2, 2, 1)\n"
         "x = ctx.normal_form([(1, (e12,) * 6 + (e21,) * 6)])\n"
         "print(calls, len(ctx.rs.nf_memo), len(x.terms))")
-    assert int(calls) <= 900
+    assert int(calls) <= 356
     assert (int(memo), int(terms)) == (527, 83)
 
 
@@ -826,3 +842,34 @@ def test_words_beyond_the_alphabet_are_refused():
     y4 = yangian_context(4)
     with pytest.raises(ValueError, match="levels up to 16"):
         y4.t(16, 2, 1) * y4.t(16, 1, 2)
+
+
+@pytest.mark.parametrize("ctx, bad, name", [
+    (gl_context(2), 40, "U\\(gl_2\\)"),       # decode_e would read e[1,1]
+    (gl_context(2), 0, "U\\(gl_2\\)"),        # below every gl_2 id
+    (gl_context(2), 8, "U\\(gl_2\\)"),        # a gap between the blocks
+    (yangian_context(3), 252, "Y\\(gl_3\\)"),  # above level 28
+    (free_context(3), 7, "the free algebra on 3 generators"),
+])
+def test_ids_that_are_no_generator_are_refused(ctx, bad, name):
+    good = ctx.rs.gens[-1]
+    match = f"id {bad} is no generator of {name}"
+    with pytest.raises(ValueError, match=match):
+        ctx.gen(bad)
+    with pytest.raises(ValueError, match=match):
+        ctx.one().coeff((good, bad))
+    with pytest.raises(ValueError, match=match):
+        ctx.normal_form([(1, (good, bad))])
+    with pytest.raises(ValueError, match=match):
+        ctx.normal_form([(1, (good,)), (2, bytes((bad, good)))])
+    assert ctx.gen(good).coeff((good,)) == 1
+
+
+def test_each_algebra_accepts_exactly_its_generator_ids():
+    gl = gl_context(2)
+    assert set(gl.rs.gens) == {encode_e(2, i, j) for i in (1, 2) for j in (1, 2)}
+    assert gl.gen(encode_e(2, 1, 1)) == gl.e(1, 1)
+    for n in (2, 3, 4):
+        assert yangian_context(n).rs.gens == bytes(range(max_level(n) * n * n))
+    assert free_context(3).rs.gens == bytes((0, 1, 2))
+    assert free_context(256).rs.gens == bytes(range(256))
