@@ -23,12 +23,13 @@ e*_k, h*_k, p*_k at a weight and the images ev(e_k), ev(h_k) are built once
 per run, as entries of the family cache of `symfun`.
 """
 
+from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement, islice
 from math import factorial
 
 from .rationals import Q, RATIONAL_TYPES, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
-from .pbw import AlgebraElement, decode_e, decode_t, encode_e, gl_context
+from .pbw import AlgebraElement, as_rank, encode_e, gl_context
 from .tensor import matrix_on_leg, trace_of_product
 from .symfun import cached, composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
 
@@ -98,12 +99,14 @@ def _star_sum(subsets, k, n, offset):
 def shifted_e_star(k, n):
     """Sum over strict k-subsets i_1<...<i_k of
     (mu_{i_1}+u+k-1)(mu_{i_2}+u+k-2)...(mu_{i_k}+u)."""
+    n = as_rank(n)
     return cached(("e*", k, n), lambda: _star_sum(combinations, k, n, lambda t: k - t))
 
 
 def shifted_h_star(k, n):
     """Sum over weakly increasing i_1<=...<=i_k of
     (mu_{i_1}+u-k+1)(mu_{i_2}+u-k+2)...(mu_{i_k}+u)."""
+    n = as_rank(n)
     return cached(("h*", k, n),
                   lambda: _star_sum(combinations_with_replacement, k, n, lambda t: t - k))
 
@@ -152,22 +155,18 @@ def ev_hom(x):
         return x.map_coeffs(ev_hom)
     if not isinstance(x, AlgebraElement) or x.ctx.kind != "yangian":
         raise ValueError("ev_hom expects a yangian element or series")
-    n = x.ctx.n
-    gl = gl_context(n)
+    n, spell = x.ctx.n, x.ctx.rs.spell
     raw = []
     for word, c in x.terms.items():
         image = []
-        dead = False
         for gid in word:
-            r, i, j = decode_t(n, gid)
+            _, r, i, j = spell(gid)
             if r >= 2:
-                dead = True
                 break
             image.append(encode_e(n, i, j))
-        if dead:
-            continue
-        raw.append((c, bytes(image)))
-    return gl.normal_form(raw)
+        else:
+            raw.append((c, image))
+    return gl_context(n).normal_form(raw)
 
 
 def gl_matrix(n):
@@ -203,6 +202,12 @@ def capelli_p(m, n):
     return trace_of_product([shifted_E(c) for c in range(m)])
 
 
+@lru_cache(maxsize=None)
+def _cartan_index(n):
+    """The id of each Cartan generator e_ii of U(gl_n), mapped to i - 1."""
+    return {encode_e(n, i, i): i - 1 for i in range(1, n + 1)}
+
+
 def hw_eigenvalue(z, mu):
     """Highest-weight value of a normal-ordered U(gl_n) element.
 
@@ -216,13 +221,13 @@ def hw_eigenvalue(z, mu):
     mu = _weight(mu)
     if mu.n != n:
         raise ValueError("weight length mismatch")
-    nn = n * n
-    acc = 0
+    cartan, acc = _cartan_index(n), 0
     for word, c in z.terms.items():
         for gid in word:
-            if gid // nn != 1:  # not a Cartan generator e_ii
+            i = cartan.get(gid)
+            if i is None:  # not a Cartan generator e_ii
                 break
-            c = c * mu.mu[(gid % nn) // n]
+            c = c * mu.mu[i]
         else:
             acc = acc + c
     return acc
@@ -232,7 +237,7 @@ def defining_rep_value(z):
     """Image of a U(gl_n) element under e_ij -> E_ij, as a rational n x n matrix."""
     if not isinstance(z, AlgebraElement) or z.ctx.kind != "gl":
         raise ValueError("defining_rep_value expects a U(gl_n) element")
-    n = z.ctx.n
+    n, spell = z.ctx.n, z.ctx.rs.spell
     out = [[0] * n for _ in range(n)]
     for word, c in z.terms.items():
         if not word:
@@ -240,9 +245,9 @@ def defining_rep_value(z):
                 out[a][a] = out[a][a] + c
             continue
         # E_{i1 j1} ... E_{ik jk} is E_{i1 jk} if each j_t = i_{t+1}, else 0
-        i, j = decode_e(n, word[0])
+        _, i, j = spell(word[0])
         for gid in word[1:]:
-            i_next, j_next = decode_e(n, gid)
+            _, i_next, j_next = spell(gid)
             if i_next != j:
                 break
             j = j_next
@@ -312,7 +317,7 @@ def ev_bridge(kind, k, n, N, mu):
 
 def _ev_family(kind, k, n, N):
     """ev(e_k(u)) or ev(h_k(u)), built once per run in the family cache."""
-    family = elem_e if kind_step(kind) < 0 else homog_h
+    family, n = elem_e if kind_step(kind) < 0 else homog_h, as_rank(n)
     return cached(("ev", kind, k, n, N), lambda: ev_hom(family(k, n, N)))
 
 

@@ -9,6 +9,14 @@ Two instances are used throughout the package:
   generators come first, then diagonal, then strictly upper-triangular
   (raising generators rightmost), lexicographic in (i,j) within each block.
 
+`encode_t` and `encode_e` lay the ids out in these orders, and
+`RewriteSystem.spell` alone reads the layout back: it computes ("t", r, i,
+j) or ("e", i, j) from an id, and levels, generator names, the JSON
+encoding and the evaluation map read it.  A free algebra, the relation-free
+oracle ring of the tests and of the trace lemma, is a `FreeSystem`: every
+word is normal, `_extend` concatenates and an id spells ("x", g), so the
+kernel below has no branch for it.
+
 A monomial is a word: a `bytes` object of integer generator ids whose
 natural order is the PBW order, so a monomial is normal-ordered iff its
 bytes are weakly increasing.  Bytes compare, sort and iterate as the tuples
@@ -67,9 +75,6 @@ as double series in u^{-1}, v^{-1} with free-word coefficients, and
 eliminating along decreasing first level, in one loop over integer
 generator ids with the level-0 entries as Kronecker deltas.
 
-A free instance (no relations) is also provided; it is handy as a
-relation-free oracle ring in tests.
-
 Neither algebra is truncated.  The u^{-m} coefficient of a series of the
 generating matrix has total level at most m, so a series of order N never
 needs a generator above level N and no product drops a monomial;
@@ -125,16 +130,6 @@ def encode_t(n, r, i, j):
     return ((r - 1) * n + (i - 1)) * n + (j - 1)
 
 
-def decode_t(n, gid):
-    r, rem = divmod(gid, n * n)
-    i, j = divmod(rem, n)
-    return (r + 1, i + 1, j + 1)
-
-
-def t_level(n, gid):
-    return gid // (n * n) + 1
-
-
 def _gl_block(i, j):
     if i > j:
         return 0
@@ -153,12 +148,6 @@ def encode_e(n, i, j):
         raise ValueError(f"U(gl_{n}) is beyond the word alphabet: words hold U(gl_n) "
                          f"for n <= {MAX_GL_N} (ids below {ALPHABET})")
     return _gl_block(i, j) * n * n + (i - 1) * n + (j - 1)
-
-
-def decode_e(n, gid):
-    rem = gid % (n * n)
-    i, j = divmod(rem, n)
-    return (i + 1, j + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,68 +199,64 @@ def gl_commutator_words(n, i, j, k, l):
 # ---------------------------------------------------------------------------
 # rewrite systems
 
-def _rank(n):
+def as_rank(n):
     """n as an int, refused unless it is an int >= 1 (a bool counts as its
-    int)."""
+    int).  Every context and every cache key that holds n goes through it,
+    so an n such as 2.0 never reaches the entry of 2."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"need n >= 1 and an int, got {n!r}")
     return int(n)
 
 
 class RewriteSystem:
-    """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b.
+    """Exchange table x_a x_b -> x_b x_a + corrections, for pairs a > b, of
+    Y(gl_n) or U(gl_n).
 
     Entries are derived on demand (`expansion`) and cached in `table` under
     the int a * ALPHABET + b.  The table and both memos are shared between
     all contexts over the same algebra.  `gens` holds the ids of the
-    algebra's generators as a word, and `name` names the algebra.
+    algebra's generators as a word, and `name` names the algebra.  `spell`
+    is the one reader of the id layout.
     """
 
     def __init__(self, kind, n):
-        if kind not in ("yangian", "gl", "free"):
-            raise ValueError(f"unknown algebra kind {kind!r}")
-        self.kind = kind
-        self.n = n = _rank(n)
+        n = as_rank(n)
         if kind == "yangian":
             ids, self.name = range(max_level(n) * n * n), f"Y(gl_{n})"
+            self._commutator_words = yangian_commutator_words
         elif kind == "gl":
             ids = () if n > MAX_GL_N else (
                 encode_e(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1))
-            self.name = f"U(gl_{n})"
+            self.name, self._commutator_words = f"U(gl_{n})", gl_commutator_words
         else:
-            ids, self.name = range(min(n, ALPHABET)), f"the free algebra on {n} generators"
-        self.gens = bytes(ids)
-        self.table = {}
-        self.nf_memo = {}
-        self.comm_memo = {}
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        self.kind, self.n, self.gens = kind, n, bytes(ids)
+        self.table, self.nf_memo, self.comm_memo = {}, {}, {}
+
+    def spell(self, gid):
+        """The generator of an id: ("t", r, i, j) for t[r,i,j] of Y(gl_n),
+        ("e", i, j) for e[i,j] of U(gl_n); computed from the layout of
+        `encode_t` and `encode_e`, which it inverts."""
+        n = self.n
+        block, rem = divmod(gid, n * n)
+        i, j = divmod(rem, n)
+        if self.kind == "yangian":
+            return ("t", block + 1, i + 1, j + 1)
+        return ("e", i + 1, j + 1)
 
     def level(self, gid):
-        if self.kind == "yangian":
-            return t_level(self.n, gid)
-        return 1
+        """The level r of t[r,i,j]; 1 for a generator of any other algebra."""
+        return self.spell(gid)[1] if self.kind == "yangian" else 1
 
     def word_level(self, word):
-        if self.kind == "yangian":
-            nn = self.n * self.n
-            return sum(g // nn + 1 for g in word)
-        return len(word)
+        return sum(map(self.level, word))
 
     def expansion(self, a, b):
         """Terms of x_a x_b for an out-of-order pair a > b."""
         key = a * ALPHABET + b
         exp = self.table.get(key)
         if exp is None:
-            n = self.n
-            if self.kind == "yangian":
-                r, i, j = decode_t(n, a)
-                s, k, l = decode_t(n, b)
-                comm = yangian_commutator_words(n, r, i, j, s, k, l)
-            elif self.kind == "gl":
-                i, j = decode_e(n, a)
-                k, l = decode_e(n, b)
-                comm = gl_commutator_words(n, i, j, k, l)
-            else:
-                raise AssertionError("free algebra has no exchange rules")
+            comm = self._commutator_words(self.n, *self.spell(a)[1:], *self.spell(b)[1:])
             exp = ((1, _L[b] + _L[a]),) + tuple((c, bytes(w)) for w, c in comm.items())
             self.table[key] = exp
         return exp
@@ -282,8 +267,6 @@ class RewriteSystem:
         The longest normal prefix is kept and the remaining generators are
         inserted one at a time (`_extend`).  A word that is already normal
         is returned as is and not memoized."""
-        if self.kind == "free":
-            return {word: 1}
         memo = self.nf_memo
         res = memo.get(word)
         if res is not None:
@@ -300,18 +283,14 @@ class RewriteSystem:
         """Nonzero terms of [x, B], as a tuple of (word, int) terms, for a
         letter x and a term dict B with int coefficients.  Each [x, w] is
         memoized in `comm_memo` under the word _L[x] + w: the normal form
-        of x*w minus that of w*x, or their concatenations on the free
-        instance."""
+        of x*w minus that of w*x."""
         memo, out, xl = self.comm_memo, {}, _L[x]
         for w, c in B.items():
             key = xl + w
             terms = memo.get(key)
             if terms is None:
-                if self.kind == "free":
-                    comm = add_terms({}, ((key, 1), (w + xl, -1)))
-                else:
-                    comm = self._extend({xl: 1}, w, {})
-                    self._extend({w: -1}, xl, comm)
+                comm = self._extend({xl: 1}, w, {})
+                self._extend({w: -1}, xl, comm)
                 terms = memo[key] = tuple(comm.items())
             add_terms(out, terms, c)
         return tuple(out.items())
@@ -331,7 +310,6 @@ class RewriteSystem:
         while word[i:] not in store:
             i += 1
         terms = store[word[i:]]
-        free = self.kind == "free"
         for j in range(i - 1, -1, -1):
             x, v = word[j], word[j + 1:]
             xl = _L[x]
@@ -342,10 +320,10 @@ class RewriteSystem:
                 terms = xb
                 continue
             out = {}
-            # x*[v, B]: x goes in front of a word that does not start below x
-            # (the free algebra has no exchange rules), else is inserted
+            # x*[v, B]: x goes in front of a word that does not start below x,
+            # else is inserted
             for u, c in terms:
-                if free or not u or x <= u[0]:
+                if not u or x <= u[0]:
                     w = xl + u
                     s = out.get(w, 0) + c
                     if s:
@@ -355,9 +333,7 @@ class RewriteSystem:
                 else:
                     self._extend({xl: c}, u, out)
             # [x, B]*v, nothing when x commutes with B
-            if free:
-                add_terms(out, ((u + v, c) for u, c in xb))
-            elif xb:
+            if xb:
                 self._extend(dict(xb), v, out)
             terms = store[word[j:]] = tuple(out.items())
         return terms
@@ -483,14 +459,39 @@ class RewriteSystem:
         return res
 
 
+class FreeSystem(RewriteSystem):
+    """The free algebra on n generators 0 .. n-1: no exchange rules, so every
+    word is normal, `_extend` concatenates and brackets are the differences
+    of concatenations.  Its table stays empty and its straightening memo
+    unused; the commutator memo serves its brackets."""
+
+    def __init__(self, n):
+        n = as_rank(n)
+        if n > ALPHABET:
+            raise ValueError(f"a free algebra on {n} generators is beyond the word "
+                             f"alphabet: words hold at most {ALPHABET} generators")
+        self.kind, self.n, self.gens = "free", n, bytes(range(n))
+        self.name = f"the free algebra on {n} generators"
+        self.table, self.nf_memo, self.comm_memo = {}, {}, {}
+
+    def spell(self, gid):
+        return ("x", gid)
+
+    def normal_word(self, word):
+        return {word: 1}
+
+    def _extend(self, terms, letters, out):
+        return add_terms(out, ((v + letters, c) for v, c in terms.items()))
+
+
 _SHARED = {}
 
 
 def _shared_system(kind, n):
-    key = (kind, _rank(n))
+    key = (kind, as_rank(n))
     rs = _SHARED.get(key)
     if rs is None:
-        rs = _SHARED[key] = RewriteSystem(*key)
+        rs = _SHARED[key] = FreeSystem(key[1]) if kind == "free" else RewriteSystem(*key)
     return rs
 
 
@@ -642,7 +643,7 @@ _CONTEXTS = {}
 
 
 def _interned_context(kind, n):
-    n = _rank(n)
+    n = as_rank(n)
     ctx = _CONTEXTS.get((kind, n))
     if ctx is None:
         ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
@@ -660,11 +661,8 @@ def gl_context(n):
 
 
 def free_context(num_gens):
-    """A free algebra on generators 0 .. num_gens - 1; a word holds at most
-    ALPHABET of them."""
-    if _rank(num_gens) > ALPHABET:
-        raise ValueError(f"a free algebra on {num_gens} generators is beyond the word "
-                         f"alphabet: words hold at most {ALPHABET} generators")
+    """A free algebra on generators 0 .. num_gens - 1 (`FreeSystem`); a word
+    holds at most ALPHABET of them."""
     return AlgebraContext("free", num_gens)
 
 
@@ -782,14 +780,9 @@ class AlgebraElement:
         return AlgebraElement(self.ctx, self.ctx.bracket(other.terms)(self.terms))
 
     def gen_name(self, gid):
-        rs = self.ctx.rs
-        if rs.kind == "yangian":
-            r, i, j = decode_t(rs.n, gid)
-            return f"t[{r},{i},{j}]"
-        if rs.kind == "gl":
-            i, j = decode_e(rs.n, gid)
-            return f"e[{i},{j}]"
-        return f"x{gid}"
+        """t[r,i,j], e[i,j] or x<gid>, as `RewriteSystem.spell` spells it."""
+        letter, *idx = self.ctx.rs.spell(gid)
+        return f"x{gid}" if letter == "x" else f"{letter}[{','.join(map(str, idx))}]"
 
     def __repr__(self):
         if not self.terms:

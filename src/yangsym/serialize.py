@@ -5,7 +5,8 @@ Series and shift operators share one envelope:
 {"order": N, "terms": [{"tau": d, "coeffs": [{"m": m, "value": <ring>}]}]}
 with terms sorted by tau degree and coefficients by m.  Ring elements are
 strings "p/q" for rationals and {"algebra", "n", "monomials"} objects for
-algebra elements, with generators spelled ["t", r, i, j] or ["e", i, j].
+algebra elements, with each generator spelled as `RewriteSystem.spell` gives
+it: ["t", r, i, j], ["e", i, j], or ["x", g] in a free algebra.
 
 `canonical_dumps` (defined in `cache`, which needs it without the engine
 layers) is deterministic (sorted keys, fixed separators), so two runs of the
@@ -14,7 +15,7 @@ same computation produce byte-identical output.
 
 from .cache import canonical_dumps  # noqa: F401  (part of this module's interface)
 from .rationals import RATIONAL_TYPES, rational_str
-from .pbw import AlgebraElement, decode_e, decode_t
+from .pbw import AlgebraElement
 from .series import ShiftedPolynomial, UPolynomial, USeries
 from .tau import TauOperator
 
@@ -28,21 +29,10 @@ def ring_value_jsonable(v):
 
 
 def algebra_element_jsonable(x):
-    kind, n = x.ctx.kind, x.ctx.n
-    monos = []
-    for word in sorted(x.terms):
-        gens = []
-        for gid in word:
-            if kind == "yangian":
-                r, i, j = decode_t(n, gid)
-                gens.append(["t", r, i, j])
-            elif kind == "gl":
-                i, j = decode_e(n, gid)
-                gens.append(["e", i, j])
-            else:
-                gens.append(["x", gid])
-        monos.append({"gens": gens, "coeff": rational_str(x.terms[word])})
-    return {"algebra": kind, "n": n, "monomials": monos}
+    spell = x.ctx.rs.spell
+    monos = [{"gens": [list(spell(gid)) for gid in word], "coeff": rational_str(x.terms[word])}
+             for word in sorted(x.terms)]
+    return {"algebra": x.ctx.kind, "n": x.ctx.n, "monomials": monos}
 
 
 def _series_term(s, tau, order):

@@ -272,10 +272,12 @@ def sum_of_products(pairs):
     form once at the end; any other coefficients or pair add a*b.  A power
     that meets an element is an element: one pair with a series that puts
     an element there keeps it an element, even if its element terms cancel,
-    whatever the order of the pairs.  The order is the least among the
-    nonzero series products, or among all if every one is zero; coefficient
-    rings are domains, so a product is zero exactly when no two coefficients
-    meet within its order.
+    whatever the order of the pairs.  So when some pair holds a series, the
+    products of the pairs of two rationals go to u^0 like a series
+    coefficient; with none, they sum as plain rationals.  The order is the
+    least among the nonzero series products, or among all if every one is
+    zero; coefficient rings are domains, so a product is zero exactly when no
+    two coefficients meet within its order.
     """
     ctx = rs = rest = order = least = None
     terms, other = {}, {}  # power -> element term dict / any other coefficient
@@ -332,6 +334,10 @@ def sum_of_products(pairs):
             order = top if order is None else min(order, top)
     if least is None:
         return rest
+    if rest is not None and isinstance(rest, RATIONAL_TYPES):
+        # the rational pairs' sum sits at u^0 under the element rule
+        put(0, rest, 1)
+        rest = None
     for m, t in terms.items():
         v, s = AlgebraElement(ctx, ctx._apply_cap(t)), other.get(m)
         other[m] = v if s is None else v + s

@@ -34,7 +34,6 @@ from .pbw import (
     gl_context,
     yangian_context,
     encode_t,
-    encode_e,
     max_level,
 )
 from .tensor import (
@@ -698,10 +697,7 @@ def _one_step_results(rs, word):
 def _generator_ids(rs, max_level):
     """Sorted ids of the generators of level at most max_level (of U(gl_n):
     all of them, each of level 1)."""
-    n, idx = rs.n, range(1, rs.n + 1)
-    if rs.kind == "gl":
-        return sorted(encode_e(n, i, j) for i in idx for j in idx)
-    return [encode_t(n, r, i, j) for r in range(1, max_level + 1) for i in idx for j in idx]
+    return sorted(g for g in rs.gens if rs.level(g) <= max_level)
 
 
 def _check_confluence(ctx):
@@ -709,11 +705,12 @@ def _check_confluence(ctx):
     normal form from every first rewrite (two-letter words have only one).
     A failure names the word."""
     rs = ctx.rs
-    ids, level = _generator_ids(rs, 2), rs.level
+    ids = _generator_ids(rs, 2)
+    level = {g: rs.level(g) for g in ids}
     for a in ids:
         for b in ids:
             for c in ids:
-                if level(a) + level(b) + level(c) <= 4:
+                if level[a] + level[b] + level[c] <= 4:
                     word = bytes((a, b, c))
                     results = _one_step_results(rs, word)
                     if any(r != results[0] for r in results[1:]):
@@ -750,9 +747,10 @@ def _check_termination(n):
     for ctx in (yangian_context(n), gl_context(n)):
         rs = ctx.rs
         ids = _generator_ids(rs, 4)
+        levels = {g: rs.level(g) for g in ids}
         for a in ids:
             for b in ids:
-                level = rs.level(a) + rs.level(b)
+                level = levels[a] + levels[b]
                 if a <= b or level > 5:
                     continue
                 for _, w in rs.expansion(a, b):

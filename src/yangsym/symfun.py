@@ -39,7 +39,7 @@ from math import comb, factorial, prod
 from .rationals import Q, demote
 from .series import USeries, sum_of_products
 from .tau import TauOperator
-from .pbw import yangian_context
+from .pbw import as_rank, yangian_context
 from .tensor import TensorMatrix, permutation_sum, r_chain, t_leg, t_series, trace_of_product
 
 
@@ -149,16 +149,11 @@ _cached = cached
 
 def cached_projector(kind, k, n):
     """k!*A_k (kind "A") or k!*S_k (kind "S") on (C^n)^{tensor k}, int entries."""
+    n = as_rank(n)
     return cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
 
 
-def _check_n(n):
-    if n < 1:
-        raise ValueError("n must be >= 1")
-
-
 def unit_series(n, N):
-    _check_n(n)
     return USeries.const(yangian_context(n).one(), N)
 
 
@@ -190,7 +185,7 @@ def _minor_sum(kind, k, n, N):
     """The sum over the index sets a of quantum minors (kind "e") or quantum
     permanents (kind "h") on rows = columns a, with factors at u, u+step, ...;
     one term per distinct rearrangement of the rows, no 1/k!."""
-    _check_n(n)
+    n = as_rank(n)
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -223,7 +218,7 @@ def homog_h(k, n, N):
 
 def power_p(k, sign, n, N):
     """Trace of the plain matrix product T(u) T(u+sign) ... T(u+sign*(k-1))."""
-    _check_n(n)
+    n = as_rank(n)
     if k < 1:
         raise ValueError("k must be >= 1")
     if sign not in (1, -1):
@@ -479,7 +474,7 @@ def h_minus(m, n, N):
     """h^-_m(u) from its determinant in downward power sums at climbing
     arguments: entry (i,j) is p^-_{i-j+1}(u+i-1) for j <= i, the superdiagonal
     entry of row i is -i, zeros above."""
-    _check_n(n)
+    n = as_rank(n)
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
@@ -507,7 +502,7 @@ def h_minus_from_inverse(m, n, N):
 
 def gen_E(n, N):
     """The alternating generating operator sum_k (-1)^k e_k(u) tau^{-k}."""
-    _check_n(n)
+    n = as_rank(n)
     acc = TauOperator.zero()
     for k in range(n + 1):
         acc = acc + tau_form("e", k, n, N).scale((-1) ** k)
@@ -531,7 +526,7 @@ def schur_s(lam, via, n, N):
     """Schur series for a partition by Jacobi-Trudi: det[h^-_{lam_i-i+j}(u-j+1)]
     via "h", or det[e_{lam'_i-i+j}(u+j-1)] over the conjugate partition via
     "e" (0-based i, j; the unit on d = 0 and zeros below)."""
-    _check_n(n)
+    n = as_rank(n)
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if len(lam) == 0:

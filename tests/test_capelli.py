@@ -222,16 +222,31 @@ def test_highest_weight_refuses_non_integral_and_empty_weights(gl2):
                                    lambda n: tr_E_power(2, n),
                                    lambda n: capelli_p(2, n),
                                    lambda n: pbw.AlgebraContext("gl", n),
-                                   pbw.free_context],
+                                   pbw.free_context,
+                                   lambda n: elem_e(1, n, 3),
+                                   lambda n: homog_h(1, n, 3),
+                                   lambda n: symfun.h_minus(1, n, 3),
+                                   lambda n: power_p(1, 1, n, 3),
+                                   lambda n: symfun.schur_s((1,), "h", n, 3),
+                                   lambda n: symfun.gen_E(n, 3),
+                                   lambda n: symfun.cached_projector("A", 2, n),
+                                   lambda n: shifted_e_star(1, n),
+                                   lambda n: shifted_h_star(1, n),
+                                   lambda n: ev_bridge("e", 1, n, 3, (1, 0))],
                          ids=["gl_context", "yangian_context", "gl_matrix",
-                              "tr_E_power", "capelli_p", "AlgebraContext", "free_context"])
+                              "tr_E_power", "capelli_p", "AlgebraContext", "free_context",
+                              "elem_e", "homog_h", "h_minus", "power_p", "schur_s", "gen_E",
+                              "cached_projector", "shifted_e_star", "shifted_h_star",
+                              "ev_bridge"])
 def test_contexts_and_gl_builders_refuse_n_below_one(build, n):
-    # an n that equals a built one (2.0, Q(2)) must not reach it through the caches
-    gl_context(2), yangian_context(2)
-    contexts, systems = set(pbw._CONTEXTS), set(pbw._SHARED)
+    # an n that equals a built one (2.0, Q(2)) must not reach it through the
+    # contexts or the family cache
+    build(2)
+    contexts, systems, family = set(pbw._CONTEXTS), set(pbw._SHARED), set(symfun._CACHE)
     with pytest.raises(ValueError, match=f"need n >= 1 and an int, got {re.escape(repr(n))}"):
         build(n)
     assert set(pbw._CONTEXTS) == contexts and set(pbw._SHARED) == systems
+    assert set(symfun._CACHE) == family
 
 
 def test_a_bool_n_is_stored_as_its_int():

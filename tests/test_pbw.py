@@ -22,6 +22,7 @@ from yangsym.pbw import (
     encode_t,
     max_level,
 )
+from yangsym.serialize import algebra_element_jsonable
 from yangsym.series import SparseCoeffs, USeries
 from yangsym.suites import (
     SUITES,
@@ -231,6 +232,40 @@ def test_free_context_has_no_relations():
     a, b = fc.gen(0), fc.gen(2)
     assert a * b != b * a
     assert (a * b).coeff((0, 2)) == 1
+
+
+@pytest.mark.parametrize("kind, n", [("yangian", n) for n in range(1, 5)]
+                         + [("gl", n) for n in range(1, 10)])
+def test_spell_inverts_the_encoders(kind, n):
+    rs = AlgebraContext(kind, n).rs
+    for g in rs.gens:
+        letter, *idx = rs.spell(g)
+        if kind == "yangian":
+            assert letter == "t" and encode_t(n, *idx) == g and rs.level(g) == idx[0]
+        else:
+            assert letter == "e" and encode_e(n, *idx) == g and rs.level(g) == 1
+
+
+@pytest.mark.parametrize("x, name, gens", [
+    (yangian_context(2).t(2, 1, 2), "t[2,1,2]", ["t", 2, 1, 2]),
+    (gl_context(2).e(1, 2), "e[1,2]", ["e", 1, 2]),
+    (free_context(8).gen(7), "x7", ["x", 7]),
+])
+def test_names_and_json_spell_each_kind_of_generator(x, name, gens):
+    (word,) = x.terms
+    assert x.gen_name(word[0]) == name and repr(x) == f"(1)*{name}"
+    assert algebra_element_jsonable(x) == {
+        "algebra": x.ctx.kind, "n": x.ctx.n, "monomials": [{"gens": [gens], "coeff": "1"}]}
+
+
+def test_free_bracket_takes_the_shared_suffix_path():
+    fc = free_context(3)
+    assert type(fc.rs) is pbw.FreeSystem
+    x0, x1, x2 = (fc.gen(g) for g in range(3))
+    # [x0 x1, x2] = x0 [x1, x2] + [x0, x2] x1 = x0 x1 x2 - x2 x0 x1
+    terms = fc.bracket(x2.terms)((x0 * x1).terms)
+    assert terms == {bytes((0, 1, 2)): 1, bytes((2, 0, 1)): -1}
+    assert AlgebraElement(fc, terms) == x0 * x1 * x2 - x2 * x0 * x1
 
 
 @contextmanager
@@ -828,8 +863,11 @@ def test_words_beyond_the_alphabet_are_refused():
     with pytest.raises(ValueError, match="n <= 9"):
         encode_e(10, 2, 1)
     assert free_context(256).gen(255).coeff((255,)) == 1
-    with pytest.raises(ValueError, match="at most 256 generators"):
-        free_context(257)
+    for route in (free_context, lambda n: AlgebraContext("free", n)):
+        for n in (257, 300):
+            with pytest.raises(ValueError, match=f"a free algebra on {n} generators is beyond "
+                                                 "the word alphabet: words hold at most 256"):
+                route(n)
     gl = gl_context(2)
     for word in ((0, 256), (-1,)):
         with pytest.raises(ValueError, match="a word holds generator ids below 256"):

@@ -81,12 +81,10 @@ def _sum(pairs, ctx):
     later stays a rational.  So the rule is applied to the chain's total, on
     the powers where some product met an element."""
     prods = [_product(a, b) if type(a) is type(b) is USeries else a * b for a, b in pairs]
-    nonzero = [p for p in prods if p]
-    if not nonzero:
-        return USeries.zero(min(p.order for p in prods))
-    total = sum(nonzero[1:], nonzero[0])
-    if type(total) is not USeries:
-        return total
+    series = [p for p in prods if type(p) is USeries]
+    nonzero = [p for p in series if p] or [USeries.zero(min(p.order for p in series))]
+    # the products of rational pairs, added at u^0
+    total = sum(nonzero[1:], nonzero[0]) + sum(p for p in prods if type(p) is not USeries)
     met = set().union(*(_met(a, b) for a, b in pairs))
     return USeries(total.order, {m: ctx.scalar(c) if m in met and type(c) is not AlgebraElement
                                  else c for m, c in total.coeffs.items()})
@@ -120,12 +118,20 @@ rational_factors = st.one_of(st.just(0), st.just(Q(4, 2)), scalars)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_scalar_and_series_pairs_match_the_separate_products(data):
-    # _sum builds each q * s and s * q on its own, by `scale`
+    # _sum builds each q * s and s * q on its own, by `scale`; a pair of two
+    # rationals adds its product at u^0, under the element rule when some
+    # other pair holds a series
     ctx = CONTEXTS[data.draw(st.sampled_from(sorted(CONTEXTS)))]
     pair = st.one_of(st.tuples(series(ctx), series(ctx)),
                      st.tuples(rational_factors, series(ctx)),
-                     st.tuples(series(ctx), rational_factors))
-    pairs = data.draw(st.lists(pair, min_size=1, max_size=5))
+                     st.tuples(series(ctx), rational_factors),
+                     st.tuples(rational_factors, rational_factors))
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=5).filter(
+        lambda ps: any(USeries in map(type, p) for p in ps)))
+    if data.draw(st.booleans()):
+        # a negated copy of a pair cancels the element terms it puts anywhere
+        a, b = data.draw(st.sampled_from(pairs))
+        pairs.insert(data.draw(st.integers(0, len(pairs))), (a, -b))
     _assert_same(sum_of_products(pairs), _sum(pairs, ctx))
 
 
@@ -160,6 +166,10 @@ def test_a_power_that_meets_an_element_stays_an_element():
                              (b, USeries(1, {0: 3}))])
     assert type(total.coeff(0)) is AlgebraElement and total.coeff(0) == 6
     assert type(sum_of_products([(b, b)]).coeff(0)) is int
+    # so does a pair of two rationals, wherever it stands
+    for pairs in ([(a, 1), (a, -1), (2, 3)], [(2, 3), (a, 1), (a, -1)]):
+        total = sum_of_products(pairs)
+        assert type(total.coeff(0)) is AlgebraElement and total.coeff(0) == 6
 
 
 @settings(max_examples=25, deadline=None)
