@@ -245,8 +245,9 @@ class RewriteSystem:
         return ("e", i + 1, j + 1)
 
     def level(self, gid):
-        """The level r of t[r,i,j]; 1 for a generator of any other algebra."""
-        return self.spell(gid)[1] if self.kind == "yangian" else 1
+        """The level r of t[r,i,j], read from the block of its id as `spell`
+        reads it; 1 for a generator of any other algebra."""
+        return gid // (self.n * self.n) + 1 if self.kind == "yangian" else 1
 
     def word_level(self, word):
         return sum(map(self.level, word))

@@ -62,8 +62,10 @@ from .symfun import (
     h_minus,
     h_minus_from_inverse,
     homog_h,
+    leg_chain,
     newton_check,
     power_p,
+    release_leg_chains,
     schur_s,
     tau_form,
     unit_series,
@@ -302,14 +304,16 @@ def suite_intertwining(cfg):
                 P = cached_projector(proj, k, n)
                 rep.run(f"{name}_intertwine", "projector_intertwining",
                         {"n": n, "k": k, "order": N},
-                        lambda: _intertwines(P, [t_leg(s, step * (s - 1), k, N, ctx)
-                                                 for s in range(1, k + 1)]))
+                        lambda: _intertwines(P, leg_chain(k, step, n, N),
+                                             [t_leg(s, step * (s - 1), k, N, ctx)
+                                              for s in range(1, k + 1)]))
     return rep.records
 
 
-def _intertwines(P, legs):
-    """P T_1 ... T_k against T_k ... T_1 P, as whole matrices (`compare`)."""
-    return compare(reduce(tm_mul, [P, *legs]), reduce(tm_mul, [*legs[::-1], P]))
+def _intertwines(P, chain, legs):
+    """P T_1 ... T_k, the leg chain of `legs`, against T_k ... T_1 P, as
+    whole matrices (`compare`)."""
+    return compare(tm_mul(P, chain), reduce(tm_mul, [*legs[::-1], P]))
 
 
 def suite_eb_traces(cfg):
@@ -330,6 +334,8 @@ def suite_eb_traces(cfg):
                 rep.run(f"trace_variant_{variant}", "alt_trace_presentations",
                         {"n": n, "k": k, "variant": variant, "order": N},
                         lambda: compare(prop_eB_traces(k, variant, n, N), targets[variant]()))
+    # the last reader of the leg chains in suite order
+    release_leg_chains()
     return rep.records
 
 

@@ -14,7 +14,10 @@ and `tau_form` attaches e_k or h_k to its tau degree.
 Everything is computed in the exact engine: series coefficients are
 AlgebraElements of the Yangian (one context per n, see `pbw`), and
 identities are checked coefficient-by-coefficient.  Family values are cached
-on (family, n, parameters, order).
+on (family, n, parameters, order).  The family cache also holds the leg
+chains T_1(u) T_2(u+step) ... T_k(u+step(k-1)) (`leg_chain`), which the
+`intertwining` and `eb-traces` checks share; `eb-traces`, their last reader
+in suite order, releases them (`release_leg_chains`).
 
 e_k, h_k and b_k are defined as traces over tensor powers of C^n of a
 projector times ordered products of generating-matrix legs.  They are built
@@ -40,7 +43,8 @@ from .rationals import Q, demote
 from .series import USeries, sum_of_products
 from .tau import TauOperator
 from .pbw import as_rank, yangian_context
-from .tensor import TensorMatrix, permutation_sum, r_chain, t_leg, t_series, trace_of_product
+from .tensor import (TensorMatrix, permutation_sum, r_chain, t_leg, t_series, tm_mul,
+                     trace_of_product)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +155,31 @@ def cached_projector(kind, k, n):
     """k!*A_k (kind "A") or k!*S_k (kind "S") on (C^n)^{tensor k}, int entries."""
     n = as_rank(n)
     return cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
+
+
+def leg_chain(k, step, n, N):
+    """The leg chain T_1(u) T_2(u+step) ... T_k(u+step(k-1)) on k legs, step
+    -1 or +1: the chain on k - 1 legs, embedded, times the last leg.  Both
+    readers, the `intertwining` and `eb-traces` checks, take it from the
+    family cache, where it stays until `release_leg_chains`."""
+    n = as_rank(n)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if step not in (1, -1):
+        raise ValueError("step must be +1 or -1")
+
+    def build():
+        last = t_leg(k, step * (k - 1), k, N, yangian_context(n))
+        return last if k == 1 else tm_mul(leg_chain(k - 1, step, n, N).embed(), last)
+
+    return cached(("chain", n, k, step, N), build)
+
+
+def release_leg_chains():
+    """Drop every leg chain from the family cache.  The cache dict is changed
+    in place, not replaced, since it is shared by reference."""
+    for key in [key for key in _CACHE if key[0] == "chain"]:
+        del _CACHE[key]
 
 
 def unit_series(n, N):
@@ -282,6 +311,7 @@ def bethe_b(k, Z, n, N):
     det Z^{I^c}_{J^c}, with T^I_J the quantum minor on rows I and columns J
     and det 1 for the empty minor at k = n.
     """
+    n = as_rank(n)
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     Zm = (Z if isinstance(Z, BetheTwist) else BetheTwist(Z)).matrix
@@ -308,21 +338,20 @@ def prop_eB_traces(k, variant, n, N):
     3: tr(A_k  T_1(u)...T_k(u+k-1))    -> e_k(u+k-1)
     4: tr(S_k  T_1(u)...T_k(u-k+1))    -> h_k(u-k+1)
 
-    The integral k! times B^-_k, B^+_k, A_k or S_k is multiplied by every
-    leg but the last, the trace is taken against the last leg (forming only
-    the diagonal of that product), and divided by k! once.
+    The trace of the integral k! times B^-_k, B^+_k, A_k or S_k against the
+    leg chain of its step (`leg_chain`: -1 for variants 1 and 4, +1 for 2
+    and 3), forming only the diagonal of that product, divided by k! once.
     """
-    if variant in (1, 2):
-        sign = -1 if variant == 1 else +1
-        left = TensorMatrix.identity(n, k) if k == 1 else r_chain(k, sign, k, n)
-    elif variant in (3, 4):
+    n = as_rank(n)
+    if variant not in (1, 2, 3, 4):
+        raise ValueError("variant must be 1..4")
+    step = -1 if variant in (1, 4) else 1
+    chain = leg_chain(k, step, n, N)
+    if variant in (3, 4):
         left = cached_projector("A" if variant == 3 else "S", k, n)
     else:
-        raise ValueError("variant must be 1..4")
-    shifts = [-s if variant in (1, 4) else s for s in range(k)]
-    ctx = yangian_context(n)
-    legs = [t_leg(s, a, k, N, ctx) for s, a in enumerate(shifts, start=1)]
-    return trace_of_product([left, *legs]).scale(Q(1, factorial(k)))
+        left = TensorMatrix.identity(n, k) if k == 1 else r_chain(k, step, k, n)
+    return trace_of_product([left, chain]).scale(Q(1, factorial(k)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from functools import reduce
 from itertools import permutations
 from math import factorial, lcm
 
-from .pbw import AlgebraElement
+from .pbw import AlgebraElement, as_rank
 from .rationals import Q, RATIONAL_TYPES, cleared, demote
 from .series import SparseCoeffs, USeries, sum_of_products
 
@@ -56,12 +56,14 @@ class TensorMatrix:
 
     @classmethod
     def identity(cls, n, k):
+        n = as_rank(n)
         return cls(n, k, {i: {i: 1} for i in range(n ** k)})
 
     @classmethod
     def from_permutation(cls, sigma, k, n, coeff=1):
         """Operator sending e_{j_1} x ... x e_{j_k} to the basis vector whose
         sigma(t)-th slot holds j_t; sigma is a tuple with sigma[t-1] = sigma(t)."""
+        n = as_rank(n)
         if not coeff:
             return cls(n, k)
         powers = [n ** (k - 1 - t) for t in range(k)]
@@ -200,7 +202,7 @@ def _perm_sign(sigma):
 def permutation_sum(k, n, signed):
     """Sum over S_k of the permutation operators on k legs, each times its
     sign when signed: k!*A_k or k!*S_k, with int entries."""
-    acc = TensorMatrix(n, k)
+    acc = TensorMatrix(as_rank(n), k)
     for sigma in permutations(range(1, k + 1)):
         coeff = _perm_sign(sigma) if signed else 1
         acc = acc + TensorMatrix.from_permutation(sigma, k, n, coeff=coeff)

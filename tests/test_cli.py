@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from yangsym import cli, pbw
+from yangsym import cli, pbw, symfun
 from yangsym.cli import main
 from yangsym.suites import SUITES, CheckRecord
 from yangsym import cache
@@ -309,6 +309,26 @@ def test_non_positive_sizes_are_usage_errors(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be a positive integer" in captured.err or "expects an integer" in captured.err
+
+
+def test_leg_chain_readers_alone_report_as_in_a_whole_run(capsys, monkeypatch):
+    # intertwining and eb-traces share the leg chains through the family
+    # cache; eb-traces, their last reader, releases them
+    def report(suite):
+        monkeypatch.setattr(symfun, "_CACHE", {})
+        code, out, _ = run_cli(capsys, "verify", suite, "--n", "2", "--order", "4",
+                               "--format", "json")
+        assert code == 0
+        return [{k: v for k, v in r.items() if k != "wall_time"} for r in json.loads(out)]
+
+    def chains():
+        return [key for key in symfun._CACHE if key[0] == "chain"]
+
+    whole = report("all")
+    assert not chains()
+    for suite in ("intertwining", "eb-traces"):
+        assert report(suite) == [r for r in whole if r["suite"] == suite]
+        assert bool(chains()) == (suite == "intertwining")
 
 
 def test_verify_report_is_independent_of_the_hash_seed():

@@ -141,6 +141,23 @@ def test_commutativity_memos_stay_small(fresh_python):
     assert int(entries) < 20000
 
 
+def test_verify_all_traced_peak_stays_below_the_bound(fresh_python):
+    # tracemalloc's peak over `verify all --n 2 --order 4` after the imports,
+    # report sent to os.devnull, Python 3.11 with the Fraction backend: 1768
+    # KiB with the leg chains released after eb-traces (1769 before they were
+    # shared), 2091 KiB with them kept to the end of the run
+    peak, = fresh_python(
+        "import contextlib, os, tracemalloc\n"
+        "import yangsym.cli, yangsym.suites\n"
+        "tracemalloc.start()\n"
+        "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "    code = yangsym.cli.main(['verify', 'all', '--n', '2', '--order', '4',\n"
+        "                             '--format', 'json'])\n"
+        "assert code == 0\n"
+        "print(tracemalloc.get_traced_memory()[1])")
+    assert int(peak) <= 1900 * 1024
+
+
 def test_a_failing_top_elementary_check_names_power_generator_and_monomial(monkeypatch):
     from yangsym import suites
 

@@ -14,6 +14,7 @@ from yangsym.tensor import (
     antisymmetrizer,
     matrix_on_leg,
     perm_op,
+    r_chain,
     symmetrizer,
     t_leg,
     t_series,
@@ -36,6 +37,7 @@ from yangsym.symfun import (
     h_minus,
     h_minus_from_inverse,
     homog_h,
+    leg_chain,
     newton_check,
     p_tau,
     p_tau_direct,
@@ -179,13 +181,16 @@ def test_b1_identity_twist_ratios():
         assert b1.scale(n) == elem_e(1, n, 3)
 
 
-@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("n", [0, -1, 2.0, 2.5])
 def test_family_builders_refuse_n_below_one(n):
     keys = set(symfun._CACHE)
     builders = [lambda: power_p(1, 1, n, 3), lambda: homog_h(1, n, 3),
                 lambda: h_minus(1, n, 3), lambda: elem_e(1, n, 3),
                 lambda: schur_s((1,), "h", n, 3), lambda: tau_form("e", 0, n, 3),
-                lambda: gen_E(n, 3), lambda: h_minus_from_inverse(0, n, 3)]
+                lambda: gen_E(n, 3), lambda: h_minus_from_inverse(0, n, 3),
+                lambda: prop_eB_traces(1, 1, n, 3),
+                lambda: bethe_b(1, BetheTwist.identity(2), n, 3),
+                lambda: leg_chain(1, -1, n, 3)]
     for build in builders:
         with pytest.raises(ValueError, match="need n >= 1 and an int"):
             build()
@@ -305,6 +310,42 @@ def test_eb_traces_k2():
 def test_eb_traces_k4_divide_by_4_factorial():
     assert prop_eB_traces(4, 2, 2, N2) == homog_h(4, 2, N2)
     assert prop_eB_traces(4, 4, 2, N2) == homog_h(4, 2, N2).shift(-3)
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+@pytest.mark.parametrize("n", [2, 3])
+def test_leg_chain_is_the_product_of_its_legs(n, step):
+    ctx = yangian_context(n)
+    for k in (1, 2, 3):
+        legs = [t_leg(s, step * (s - 1), k, N2, ctx) for s in range(1, k + 1)]
+        assert leg_chain(k, step, n, N2).equal(reduce(tm_mul, legs))
+
+
+def test_leg_chain_refuses_a_bad_length_or_step():
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        leg_chain(0, 1, 2, N2)
+    with pytest.raises(ValueError, match="step must be"):
+        leg_chain(2, 0, 2, N2)
+
+
+def eb_trace_by_legs(k, variant, n, N):
+    """tr(left T_1(u) T_2(u+-1) ... T_k(u+-(k-1))) / k!, the integral left
+    multiplied by every leg but the last and traced against the last."""
+    step = -1 if variant in (1, 4) else 1
+    if variant in (3, 4):
+        left = cached_projector("A" if variant == 3 else "S", k, n)
+    else:
+        left = tensor.TensorMatrix.identity(n, k) if k == 1 else r_chain(k, step, k, n)
+    ctx = yangian_context(n)
+    legs = [t_leg(s, step * (s - 1), k, N, ctx) for s in range(1, k + 1)]
+    return trace_of_product([left, *legs]).scale(Q(1, factorial(k)))
+
+
+@pytest.mark.parametrize("variant", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_eb_traces_of_the_leg_chain_match_the_leg_by_leg_trace(n, variant):
+    for k in (1, 2, 3):
+        assert prop_eB_traces(k, variant, n, N2) == eb_trace_by_legs(k, variant, n, N2)
 
 
 # -- compositions and Newton -----------------------------------------------------

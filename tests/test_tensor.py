@@ -1,3 +1,4 @@
+import re
 from functools import reduce
 from itertools import permutations
 
@@ -17,6 +18,8 @@ from yangsym.tensor import (
     fusion_step,
     matrix_on_leg,
     perm_op,
+    permutation_sum,
+    r_chain,
     r_matrix,
     symmetrizer,
     t_leg,
@@ -449,3 +452,31 @@ def test_trace_of_no_matrices_is_refused():
 def test_matrix_on_leg_refuses_a_non_square_matrix(M):
     with pytest.raises(ValueError, match="square"):
         matrix_on_leg(M, 1, 1, 0)
+
+
+_CONSTRUCTORS_OF_N = {
+    "identity": lambda n: TensorMatrix.identity(n, 2),
+    "from_permutation": lambda n: TensorMatrix.from_permutation((2, 1), 2, n),
+    "from_permutation_zero": lambda n: TensorMatrix.from_permutation((2, 1), 2, n, coeff=0),
+    "perm_op": lambda n: perm_op(1, 2, 2, n),
+    "r_matrix": lambda n: r_matrix(1, 2, 1, 2, n),
+    "permutation_sum": lambda n: permutation_sum(2, n, True),
+    "r_chain": lambda n: r_chain(2, 1, 2, n),
+    "b_factor": lambda n: b_factor(2, -1, 2, n),
+    **{f"{proj.__name__}_{k}_{method}": (lambda n, proj=proj, k=k, method=method:
+                                         proj(k, n, method))
+       for proj in (antisymmetrizer, symmetrizer) for k in (1, 2)
+       for method in ("group_sum", "fusion", "b_product")},
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, 2.5, "2"])
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS_OF_N))
+def test_constructors_refuse_n_below_one_or_not_an_int(name, n):
+    # an n <= 0 built an empty matrix of that n; 2.0 and 2.5 reached range()
+    with pytest.raises(ValueError, match=re.escape(f"need n >= 1 and an int, got {n!r}")):
+        _CONSTRUCTORS_OF_N[name](n)
+
+
+def test_constructors_store_a_bool_n_as_its_int():
+    assert antisymmetrizer(2, True).n == 1 and symmetrizer(2, True).equal(symmetrizer(2, 1))
