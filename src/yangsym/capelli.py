@@ -29,7 +29,7 @@ from math import factorial
 
 from .rationals import Q, RATIONAL_TYPES, demote
 from .series import ShiftedPolynomial, UPolynomial, USeries, factorial_power
-from .pbw import AlgebraElement, as_rank, encode_e, gl_context
+from .pbw import AlgebraElement, as_size, encode_e, gl_context
 from .tensor import matrix_on_leg, trace_of_product
 from .symfun import cached, composition_weights, elem_e, h_minus, homog_h, kind_step, power_p
 
@@ -85,8 +85,6 @@ def default_weight_grid(n, count=8):
 def _star_sum(subsets, k, n, offset):
     """Sum over subsets(1..n, k) of the products over t = 1..k of
     (mu_{i_t} + u + offset(t)); the empty product (k = 0) is 1."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
     acc = ShiftedPolynomial(n)
     for subset in subsets(range(1, n + 1), k):
         prod = ShiftedPolynomial.const(n, 1)
@@ -99,14 +97,14 @@ def _star_sum(subsets, k, n, offset):
 def shifted_e_star(k, n):
     """Sum over strict k-subsets i_1<...<i_k of
     (mu_{i_1}+u+k-1)(mu_{i_2}+u+k-2)...(mu_{i_k}+u)."""
-    n = as_rank(n)
+    k, n = as_size(k, "k", 0), as_size(n)
     return cached(("e*", k, n), lambda: _star_sum(combinations, k, n, lambda t: k - t))
 
 
 def shifted_h_star(k, n):
     """Sum over weakly increasing i_1<=...<=i_k of
     (mu_{i_1}+u-k+1)(mu_{i_2}+u-k+2)...(mu_{i_k}+u)."""
-    n = as_rank(n)
+    k, n = as_size(k, "k", 0), as_size(n)
     return cached(("h*", k, n),
                   lambda: _star_sum(combinations_with_replacement, k, n, lambda t: t - k))
 
@@ -117,28 +115,19 @@ def shifted_p_star(k, mu):
     The gammas are rational functions of the weight, so this one is evaluated
     pointwise and returns an exact polynomial in u.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    mu = _weight(mu)
+    k, mu = as_size(k, "k"), _weight(mu)
     return cached(("p*", k, mu.mu), lambda: _p_star(k, mu))
 
 
 def _p_star(k, mu):
     u = UPolynomial.variable()
-    acc = UPolynomial()
-    for mi, gi in zip(mu.m_values(), mu.gammas()):
-        prod = UPolynomial.const(gi)
-        for j in range(k):
-            prod = prod * (u + (mi + j))
-        acc = acc + prod
-    return acc
+    return sum((factorial_power(u + mi, k, 1).scale(gi)
+                for mi, gi in zip(mu.m_values(), mu.gammas())), UPolynomial())
 
 
 def pp_eigen_trEk(k, mu):
     """Closed-form eigenvalue sum_i gamma_i m_i^k of the k-th Gelfand invariant."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    mu = _weight(mu)
+    k, mu = as_size(k, "k", 0), _weight(mu)
     return sum(gi * mi ** k for mi, gi in zip(mu.m_values(), mu.gammas()))
 
 
@@ -178,8 +167,7 @@ def gl_matrix(n):
 
 def tr_E_power(k, n):
     """The Gelfand invariant tr E^k as an element of U(gl_n)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = as_size(k, "k", 0)
     gl = gl_context(n)
     if k == 0:
         return gl.scalar(n)
@@ -188,8 +176,7 @@ def tr_E_power(k, n):
 
 def capelli_p(m, n):
     """tr((E+u)(E+u+1)...(E+u+m-1)) as a polynomial in u over U(gl_n)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_size(m, "m")
     E = gl_matrix(n)
     one = gl_context(n).one()
 
@@ -262,8 +249,7 @@ def defining_rep_value(z):
 def check_eh_star(m, n):
     """Both sides of sum_k (-1)^k e*_k(u-k+1) h*_{m-k}(u-k) == delta_{m,0},
     fully symbolic."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = as_size(m, "m", 0)
     acc = ShiftedPolynomial(n)
     for k in range(m + 1):
         term = shifted_e_star(k, n).shift(-k + 1) * \
@@ -317,7 +303,8 @@ def ev_bridge(kind, k, n, N, mu):
 
 def _ev_family(kind, k, n, N):
     """ev(e_k(u)) or ev(h_k(u)), built once per run in the family cache."""
-    family, n = elem_e if kind_step(kind) < 0 else homog_h, as_rank(n)
+    family = elem_e if kind_step(kind) < 0 else homog_h
+    k, n, N = as_size(k, "k", 0), as_size(n), as_size(N, "order", 0)
     return cached(("ev", kind, k, n, N), lambda: ev_hom(family(k, n, N)))
 
 

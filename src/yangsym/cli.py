@@ -36,14 +36,13 @@ COMPUTE_OBJECTS = tuple(OPTIONS_READ)
 _ALPHABET = 256
 
 
-def _positive_int(text):
+def _int(text):
+    """An integer flag value; its bound is checked where it is used
+    (`pbw.as_size`, by `SuiteConfig` and the layer that builds)."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _parse_int_list(text, flag, parser):
@@ -63,7 +62,7 @@ def build_parser():
     comp.add_argument("object", choices=COMPUTE_OBJECTS)
     comp.add_argument("--k", type=int, help="degree index")
     comp.add_argument("--m", type=int, help="degree index (alias of --k)")
-    comp.add_argument("--n", type=_positive_int, required=True)
+    comp.add_argument("--n", type=_int, required=True)
     comp.add_argument("--order", type=int, help="series truncation order")
     comp.add_argument("--sign", choices=["+", "-"],
                       help="sign of the shift direction for p (default -)")
@@ -79,11 +78,11 @@ def build_parser():
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("suite", nargs="?", default="all",
                      help="suite name or 'all'")
-    ver.add_argument("--n", type=_positive_int)
-    ver.add_argument("--order", type=_positive_int)
-    ver.add_argument("--max-m", dest="max_m", type=_positive_int)
-    ver.add_argument("--max-k", dest="max_k", type=_positive_int)
-    ver.add_argument("--tau-order", dest="tau_order", type=_positive_int)
+    ver.add_argument("--n", type=_int)
+    ver.add_argument("--order", type=_int)
+    ver.add_argument("--max-m", dest="max_m", type=_int)
+    ver.add_argument("--max-k", dest="max_k", type=_int)
+    ver.add_argument("--tau-order", dest="tau_order", type=_int)
     ver.add_argument("--seed", type=int, default=20240811)
     ver.add_argument("--format", choices=["json", "text"], default="text")
     ver.add_argument("--out")
@@ -116,13 +115,13 @@ def _params(args, parser):
     need(args.seed is None or args.z == "random",
          f"compute {obj} takes --seed only with --z random")
 
-    if N is not None:
-        need(N * n * n <= _ALPHABET,
+    if n >= 1:  # the layer that builds refuses any other n
+        need(N is None or N * n * n <= _ALPHABET,
              f"compute {obj} --n {n} takes --order up to {_ALPHABET // (n * n)}: "
              f"a PBW word holds generator ids below {_ALPHABET}")
-    need(obj != "capelli_p" or 3 * n * n <= _ALPHABET,
-         f"compute capelli_p takes --n up to 9: a PBW word holds generator ids "
-         f"below {_ALPHABET}, and U(gl_n) has 3 n^2 of them")
+        need(obj != "capelli_p" or 3 * n * n <= _ALPHABET,
+             f"compute capelli_p takes --n up to 9: a PBW word holds generator ids "
+             f"below {_ALPHABET}, and U(gl_n) has 3 n^2 of them")
 
     params = {"n": n}
     if deg is not None:

@@ -199,13 +199,18 @@ def gl_commutator_words(n, i, j, k, l):
 # ---------------------------------------------------------------------------
 # rewrite systems
 
-def as_rank(n):
-    """n as an int, refused unless it is an int >= 1 (a bool counts as its
-    int).  Every context and every cache key that holds n goes through it,
-    so an n such as 2.0 never reaches the entry of 2."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"need n >= 1 and an int, got {n!r}")
-    return int(n)
+def as_size(value, name="n", least=1):
+    """value as an int, refused unless it is an int >= least (a bool counts
+    as its int).  The one rule for every size: the rank n, the degrees k, m
+    and L and the truncation order.  Every route and every cache key that
+    holds a size goes through it, so a size such as 2.0 never reaches the
+    entry of 2."""
+    if type(value) is int:
+        if value >= least:
+            return value
+    elif isinstance(value, int) and value >= least:
+        return int(value)
+    raise ValueError(f"need {name} >= {least} and an int, got {value!r}")
 
 
 class RewriteSystem:
@@ -220,7 +225,7 @@ class RewriteSystem:
     """
 
     def __init__(self, kind, n):
-        n = as_rank(n)
+        n = as_size(n)
         if kind == "yangian":
             ids, self.name = range(max_level(n) * n * n), f"Y(gl_{n})"
             self._commutator_words = yangian_commutator_words
@@ -467,7 +472,7 @@ class FreeSystem(RewriteSystem):
     unused; the commutator memo serves its brackets."""
 
     def __init__(self, n):
-        n = as_rank(n)
+        n = as_size(n)
         if n > ALPHABET:
             raise ValueError(f"a free algebra on {n} generators is beyond the word "
                              f"alphabet: words hold at most {ALPHABET} generators")
@@ -489,7 +494,7 @@ _SHARED = {}
 
 
 def _shared_system(kind, n):
-    key = (kind, as_rank(n))
+    key = (kind, as_size(n))
     rs = _SHARED.get(key)
     if rs is None:
         rs = _SHARED[key] = FreeSystem(key[1]) if kind == "free" else RewriteSystem(*key)
@@ -644,7 +649,7 @@ _CONTEXTS = {}
 
 
 def _interned_context(kind, n):
-    n = as_rank(n)
+    n = as_size(n)
     ctx = _CONTEXTS.get((kind, n))
     if ctx is None:
         ctx = _CONTEXTS[kind, n] = AlgebraContext(kind, n)
@@ -661,10 +666,10 @@ def gl_context(n):
     return _interned_context("gl", n)
 
 
-def free_context(num_gens):
-    """A free algebra on generators 0 .. num_gens - 1 (`FreeSystem`); a word
-    holds at most ALPHABET of them."""
-    return AlgebraContext("free", num_gens)
+def free_context(n):
+    """A free algebra on generators 0 .. n - 1 (`FreeSystem`); a word holds
+    at most ALPHABET of them."""
+    return AlgebraContext("free", n)
 
 
 class AlgebraElement:

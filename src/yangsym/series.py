@@ -30,7 +30,7 @@ and a series (the integer projectors of the trace oracles) adds q times each
 coefficient into the same dicts without building the scaled series.
 """
 
-from .pbw import AlgebraElement, add_terms
+from .pbw import AlgebraElement, add_terms, as_size
 from .rationals import RATIONAL_TYPES, binomial, demote
 
 
@@ -200,8 +200,8 @@ class USeries(SparseCoeffs):
     __slots__ = ("order",)
 
     def __init__(self, order, coeffs=None):
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        if type(order) is not int or order < 0:  # the common case skips the call
+            order = as_size(order, "order", 0)
         self.order = order
         self.coeffs = _stored(coeffs, order) if coeffs else {}
 
@@ -274,10 +274,11 @@ def sum_of_products(pairs):
     an element there keeps it an element, even if its element terms cancel,
     whatever the order of the pairs.  So when some pair holds a series, the
     products of the pairs of two rationals go to u^0 like a series
-    coefficient; with none, they sum as plain rationals.  The order is the
-    least among the nonzero series products, or among all if every one is
-    zero; coefficient rings are domains, so a product is zero exactly when no
-    two coefficients meet within its order.
+    coefficient; with none, they sum as plain rationals.  Pairs of series
+    mixed with pairs of another ring (elements, polynomials) raise
+    ValueError.  The order is the least among the nonzero series products,
+    or among all if every one is zero; coefficient rings are domains, so a
+    product is zero exactly when no two coefficients meet within its order.
     """
     ctx = rs = rest = order = least = None
     terms, other = {}, {}  # power -> element term dict / any other coefficient
@@ -334,15 +335,16 @@ def sum_of_products(pairs):
             order = top if order is None else min(order, top)
     if least is None:
         return rest
-    if rest is not None and isinstance(rest, RATIONAL_TYPES):
+    if rest is not None:
+        if not isinstance(rest, RATIONAL_TYPES):
+            raise ValueError(f"sum_of_products cannot add products of USeries pairs "
+                             f"and of {type(rest).__name__} pairs")
         # the rational pairs' sum sits at u^0 under the element rule
         put(0, rest, 1)
-        rest = None
     for m, t in terms.items():
         v, s = AlgebraElement(ctx, ctx._apply_cap(t)), other.get(m)
         other[m] = v if s is None else v + s
-    out = USeries(least if order is None else order, other)
-    return out if rest is None else rest + out
+    return USeries(least if order is None else order, other)
 
 
 class UPolynomial(SparseCoeffs):
@@ -407,6 +409,8 @@ class ShiftedPolynomial(SparseCoeffs):
     __slots__ = ("n",)
 
     def __init__(self, n, coeffs=None):
+        if type(n) is not int or n < 1:
+            n = as_size(n)
         if coeffs and any(len(e) != n + 1 for e in coeffs):
             raise ValueError(f"exponent keys must have length {n + 1}")
         self.n = n
@@ -429,11 +433,13 @@ class ShiftedPolynomial(SparseCoeffs):
 
     @classmethod
     def const(cls, n, q):
+        n = as_size(n)
         return cls(n, {(0,) * (n + 1): q})
 
     @classmethod
     def linear(cls, n, mu_index, const=0):
         """mu_{mu_index} + u + const."""
+        n = as_size(n)
         mu = [0] * (n + 1)
         mu[mu_index - 1] = 1
         u = [0] * n + [1]
@@ -478,9 +484,7 @@ def factorial_power(p, k, step):
     """p(p+step)(p+2 step)...(p+(k-1) step) for a polynomial p: the falling
     factorial at step -1, the rising one at +1 (`symfun.kind_step` of "e" and
     "h"); the empty product (k=0) is 1."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
     out = UPolynomial.const(1)
-    for i in range(k):
+    for i in range(as_size(k, "k", 0)):
         out = out * (p + step * i)
     return out

@@ -30,6 +30,7 @@ from .tau import TauOperator
 from .pbw import (
     AlgebraElement,
     add_terms,
+    as_size,
     free_context,
     gl_context,
     yangian_context,
@@ -96,20 +97,19 @@ _DEFAULT_ORDER, _SELFCHECK_LEVEL = 6, 4
 
 
 class SuiteConfig:
-    """Suite sizes; None means each suite's default.  The Yangian levels the
-    suites reach must fit in a PBW word (`pbw.max_level`)."""
+    """Suite sizes; None means each suite's default, and any other is an
+    int >= 1 (`pbw.as_size`).  The Yangian levels the suites reach must fit
+    in a PBW word (`pbw.max_level`)."""
 
     __slots__ = ("n", "order", "max_m", "max_k", "tau_order", "seed")
 
     def __init__(self, n=None, order=None, max_m=None, max_k=None, tau_order=None,
                  seed=20240811):
-        self.n, self.order, self.max_m, self.max_k = n, order, max_m, max_k
-        self.tau_order, self.seed = tau_order, seed
-        for name in ("n", "order", "max_m", "max_k", "tau_order"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"SuiteConfig.{name} must be a positive integer, got {value}")
-        level = max(order or _DEFAULT_ORDER, _SELFCHECK_LEVEL)
+        sizes = {"n": n, "order": order, "max_m": max_m, "max_k": max_k, "tau_order": tau_order}
+        for name, value in sizes.items():
+            setattr(self, name, None if value is None else as_size(value, name))
+        self.seed = seed
+        level = max(self.order or _DEFAULT_ORDER, _SELFCHECK_LEVEL)
         for m in _ns(self):
             if level > max_level(m):
                 raise ValueError(f"the suites at n={m} reach level {level} of Y(gl_{m}), "
@@ -729,12 +729,11 @@ def _check_jacobi(n):
     of total level at most 4.  A failure names the triple and a monomial of
     the Jacobi sum."""
     ctx = yangian_context(n)
-    gens = [ctx.t(r, i, j) for r in (1, 2) for i in range(1, n + 1)
-            for j in range(1, n + 1)]
-    levels = [r for r in (1, 2) for _ in range(n * n)]
-    idx = list(range(len(gens)))
-    for a, b, c in combinations_with_replacement(idx, 3):
-        if levels[a] + levels[b] + levels[c] > 4:
+    rs = ctx.rs
+    ids = _generator_ids(rs, 2)
+    gens, level = {g: ctx.gen(g) for g in ids}, {g: rs.level(g) for g in ids}
+    for a, b, c in combinations_with_replacement(ids, 3):
+        if level[a] + level[b] + level[c] > 4:
             continue
         x, y, z = gens[a], gens[b], gens[c]
         j = x.commutator(y.commutator(z)) + y.commutator(z.commutator(x)) \

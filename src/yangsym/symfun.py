@@ -42,7 +42,7 @@ from math import comb, factorial, prod
 from .rationals import Q, demote
 from .series import USeries, sum_of_products
 from .tau import TauOperator
-from .pbw import as_rank, yangian_context
+from .pbw import as_size, yangian_context
 from .tensor import (TensorMatrix, permutation_sum, r_chain, t_leg, t_series, tm_mul,
                      trace_of_product)
 
@@ -53,8 +53,7 @@ from .tensor import (TensorMatrix, permutation_sum, r_chain, t_leg, t_series, tm
 
 def compositions(k):
     """All 2^(k-1) compositions of k as tuples of parts, in a fixed order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_size(k, "k")
     out = []
     for mask in range(1 << (k - 1)):
         parts, run = [], 1
@@ -76,14 +75,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts):
-        given = tuple(parts)
-        if any(not isinstance(p, int) for p in given):
-            raise ValueError(f"partition parts must be integers, got {given!r}")
-        parts = [int(p) for p in given]  # a bool counts as its int
+        parts = [as_size(p, "partition part", 0) for p in parts]
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
-        if any(p < 0 for p in parts):
-            raise ValueError("partition parts must be non-negative")
         while parts and parts[-1] == 0:
             parts.pop()
         self.parts = tuple(parts)
@@ -118,11 +112,13 @@ class BetheTwist:
 
     @classmethod
     def identity(cls, n):
+        n = as_size(n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def random(cls, n, rng):
         """Random integer-entried twist (entries in [-5, 5], not all zero)."""
+        n = as_size(n)
         while True:
             m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
             if any(v for row in m for v in row):
@@ -153,7 +149,7 @@ _cached = cached
 
 def cached_projector(kind, k, n):
     """k!*A_k (kind "A") or k!*S_k (kind "S") on (C^n)^{tensor k}, int entries."""
-    n = as_rank(n)
+    k, n = as_size(k, "k"), as_size(n)
     return cached(("proj", kind, k, n), lambda: permutation_sum(k, n, signed=kind == "A"))
 
 
@@ -162,9 +158,7 @@ def leg_chain(k, step, n, N):
     -1 or +1: the chain on k - 1 legs, embedded, times the last leg.  Both
     readers, the `intertwining` and `eb-traces` checks, take it from the
     family cache, where it stays until `release_leg_chains`."""
-    n = as_rank(n)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n, k, N = as_size(n), as_size(k, "k"), as_size(N, "order", 0)
     if step not in (1, -1):
         raise ValueError("step must be +1 or -1")
 
@@ -214,9 +208,7 @@ def _minor_sum(kind, k, n, N):
     """The sum over the index sets a of quantum minors (kind "e") or quantum
     permanents (kind "h") on rows = columns a, with factors at u, u+step, ...;
     one term per distinct rearrangement of the rows, no 1/k!."""
-    n = as_rank(n)
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    n, k, N = as_size(n), as_size(k, "k", 0), as_size(N, "order", 0)
     if k == 0:
         return unit_series(n, N)
     step = kind_step(kind)
@@ -247,9 +239,7 @@ def homog_h(k, n, N):
 
 def power_p(k, sign, n, N):
     """Trace of the plain matrix product T(u) T(u+sign) ... T(u+sign*(k-1))."""
-    n = as_rank(n)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    n, k, N = as_size(n), as_size(k, "k"), as_size(N, "order", 0)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
 
@@ -311,9 +301,9 @@ def bethe_b(k, Z, n, N):
     det Z^{I^c}_{J^c}, with T^I_J the quantum minor on rows I and columns J
     and det 1 for the empty minor at k = n.
     """
-    n = as_rank(n)
-    if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
+    n, k = as_size(n), as_size(k, "k")
+    if k > n:
+        raise ValueError(f"need k <= n, got k={k}, n={n}")
     Zm = (Z if isinstance(Z, BetheTwist) else BetheTwist(Z)).matrix
     if len(Zm) != n:
         raise ValueError(f"twist must be {n} x {n}, got {len(Zm)} x {len(Zm)}")
@@ -342,7 +332,6 @@ def prop_eB_traces(k, variant, n, N):
     leg chain of its step (`leg_chain`: -1 for variants 1 and 4, +1 for 2
     and 3), forming only the diagonal of that product, divided by k! once.
     """
-    n = as_rank(n)
     if variant not in (1, 2, 3, 4):
         raise ValueError("variant must be 1..4")
     step = -1 if variant in (1, 4) else 1
@@ -364,6 +353,7 @@ def composition_weights(k, kind):
     a_1 < ... < a_m = k the prefix sums of lam, distinct parts of k!, so
     their product divides k!.  At p_i = 1 the weights sum to
     e_k = delta_{k,1} and h_k = 1: the numerators to k! delta_{k,1} and k!."""
+    k = as_size(k, "k")
     step, top = kind_step(kind), factorial(k)
     return ((lam, step ** (k - len(lam)) * (top // prod(accumulate(lam))))
             for lam in compositions(k))
@@ -390,8 +380,7 @@ def newton_check(m, kind, n, N):
     """Both sides of the Newton identity at degree m in the tau forms,
     m e_m = sum_k (-1)^{m-k-1} e_k p^-_{m-k} or m h_m = sum_k h_k p^+_{m-k}
     (k < m); returns (the sum, m e_m or m h_m)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_size(m, "m")
     step = kind_step(kind)
     lhs = None
     for k in range(m):
@@ -471,8 +460,8 @@ def det_formulas(m, which, n, N):
     e_from_p -> e_m(u); h_from_p -> h_m(u); p_from_e -> p^-_m(u);
     p_from_h -> p^+_m(u).
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = as_size(m, "m")
+
     def powers(sign):
         return lambda i, j: power_p(i - j + 1, sign, n, N).shift(sign * (j - 1))
 
@@ -503,9 +492,7 @@ def h_minus(m, n, N):
     """h^-_m(u) from its determinant in downward power sums at climbing
     arguments: entry (i,j) is p^-_{i-j+1}(u+i-1) for j <= i, the superdiagonal
     entry of row i is -i, zeros above."""
-    n = as_rank(n)
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    n, m, N = as_size(n), as_size(m, "m", 0), as_size(N, "order", 0)
     if m == 0:
         return unit_series(n, N)
 
@@ -520,8 +507,7 @@ def h_minus(m, n, N):
 def h_minus_from_inverse(m, n, N):
     """h^-_m(u) as the unique solution of the inverse identity; independent
     cross-check of the determinant layout."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
+    m = as_size(m, "m", 0)
     hs = [unit_series(n, N)]
     for t in range(1, m + 1):
         hs.append(sum_of_products((elem_e(k, n, N).shift(t - 1).scale((-1) ** (k + 1)),
@@ -531,7 +517,7 @@ def h_minus_from_inverse(m, n, N):
 
 def gen_E(n, N):
     """The alternating generating operator sum_k (-1)^k e_k(u) tau^{-k}."""
-    n = as_rank(n)
+    n = as_size(n)
     acc = TauOperator.zero()
     for k in range(n + 1):
         acc = acc + tau_form("e", k, n, N).scale((-1) ** k)
@@ -540,8 +526,7 @@ def gen_E(n, N):
 
 def gen_Hminus(L, n, N):
     """sum_{l=0..L} tau^{-l} h^-_l(u), normalized with coefficients on the left."""
-    if L < 0:
-        raise ValueError("L must be >= 0")
+    L = as_size(L, "L", 0)
     acc = TauOperator.zero()
     for l in range(L + 1):
         acc = acc + TauOperator.from_series(h_minus(l, n, N).shift(-l), -l)
@@ -555,7 +540,6 @@ def schur_s(lam, via, n, N):
     """Schur series for a partition by Jacobi-Trudi: det[h^-_{lam_i-i+j}(u-j+1)]
     via "h", or det[e_{lam'_i-i+j}(u+j-1)] over the conjugate partition via
     "e" (0-based i, j; the unit on d = 0 and zeros below)."""
-    n = as_rank(n)
     if not isinstance(lam, Partition):
         lam = Partition(lam)
     if len(lam) == 0:

@@ -35,7 +35,7 @@ from functools import reduce
 from itertools import permutations
 from math import factorial, lcm
 
-from .pbw import AlgebraElement, as_rank
+from .pbw import AlgebraElement, as_size
 from .rationals import Q, RATIONAL_TYPES, cleared, demote
 from .series import SparseCoeffs, USeries, sum_of_products
 
@@ -47,6 +47,8 @@ class TensorMatrix:
     __slots__ = ("n", "k", "rows", "zero")
 
     def __init__(self, n, k, rows=None, zero=0):
+        if type(n) is not int or type(k) is not int or n < 1 or k < 0:
+            n, k = as_size(n), as_size(k, "k", 0)  # zero legs: a scalar
         self.n = n
         self.k = k
         self.rows = rows if rows is not None else {}
@@ -56,14 +58,14 @@ class TensorMatrix:
 
     @classmethod
     def identity(cls, n, k):
-        n = as_rank(n)
+        n, k = as_size(n), as_size(k, "k")
         return cls(n, k, {i: {i: 1} for i in range(n ** k)})
 
     @classmethod
     def from_permutation(cls, sigma, k, n, coeff=1):
         """Operator sending e_{j_1} x ... x e_{j_k} to the basis vector whose
         sigma(t)-th slot holds j_t; sigma is a tuple with sigma[t-1] = sigma(t)."""
-        n = as_rank(n)
+        n, k = as_size(n), as_size(k, "k")
         if not coeff:
             return cls(n, k)
         powers = [n ** (k - 1 - t) for t in range(k)]
@@ -167,6 +169,7 @@ def _product_zero(a, b):
 
 def perm_op(l, m, k, n):
     """The swap P_{l,m} of legs l and m on (C^n)^{tensor k}."""
+    k = as_size(k, "k")
     if not (1 <= l < m <= k):
         raise ValueError(f"need 1 <= l < m <= k, got l={l}, m={m}, k={k}")
     sigma = list(range(1, k + 1))
@@ -202,7 +205,7 @@ def _perm_sign(sigma):
 def permutation_sum(k, n, signed):
     """Sum over S_k of the permutation operators on k legs, each times its
     sign when signed: k!*A_k or k!*S_k, with int entries."""
-    acc = TensorMatrix(as_rank(n), k)
+    acc = TensorMatrix(n, as_size(k, "k"))
     for sigma in permutations(range(1, k + 1)):
         coeff = _perm_sign(sigma) if signed else 1
         acc = acc + TensorMatrix.from_permutation(sigma, k, n, coeff=coeff)
@@ -223,6 +226,7 @@ def r_chain(l, sign, k, n):
     """l!*B_l on k legs: R_{l-1,l}(s/(l-1)) ... R_{1,2}(s) with s = -sign, each
     factor 1 + sign*p*P_{p,p+1} integral.  sign=+1 builds the symmetrizer
     factors (negative R arguments), sign=-1 the antisymmetrizer ones."""
+    k = as_size(k, "k")
     if l < 2 or l > k:
         raise ValueError("need 2 <= l <= k")
     acc = TensorMatrix.identity(n, k)
@@ -252,8 +256,7 @@ _PROJ_METHODS = {
 
 
 def _projector(k, n, method, signed):
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = as_size(k, "k")
     if method not in _PROJ_METHODS:
         raise ValueError(f"unknown method {method!r}")
     if k == 1:
@@ -303,6 +306,7 @@ def t_series(ctx, i, j, a, N):
 def t_leg(s, a, k, N, ctx):
     """T_s(u+a) on k legs over the (C^n)^{tensor k} of the yangian context
     ctx: leg s carries the generating matrix entries."""
+    k, N = as_size(k, "k"), as_size(N, "order", 0)
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
     if ctx.kind != "yangian":
@@ -317,6 +321,7 @@ def matrix_on_leg(M, s, k, zero):
     the ring of `zero` acting on leg s of k.  Rational entries are stored as
     `rationals.demote` gives them; an entry that is neither a rational nor an
     algebra element or carrier (a float) raises TypeError."""
+    k = as_size(k, "k")
     if not (1 <= s <= k):
         raise ValueError("leg index out of range")
     n = len(M)

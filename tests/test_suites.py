@@ -22,7 +22,7 @@ from yangsym.tensor import TensorMatrix, symmetrizer
 @pytest.mark.parametrize("field", ["n", "order", "max_m", "max_k", "tau_order"])
 @pytest.mark.parametrize("value", [0, -1])
 def test_suite_config_refuses_non_positive_sizes(field, value):
-    with pytest.raises(ValueError, match=f"SuiteConfig.{field} must be a positive integer"):
+    with pytest.raises(ValueError, match=f"need {field} >= 1 and an int"):
         SuiteConfig(**{field: value})
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from yangsym.pbw import AlgebraElement, free_context, gl_context, yangian_context
 from yangsym.rationals import Q
 from yangsym.serialize import to_jsonable
-from yangsym.series import USeries, sum_of_products
+from yangsym.series import UPolynomial, USeries, sum_of_products
 from yangsym.tau import TauOperator
 
 # the free algebra on three letters has no relations, so every product there
@@ -204,6 +204,19 @@ def test_mismatched_contexts_raise(same_power):
         sum_of_products([(a, a), (b, b)])
     with pytest.raises(ValueError, match="algebra instance mismatch"):
         sum_of_products([(a, b)])
+
+
+@pytest.mark.parametrize("ring", ["element", "polynomial"])
+@pytest.mark.parametrize("series_first", [True, False])
+def test_series_pairs_mixed_with_another_ring_raise(ring, series_first):
+    # the sum of the other ring's products once met the series by `+` and
+    # raised AttributeError (an element) or a bare TypeError (a polynomial)
+    y = CONTEXTS["yangian"]
+    s = USeries(2, {0: y.one(), 1: y.t(1, 1, 2)})
+    x = y.t(1, 2, 1) if ring == "element" else UPolynomial({1: 1})
+    pairs = [(s, s), (x, x)] if series_first else [(x, x), (s, s)]
+    with pytest.raises(ValueError, match=f"USeries pairs and of {type(x).__name__} pairs"):
+        sum_of_products(pairs)
 
 
 def test_scalar_types_accepted_as_before():
